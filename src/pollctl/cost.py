@@ -2,10 +2,10 @@
 
 Fluid paths are piecewise linear and simulated sample paths are piecewise
 constant, so for the built-in cost families every integral is computed in
-closed form: linear and polynomial costs integrate segment-wise via
-antiderivatives, piecewise-linear costs after splitting segments at threshold
-crossings.  Arbitrary cost callables fall back to adaptive Gauss-Legendre
-quadrature with a 1e-10 relative target.
+closed form, vectorised over arrays of linear pieces: linear and polynomial
+costs via antiderivatives, piecewise-linear costs as sums of threshold-
+activated linear terms.  Arbitrary cost callables fall back to adaptive
+Gauss-Legendre quadrature with a 1e-10 relative target, segment by segment.
 """
 
 from __future__ import annotations
@@ -47,8 +47,12 @@ class ScalarCost:
     def value(self, x):
         raise NotImplementedError
 
-    def segment_integral(self, x0: float, x1: float, duration: float) -> float:
+    def integrals(self, x0, x1, dt) -> np.ndarray:
+        """Integrals over pieces moving linearly from x0 to x1 in time dt."""
         raise NotImplementedError
+
+    def segment_integral(self, x0: float, x1: float, duration: float) -> float:
+        return float(self.integrals(x0, x1, duration))
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +62,8 @@ class LinearScalar(ScalarCost):
     def value(self, x):
         return self.slope * np.asarray(x, dtype=float)
 
-    def segment_integral(self, x0: float, x1: float, duration: float) -> float:
-        return self.slope * 0.5 * (x0 + x1) * duration
+    def integrals(self, x0, x1, dt) -> np.ndarray:
+        return self.slope * 0.5 * (np.asarray(x0) + x1) * dt
 
 
 class PiecewiseLinearScalar(ScalarCost):
@@ -83,10 +87,7 @@ class PiecewiseLinearScalar(ScalarCost):
             raise ValueError("thresholds must increase strictly")
         if self.slopes[0] < 0.0 or np.any(np.diff(self.slopes) <= 0.0):
             raise ValueError("slopes must be nonnegative and strictly increasing")
-
-    @property
-    def slope_increments(self) -> np.ndarray:
-        return np.diff(self.slopes, prepend=0.0)
+        self.slope_increments = np.diff(self.slopes, prepend=0.0)
 
     def branch(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -100,22 +101,18 @@ class PiecewiseLinearScalar(ScalarCost):
         x = np.asarray(x, dtype=float)
         return self.slopes[self.branch(x)] * x
 
-    def segment_integral(self, x0: float, x1: float, duration: float) -> float:
-        if duration == 0.0:
-            return 0.0
-        lo, hi = min(x0, x1), max(x0, x1)
-        inner = self.thresholds[(self.thresholds > lo) & (self.thresholds < hi)]
-        if inner.size == 0:
-            mid = 0.5 * (x0 + x1)
-            return float(self.slopes[self.branch(mid)]) * mid * duration
-        # Fractions of the interval at which the level crosses a threshold.
-        cuts = (inner - x0) / (x1 - x0)
-        cuts = np.concatenate([[0.0], np.sort(cuts), [1.0]])
-        xs = x0 + cuts * (x1 - x0)
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        piece_slopes = self.slopes[self.branch(mids)]
-        lengths = np.diff(cuts) * duration
-        return float(np.dot(piece_slopes * mids, lengths))
+    def integrals(self, x0, x1, dt) -> np.ndarray:
+        # Per increment h * x * 1{x >= alpha}: over a rising or falling piece
+        # spanning [lo, hi] its mean is (hi - c)(hi + c) / (2 (hi - lo)) with
+        # c = clip(alpha, lo, hi); a flat piece takes the value at its level.
+        x0 = np.asarray(x0, dtype=float)[..., None]
+        x1 = np.asarray(x1, dtype=float)[..., None]
+        lo, hi = np.minimum(x0, x1), np.maximum(x0, x1)
+        cut = np.clip(self.thresholds, lo, hi)
+        flat = hi == lo
+        ramp = (hi - cut) * (hi + cut) / (2.0 * np.where(flat, 1.0, hi - lo))
+        means = np.where(flat, np.where(hi >= self.thresholds, hi, 0.0), ramp)
+        return (means @ self.slope_increments) * dt
 
 
 class PolynomialScalar(ScalarCost):
@@ -135,12 +132,17 @@ class PolynomialScalar(ScalarCost):
             np.asarray(x, dtype=float), self.coefficients
         )
 
-    def segment_integral(self, x0: float, x1: float, duration: float) -> float:
-        spread = abs(x1 - x0)
-        if spread <= 1e-12 * max(1.0, abs(x0), abs(x1)):
-            return float(self.value(0.5 * (x0 + x1))) * duration
-        anti = np.polynomial.polynomial.polyval([x0, x1], self._antiderivative)
-        return float(anti[1] - anti[0]) / (x1 - x0) * duration
+    def integrals(self, x0, x1, dt) -> np.ndarray:
+        x0, x1 = np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
+        spread = x1 - x0
+        # antiderivative differences lose every digit on near-flat pieces
+        flat = np.abs(spread) <= 1e-12 * np.maximum(1.0, np.maximum(abs(x0), abs(x1)))
+        anti = np.polynomial.polynomial.polyval(x1, self._antiderivative)
+        anti = anti - np.polynomial.polynomial.polyval(x0, self._antiderivative)
+        mean = np.where(
+            flat, self.value(0.5 * (x0 + x1)), anti / np.where(flat, 1.0, spread)
+        )
+        return mean * dt
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,11 +164,16 @@ class SeparableCost(CostFunction):
             total = total + comp.value(levels[..., k])
         return float(total) if total.ndim == 0 else total
 
-    def segment_integral(self, start, end, duration: float) -> float:
+    def integrals(self, start, end, dt) -> np.ndarray:
+        """Integrals over linear segments, levels (..., K), durations (...)."""
+        start, end = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
         return sum(
-            comp.segment_integral(float(start[k]), float(end[k]), duration)
+            comp.integrals(start[..., k], end[..., k], dt)
             for k, comp in enumerate(self.components)
         )
+
+    def segment_integral(self, start, end, duration: float) -> float:
+        return float(self.integrals(start, end, duration))
 
     def step_integral(self, levels: np.ndarray, durations: np.ndarray) -> float:
         return sum(
@@ -238,14 +245,18 @@ class CustomCost(CostFunction):
         return duration * refine(0.0, 1.0, whole, 0)
 
 
+def _segment_integrals(times: np.ndarray, levels: np.ndarray, psi: CostFunction):
+    """Cost integral over each segment of a piecewise-linear path."""
+    dt = np.diff(times)
+    if isinstance(psi, SeparableCost):
+        return psi.integrals(levels[:-1], levels[1:], dt)
+    pieces = zip(levels[:-1], levels[1:], dt)
+    return np.asarray([psi.segment_integral(*p) if p[2] > 0.0 else 0.0 for p in pieces])
+
+
 def pe_average_cost(pe, psi: CostFunction) -> float:
     """Time-average cost over one tour of a periodic equilibrium."""
-    total = 0.0
-    for j in range(len(pe.times) - 1):
-        dt = pe.times[j + 1] - pe.times[j]
-        if dt > 0.0:
-            total += psi.segment_integral(pe.levels[j], pe.levels[j + 1], dt)
-    return total / pe.cycle_time
+    return float(_segment_integrals(pe.times, pe.levels, psi).sum()) / pe.cycle_time
 
 
 def trajectory_running_cost(traj, psi: CostFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -255,11 +266,7 @@ def trajectory_running_cost(traj, psi: CostFunction) -> tuple[np.ndarray, np.nda
     the limit of the running average.
     """
     times = traj.times
-    pieces = np.zeros(len(times) - 1)
-    for j in range(len(times) - 1):
-        dt = times[j + 1] - times[j]
-        if dt > 0.0:
-            pieces[j] = psi.segment_integral(traj.levels[j], traj.levels[j + 1], dt)
+    pieces = _segment_integrals(times, traj.levels, psi)
     cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
     averages = np.full_like(cumulative, float(psi.value(traj.levels[0])))
     positive = times > 0.0

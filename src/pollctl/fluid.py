@@ -19,6 +19,8 @@ from .model import (
     ControlParams,
     InfeasibleParameters,
     SystemParameters,
+    augment,
+    check_ratios,
     cycle_length,
     traffic_intensity,
     validate,
@@ -26,7 +28,7 @@ from .model import (
 
 
 class NoConvergence(RuntimeError):
-    """Iterative eigenvalue estimation failed to settle."""
+    """An eigenvalue computation produced a non-finite result."""
 
 
 # Queue levels this far below zero are treated as rounding noise and clamped;
@@ -54,12 +56,6 @@ class CycleMap:
 
     def __call__(self, levels: np.ndarray) -> np.ndarray:
         return self.matrix @ levels + self.offset
-
-
-def stage_ratio_levels(params: SystemParameters, stage: int, ratio: float) -> float:
-    """Busy time of one stage visit per unit of polled-queue fluid."""
-    queue = params.table[stage % params.num_stages]
-    return ratio / (params.service_rates[queue] - params.arrival_rates[queue])
 
 
 def stage_map(params: SystemParameters, stage: int, ratio: float) -> AffineStageMap:
@@ -90,15 +86,8 @@ def cycle_map(params: SystemParameters, control: ControlParams) -> CycleMap:
     return CycleMap(matrix, offset)
 
 
-def spectral_radius(
-    matrix: np.ndarray, tol: float = 1e-10, max_iterations: int = 20000
-) -> float:
-    """Largest eigenvalue magnitude of a nonnegative matrix.
-
-    Power iteration from a positive vector; when the max-norm growth ratios
-    fail to settle (imprimitive or defective matrices) fall back to the dense
-    eigenvalue solve.
-    """
+def spectral_radius(matrix: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of a nonnegative matrix."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -106,20 +95,9 @@ def spectral_radius(
         raise NoConvergence("matrix has non-finite entries")
     if np.any(m < 0.0):
         raise ValueError("spectral_radius expects a nonnegative matrix")
-    x = np.ones(m.shape[0])
-    estimate = np.inf
-    for _ in range(max_iterations):
-        y = m @ x
-        norm = y.max()
-        if norm <= 0.0:
-            return 0.0
-        if abs(norm - estimate) <= tol:
-            return float(norm)
-        estimate = norm
-        x = y / norm
     radius = float(np.abs(np.linalg.eigvals(m)).max())
     if not np.isfinite(radius):
-        raise NoConvergence("eigenvalue fallback produced non-finite result")
+        raise NoConvergence("eigenvalue solve produced a non-finite result")
     return radius
 
 
@@ -275,54 +253,98 @@ def ratios_from_pe(pe: PECandidate) -> np.ndarray:
     return ratios
 
 
+class VisitRecursion:
+    """Periodic equilibrium of one augmented table as a function of its ratios.
+
+    Between consecutive visits ``l`` and ``n`` of a queue, the level left
+    behind plus the inflow until the next polling is the level found there:
+    ``v_n = (1 - r_l) v_l + lam (s_l + sum_m (s_m + r_m v_m / d_m))`` over the
+    stages ``m`` strictly in between.  This is ``A(r) v = b`` in the polled
+    levels, with ``A(r) = base + coupling * r`` and ``b`` free of the ratios.
+    """
+
+    def __init__(self, params: SystemParameters, repetitions: int) -> None:
+        self.cycle_time = cycle_length(params, repetitions)
+        self.num_queues = params.num_queues
+        table = augment(params.table, repetitions)
+        self.polled = np.asarray(table.stages)
+        stages = len(self.polled)
+        self.arrivals = params.arrival_array[self.polled]
+        self.drain = params.drain_rates[self.polled]
+        self.switchovers = np.asarray(params.switchover_means * repetitions)
+        self.successor = np.arange(stages)
+        visits = [np.asarray(table.visit_stages(k)) for k in range(self.num_queues)]
+        for idx in visits:
+            self.successor[idx] = np.roll(idx, -1)
+        self.base = np.eye(stages)
+        self.coupling = np.zeros((stages, stages))
+        self.rhs = np.zeros(stages)
+        for here, nxt in enumerate(self.successor):
+            between = (here + np.arange(1, (nxt - here) % stages or stages)) % stages
+            lam = self.arrivals[here]
+            self.base[nxt, here] -= 1.0
+            self.coupling[nxt, here] += 1.0
+            self.coupling[nxt, between] -= lam / self.drain[between]
+            self.rhs[nxt] = lam * self.switchovers[np.append(here, between)].sum()
+        # Queue k's sawtooth pieces, per visit a drain then a refill, sit in
+        # pieces[bounds[k]:bounds[k + 1]] of the stacked (drain, refill) arrays.
+        self._pieces = np.concatenate([np.concatenate([i, i + stages]) for i in visits])
+        self._bounds = np.cumsum([0] + [2 * len(i) for i in visits])
+
+    def visits(self, ratios) -> tuple[np.ndarray, ...]:
+        """Per stage: polled level, level left, busy time, time to next poll.
+
+        Checks the ratios as ``ControlParams.validate_for`` and the orbit as
+        ``pe_from_params`` does: closure (as a solve residual), nonnegative
+        levels and the tour length.
+        """
+        r = np.asarray(ratios, dtype=float)
+        check_ratios(r, self.polled, self.num_queues)
+        matrix = self.base + self.coupling * r
+        levels = np.linalg.solve(matrix, self.rhs)
+        residual = np.abs(matrix @ levels - self.rhs).max()
+        if not residual <= 1e-9 * max(1.0, np.abs(levels).max()):  # NaN fails
+            raise InfeasibleParameters("periodic orbit failed to close on itself")
+        levels = _clamp_levels(levels)
+        left = (1.0 - r) * levels  # nonnegative as levels are and r <= 1
+        busy = r * levels / self.drain
+        tour = busy.sum() + self.switchovers.sum()
+        if abs(tour - self.cycle_time) > 1e-9 * max(1.0, self.cycle_time):
+            raise InfeasibleParameters("tour duration disagrees with switchover budget")
+        return levels, left, busy, (levels[self.successor] - left) / self.arrivals
+
+    def average_cost(self, ratios, psi) -> float:
+        """Time-average orbit cost under a ``SeparableCost`` ``psi``.
+
+        Each queue's level is a sawtooth: per visit a linear drain to the
+        level left, then a linear refill until its next polling.
+        """
+        levels, left, busy, refill = self.visits(ratios)
+        x0 = np.concatenate([levels, left])[self._pieces]
+        x1 = np.concatenate([left, levels[self.successor]])[self._pieces]
+        dt = np.concatenate([busy, refill])[self._pieces]
+        total = sum(
+            float(comp.integrals(x0[a:b], x1[a:b], dt[a:b]).sum())
+            for comp, a, b in zip(psi.components, self._bounds, self._bounds[1:])
+        )
+        return total / self.cycle_time
+
+
 def polling_values_by_recursion(
     params: SystemParameters, control: ControlParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Periodic equilibrium via the inter-visit linear recursion.
 
-    Independent of the fixed-point route: for consecutive visits of a queue,
-    the level left behind plus the inflow accumulated until the next polling
-    reproduces the level found there.  Solving that linear system in the
-    polled-queue levels yields (per-stage polled levels, tour-start vector).
+    Independent of the fixed-point route: ``VisitRecursion`` gives the polled
+    level at every stage, and a queue's tour-start level is its level at its
+    first visit less the inflow before it.  Returns (per-stage polled levels,
+    tour-start vector).
     """
-    control.validate_for(params)
-    validate(params)
-    table = control.augmented_table(params)
-    stages = len(control.ratios)
-    lam = params.arrival_array
-    drain = params.drain_rates
-    s = np.asarray(
-        [params.switchover_means[i % params.num_stages] for i in range(stages)]
-    )
-    ratios = control.ratio_array
-    polled = np.asarray(table.stages)
-    # busy_coeff[l] * v_l is the busy time of stage l.
-    busy_coeff = ratios / drain[polled]
-
-    matrix = np.zeros((stages, stages))
-    rhs = np.zeros(stages)
-    for queue in range(params.num_queues):
-        visits = table.visit_stages(queue)
-        for j, here in enumerate(visits):
-            nxt = visits[(j + 1) % len(visits)]
-            between = [(here + off) % stages for off in range(1, (nxt - here) % stages)]
-            if nxt == here:  # single visit: wrap past every other stage
-                between = [(here + off) % stages for off in range(1, stages)]
-            row = matrix[nxt]
-            row[nxt] += 1.0
-            row[here] -= 1.0 - ratios[here]
-            rhs[nxt] += lam[queue] * s[here]
-            for mid in between:
-                row[mid] -= lam[queue] * busy_coeff[mid]
-                rhs[nxt] += lam[queue] * s[mid]
-    values = np.linalg.solve(matrix, rhs)
-
-    busy = busy_coeff * values
-    start = np.zeros(params.num_queues)
-    for queue in range(params.num_queues):
-        first = table.visit_stages(queue)[0]
-        lead = busy[:first].sum() + s[:first].sum()
-        start[queue] = values[first] - lam[queue] * lead
+    recursion = VisitRecursion(params, control.repetitions)
+    values, _, busy, _ = recursion.visits(control.ratio_array)
+    epochs = np.concatenate([[0.0], np.cumsum(busy + recursion.switchovers)[:-1]])
+    first = np.unique(recursion.polled, return_index=True)[1]
+    start = values[first] - params.arrival_array * epochs[first]
     return values, _clamp_levels(start)
 
 

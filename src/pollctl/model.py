@@ -176,6 +176,24 @@ def cycle_length(params: SystemParameters, repetitions: int = 1) -> float:
     return repetitions * params.switchover_total / (1.0 - rho)
 
 
+def check_ratios(ratios: np.ndarray, stages: np.ndarray, num_queues: int) -> None:
+    """Reject ratios outside the admissible set of an augmented table.
+
+    ``stages`` holds the queue polled at each augmented stage.  Every ratio
+    must lie in [0, 1] and every queue must get a positive total ratio over
+    its visits, otherwise it would never be served.
+    """
+    if ratios.shape != stages.shape:
+        raise MismatchedDimensions(
+            f"{ratios.size} ratios for {stages.size} augmented stages"
+        )
+    if not (ratios.min() >= 0.0 and ratios.max() <= 1.0):  # NaN fails too
+        raise InvalidControl("ratios must lie in [0, 1]")
+    starved = np.flatnonzero(np.bincount(stages, ratios, num_queues) <= 0.0)
+    if starved.size:
+        raise InvalidControl(f"queues with zero total ratio: {starved.tolist()}")
+
+
 @dataclass(frozen=True)
 class ControlParams:
     """A binomial-exhaustive policy: table repetitions plus per-stage ratios."""
@@ -201,32 +219,14 @@ class ControlParams:
         return AugmentedTable(params.table, self.repetitions)
 
     def validate_for(self, params: SystemParameters) -> None:
-        """Check membership in the admissible ratio set.
-
-        Every ratio must lie in [0, 1] and every queue must get a positive
-        total ratio over its visits, otherwise it would never be served.
-        """
-        expected = params.num_stages * self.repetitions
-        if len(self.ratios) != expected:
-            raise MismatchedDimensions(
-                f"{len(self.ratios)} ratios for {expected} augmented stages"
-            )
-        r = self.ratio_array
-        if np.any(r < 0.0) or np.any(r > 1.0):
-            raise InvalidControl("ratios must lie in [0, 1]")
-        sums = self.queue_ratio_sums(params)
-        starved = np.nonzero(sums <= 0.0)[0]
-        if starved.size:
-            raise InvalidControl(
-                f"queues with zero total ratio over their visits: {starved.tolist()}"
-            )
+        """Check membership in the admissible ratio set (see ``check_ratios``)."""
+        stages = np.asarray(self.augmented_table(params).stages)
+        check_ratios(self.ratio_array, stages, params.num_queues)
 
     def queue_ratio_sums(self, params: SystemParameters) -> np.ndarray:
         """Per-queue sums of ratios over the queue's visit stages."""
-        table = self.augmented_table(params)
-        sums = np.zeros(params.num_queues)
-        np.add.at(sums, np.asarray(table.stages), self.ratio_array)
-        return sums
+        stages = np.asarray(self.augmented_table(params).stages)
+        return np.bincount(stages, self.ratio_array, params.num_queues)
 
     def in_compact_set(self, params: SystemParameters, atol: float = 1e-9) -> bool:
         """True when every per-queue ratio sum is at least 1.

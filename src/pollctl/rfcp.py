@@ -12,6 +12,7 @@ no equilibrium cost and makes the minimum attained.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import optimize
@@ -24,7 +25,7 @@ from .cost import (
     SeparableCost,
     pe_average_cost,
 )
-from .fluid import pe_from_params
+from .fluid import VisitRecursion, pe_from_params
 from .model import (
     ControlParams,
     InvalidControl,
@@ -35,11 +36,21 @@ from .model import (
 )
 
 
+def _cost_of_ratios(params: SystemParameters, repetitions: int, psi: CostFunction):
+    """Equilibrium cost as a function of the ratios: closed form for separable
+    costs, quadrature along the breakpoint orbit otherwise."""
+    if isinstance(psi, SeparableCost):
+        return partial(VisitRecursion(params, repetitions).average_cost, psi=psi)
+    return lambda r: pe_average_cost(
+        pe_from_params(params, ControlParams(repetitions, r)), psi
+    )
+
+
 def control_cost(
     params: SystemParameters, control: ControlParams, psi: CostFunction
 ) -> float:
     """Long-run average cost of one policy in periodic equilibrium."""
-    return pe_average_cost(pe_from_params(params, control), psi)
+    return _cost_of_ratios(params, control.repetitions, psi)(control.ratios)
 
 
 def project_to_compact(
@@ -177,16 +188,14 @@ def _search_single(
     gen = np.random.default_rng((seed, repetitions))
     evaluations = [0]
     weight = [1e4]
+    cost_of = _cost_of_ratios(params, repetitions, psi)
 
     def queue_sums(r: np.ndarray) -> np.ndarray:
-        sums = np.zeros(params.num_queues)
-        np.add.at(sums, stage_queue, r)
-        return sums
+        return np.bincount(stage_queue, r, params.num_queues)
 
     def true_cost(r: np.ndarray) -> float:
         evaluations[0] += 1
-        control = ControlParams(repetitions, tuple(float(v) for v in r))
-        return control_cost(params, control, psi)
+        return cost_of(r)
 
     def objective(x: np.ndarray) -> float:
         r = np.clip(x, 0.0, 1.0)

@@ -101,6 +101,38 @@ def test_polynomial_scalar_value_and_integral():
     )
 
 
+def test_integrals_vectorise_over_pieces():
+    pwl = PiecewiseLinearScalar([0.0, 1.0, 3.0, 6.0], [0.5, 1.0, 2.5, 4.0])
+    poly = PolynomialScalar([0.5, 1.0, 0.0, 0.25])
+    lin = LinearScalar(1.5)
+    # crossings both ways, starts and ends on thresholds, flat pieces (also
+    # flat on a threshold) and a zero duration
+    x0 = np.array([0.2, 7.5, 1.2, 1.0, 0.0, 3.0, 6.0, 2.0, 3.0, 0.4])
+    x1 = np.array([7.5, 0.2, 2.8, 3.0, 1.0, 0.5, 6.0, 2.0, 3.0, 5.0])
+    dt = np.array([3.0, 0.7, 5.0, 1.0, 1.0, 2.0, 1.5, 4.0, 2.0, 0.0])
+    for scalar in (pwl, poly, lin):
+        batch = scalar.integrals(x0, x1, dt)
+        assert batch.shape == x0.shape
+        for j in range(len(x0)):
+            one = scalar.segment_integral(x0[j], x1[j], dt[j])
+            assert batch[j] == pytest.approx(one, rel=1e-14, abs=0.0)
+            if dt[j] == 0.0:
+                assert batch[j] == 0.0
+            elif x0[j] == x1[j]:
+                assert batch[j] == pytest.approx(scalar.value(x0[j]) * dt[j])
+            else:
+                assert batch[j] == pytest.approx(
+                    quad_oracle(scalar, x0[j], x1[j], dt[j]), rel=1e-10
+                )
+    psi = pc.SeparableCost((pwl, poly))
+    start, end = np.stack([x0, x1], axis=1), np.stack([x1, x0], axis=1)
+    np.testing.assert_allclose(
+        psi.integrals(start, end, dt),
+        pwl.integrals(x0, x1, dt) + poly.integrals(x1, x0, dt),
+        rtol=1e-15,
+    )
+
+
 def test_polynomial_rejects_bad_coefficients():
     with pytest.raises(ValueError, match="nonnegative"):
         PolynomialScalar([1.0, -0.5])
@@ -193,6 +225,23 @@ def test_pe_average_cost_hand_values(symmetric_pe):
     assert pc.pe_average_cost(symmetric_pe, quadratic) == pytest.approx(
         6.0, abs=1e-12
     )
+
+
+def test_segment_loop_and_vectorised_path_agree(revisit_params):
+    control = pc.ControlParams(2, (0.9, 0.3, 1.0, 0.8, 0.4, 1.0, 0.0, 0.7, 0.5, 1.0))
+    pe = pc.pe_from_params(revisit_params, control)
+    traj = pc.simulate_fluid(revisit_params, control, [9.0, 0.0, 4.0], horizon=90.0)
+    psi = pc.piecewise_linear_cost(
+        [[0.0, 2.0], [0.0, 1.0, 5.0], [0.0]], [[1.0, 3.0], [0.5, 1.0, 4.0], [2.0]]
+    )
+    # CustomCost stays on the per-segment quadrature loop
+    custom = pc.CustomCost(psi.value, growth_order=1.0)
+    assert pc.pe_average_cost(pe, custom) == pytest.approx(
+        pc.pe_average_cost(pe, psi), rel=1e-8
+    )
+    _, vectorised = pc.trajectory_running_cost(traj, psi)
+    _, looped = pc.trajectory_running_cost(traj, custom)
+    np.testing.assert_allclose(looped, vectorised, rtol=1e-8)
 
 
 def test_running_cost_starts_at_instantaneous_value(symmetric_params, symmetric_pe):

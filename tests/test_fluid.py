@@ -49,6 +49,19 @@ def test_spectral_radius_hand_value(symmetric_params):
     assert radius == pytest.approx(1.0 / 9.0, abs=1e-10)
 
 
+def test_spectral_radius_of_imprimitive_matrix():
+    # eigenvalues +-sqrt(2): power iteration oscillates and never settles
+    assert pc.spectral_radius([[0.0, 2.0], [1.0, 0.0]]) == pytest.approx(
+        np.sqrt(2.0), rel=1e-14
+    )
+    with pytest.raises(pc.NoConvergence, match="non-finite"):
+        pc.spectral_radius([[np.inf, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        pc.spectral_radius([[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="square"):
+        pc.spectral_radius(np.ones((2, 3)))
+
+
 def test_pe_hand_oracle(symmetric_params, symmetric_pe):
     pe = symmetric_pe
     assert pe.cycle_time == pytest.approx(4.0, abs=1e-9)
@@ -146,6 +159,92 @@ def test_contraction_rate_in_eigenbasis():
             if before < 1e-10 * (1.0 + np.abs(fixed).max()):
                 break
             assert after <= (radius + 1e-6) * before
+
+
+# -- visit-recursion kernel against the breakpoint orbit -----------------------
+
+
+def _revisit_instance(gen, repetitions):
+    """Random system whose table revisits a queue, plus admissible ratios
+    with some exact zeros and ones."""
+    while True:
+        params, _ = random_instance(gen, max_queues=4)
+        if params.num_stages > params.num_queues:
+            break
+    stages = params.num_stages * repetitions
+    ratios = gen.uniform(0.05, 1.0, stages)
+    ratios[gen.random(stages) < 0.25] = 0.0
+    ratios[gen.random(stages) < 0.25] = 1.0
+    polled = np.asarray(params.table * repetitions)
+    for k in range(params.num_queues):
+        visits = np.flatnonzero(polled == k)
+        if ratios[visits].sum() == 0.0:
+            ratios[visits[0]] = 1.0
+    return params, pc.ControlParams(repetitions, tuple(ratios))
+
+
+def _costs_touching_orbit(gen, params, control):
+    """One cost per family; thresholds sit on levels the orbit attains."""
+    queues = params.num_queues
+    levels, left, _, _ = pc.VisitRecursion(params, control.repetitions).visits(
+        control.ratio_array
+    )
+    polled = np.asarray(params.table * control.repetitions)
+    thresholds, slopes = [], []
+    for k in range(queues):
+        touched = np.concatenate([levels[polled == k], left[polled == k]])
+        touched = np.unique(touched[touched > 0.0])[:2]
+        extra = gen.uniform(0.1, 1.5 * touched.max(initial=1.0), 1)
+        thresholds.append([0.0] + sorted(set(touched) | set(extra)))
+        slopes.append(np.cumsum(gen.uniform(0.2, 2.0, len(thresholds[-1]))))
+    return (
+        (pc.linear_cost(gen.uniform(0.2, 3.0, queues)), 1e-12),
+        (pc.piecewise_linear_cost(thresholds, slopes), 1e-12),
+        (pc.polynomial_cost(gen.uniform(0.0, 1.0, (queues, 4))), 1e-10),
+    )
+
+
+@pytest.mark.parametrize("repetitions", [1, 2, 3])
+def test_kernel_cost_matches_breakpoint_orbit(repetitions):
+    gen = np.random.default_rng(100 + repetitions)
+    for _ in range(30):
+        params, control = _revisit_instance(gen, repetitions)
+        pe = pc.pe_from_params(params, control)
+        for psi, rel in _costs_touching_orbit(gen, params, control):
+            kernel = pc.control_cost(params, control, psi)
+            assert kernel == pytest.approx(pc.pe_average_cost(pe, psi), rel=rel)
+
+
+def test_kernel_rejects_what_the_orbit_rejects(revisit_params):
+    psi = pc.linear_cost([1.0, 1.0, 1.0])
+    cases = (
+        ((1.0, 0.0, 1.0, 0.0, 1.0), pc.InvalidControl),  # queue 1 starved
+        ((1.0, 0.5, 1.2, 0.5, 1.0), pc.InvalidControl),
+        ((1.0, 0.5, np.nan, 0.5, 1.0), pc.InvalidControl),
+        ((1.0, 0.5, 1.0, 0.5), pc.MismatchedDimensions),
+    )
+    for ratios, error in cases:
+        control = pc.ControlParams(1, ratios)
+        with pytest.raises(error):
+            pc.pe_average_cost(pc.pe_from_params(revisit_params, control), psi)
+        with pytest.raises(error):
+            pc.control_cost(revisit_params, control, psi)
+
+
+def test_kernel_orbit_checks_fire(revisit_params):
+    ratios = np.array([0.9, 0.3, 1.0, 0.8, 0.4])
+
+    def broken(attribute, value):
+        recursion = pc.VisitRecursion(revisit_params, 1)
+        setattr(recursion, attribute, value(getattr(recursion, attribute)))
+        return recursion
+
+    with pytest.raises(pc.InfeasibleParameters, match="close"):
+        broken("coupling", lambda c: c * np.nan).visits(ratios)
+    with pytest.raises(pc.InfeasibleParameters, match="below zero"):
+        broken("rhs", lambda b: -b).visits(ratios)
+    with pytest.raises(pc.InfeasibleParameters, match="tour duration"):
+        broken("switchovers", lambda s: 1.01 * s).visits(ratios)
 
 
 # -- trajectories -------------------------------------------------------------

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import pollctl as pc
 from conftest import random_cyclic_params, random_pwl_cost
+from pollctl.config import cost_from, load_config, system_from
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 
 
 # -- projection onto the compact control subset ---------------------------------
@@ -189,3 +195,20 @@ def test_solve_rejects_bad_repetition_sets(symmetric_params):
         pc.solve_rfcp(symmetric_params, psi, ())
     with pytest.raises(pc.InvalidControl, match=">= 1"):
         pc.solve_rfcp(symmetric_params, psi, (0, 1))
+
+
+def test_solve_reproduces_committed_revisit_optimum():
+    # the benchmark's optimize workload: repetition set {1, 2}, budget 1
+    resolved = load_config(str(WORKLOADS / "optimize-revisit.json"))
+    reference = json.loads((WORKLOADS / "optimize-revisit.reference.json").read_text())
+    settings = resolved["optimize"]
+    solution = pc.solve_rfcp(
+        system_from(resolved["system"]),
+        cost_from(resolved["cost"]),
+        tuple(settings["repetition_set"]),
+        budget=settings["budget"],
+        seed=reference["seed"],
+    )
+    assert solution.repetitions == reference["repetitions"]
+    assert solution.cost == pytest.approx(reference["cost"], rel=1e-9)
+    assert solution.evaluations == reference["evaluations"]
