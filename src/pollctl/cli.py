@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -198,6 +199,11 @@ def _run_replication(payload: tuple[dict, int, int]) -> dict[str, Any]:
     return payload_out
 
 
+def _worker_count(threads: int, replications: int) -> int:
+    """Worker processes for ``simulate``: no more than replications or CPUs."""
+    return min(threads, replications, os.cpu_count() or 1)
+
+
 def _cmd_simulate(
     resolved: dict, out: Path, seed: int, replications: int, threads: int
 ) -> list[str]:
@@ -210,8 +216,9 @@ def _cmd_simulate(
         )
         for j in range(replications)
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = _worker_count(threads, replications)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_replication, payloads))
     else:
         results = [_run_replication(p) for p in payloads]

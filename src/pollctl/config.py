@@ -265,18 +265,25 @@ def _resolve_simulation(section: Any) -> dict[str, Any]:
         or not 0.0 < confidence < 1.0
     ):
         raise ConfigError("simulation.confidence must lie in (0, 1)")
+    measured = _positive_int(
+        section.get("measured_cycles", 1000), "simulation.measured_cycles"
+    )
+    batches = _positive_int(section.get("batches", 20), "simulation.batches", 2)
+    if batches > measured:
+        raise ConfigError(
+            f"simulation.batches ({batches}) exceeds simulation.measured_cycles "
+            f"({measured}); every batch needs at least one measured cycle"
+        )
     return {
         "scale": _positive_int(section.get("scale", 1), "simulation.scale"),
-        "measured_cycles": _positive_int(
-            section.get("measured_cycles", 1000), "simulation.measured_cycles"
-        ),
+        "measured_cycles": measured,
         "warmup_cycles": warmup,
         "record_path_cycles": _positive_int(
             section.get("record_path_cycles", 0),
             "simulation.record_path_cycles",
             minimum=0,
         ),
-        "batches": _positive_int(section.get("batches", 20), "simulation.batches", 2),
+        "batches": batches,
         "confidence": float(confidence),
         "service_distribution": _resolve_distribution(
             section.get("service_distribution", {"kind": "exponential"}),

@@ -4,7 +4,8 @@ Fluid paths are piecewise linear and simulated sample paths are piecewise
 constant, so for the built-in cost families every integral is computed in
 closed form, vectorised over arrays of linear pieces: linear and polynomial
 costs via antiderivatives, piecewise-linear costs as sums of threshold-
-activated linear terms.  Arbitrary cost callables fall back to adaptive
+activated linear terms.  A linear cost over a simulated window needs no step
+path at all: it is the total time the jobs spend in the queue.  Arbitrary cost callables fall back to adaptive
 Gauss-Legendre quadrature with a 1e-10 relative target, segment by segment.
 """
 
@@ -54,6 +55,42 @@ class ScalarCost:
     def segment_integral(self, x0: float, x1: float, duration: float) -> float:
         return float(self.integrals(x0, x1, duration))
 
+    def window_integral(
+        self,
+        start: int,
+        ups: np.ndarray,
+        downs: np.ndarray,
+        duration: float,
+        scale: int,
+    ) -> float:
+        """Integral of ``value(level / scale)`` over a window of ``duration``.
+
+        The job count starts at ``start`` and moves by +1 at each epoch of
+        ``ups`` and by -1 at each epoch of ``downs`` (sorted epochs relative
+        to the window start; downs first at equal epochs).
+        """
+        times, levels = step_path(start, ups, downs)
+        seq = np.concatenate([[start], levels]) / scale
+        bounds = np.concatenate([[0.0], times, [duration]])
+        return float(np.dot(self.value(seq), np.diff(bounds)))
+
+
+def step_path(
+    start: int, ups: np.ndarray, downs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jump epochs and job counts after each jump of a +1/-1 step path.
+
+    At equal epochs the -1 jumps (``downs``) come before the +1 jumps.
+    """
+    if downs.size == 0:
+        return ups, start + np.arange(1, ups.size + 1, dtype=np.int64)
+    times = np.concatenate([downs, ups])
+    deltas = np.concatenate(
+        [np.full(downs.size, -1, dtype=np.int64), np.ones(ups.size, dtype=np.int64)]
+    )
+    order = np.argsort(times, kind="stable")
+    return times[order], start + np.cumsum(deltas[order])
+
 
 @dataclass(frozen=True, eq=False)
 class LinearScalar(ScalarCost):
@@ -64,6 +101,18 @@ class LinearScalar(ScalarCost):
 
     def integrals(self, x0, x1, dt) -> np.ndarray:
         return self.slope * 0.5 * (np.asarray(x0) + x1) * dt
+
+    def window_integral(
+        self,
+        start: int,
+        ups: np.ndarray,
+        downs: np.ndarray,
+        duration: float,
+        scale: int,
+    ) -> float:
+        # each job present for time T adds slope * T / scale, in any order
+        held = start * duration + np.sum(duration - ups) - np.sum(duration - downs)
+        return float(self.slope * held / scale)
 
 
 class PiecewiseLinearScalar(ScalarCost):

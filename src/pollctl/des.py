@@ -3,9 +3,12 @@
 The simulator advances the server stage by stage.  Within a stage it first
 draws the binomially thinned number of jobs to clear, serves that many busy
 periods of the attended queue in one vectorised first-passage computation,
-then samples the switchover.  Queue paths are reconstructed per window from
-the arrival and completion epochs, which keeps per-event Python overhead out
-of the hot loop.
+then samples the switchover.  Each window consumes every queue's arrivals
+and moves its level by arrivals minus completions; a separable cost is
+integrated per queue straight from those epochs (in closed form for linear
+costs).  Merged per-queue step paths are built only while a path is being
+recorded or for a non-separable cost, which keeps per-event Python overhead
+and sorting out of the hot loop.
 
 Event-order convention at coincident epochs: service completions precede
 arrivals, which precede switchover ends.  All sampled epochs are continuous,
@@ -22,17 +25,32 @@ rest.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import rng
-from .cost import CostFunction
+from .cost import CostFunction, step_path
 from .distributions import Distribution, ScaledSystem
 from .fluid import PECandidate
 from .model import ControlParams, validate
 from .stats import batch_means, geweke_z, ratio_ci
+
+
+def _arrivals_before(pending: np.ndarray, completions: np.ndarray) -> np.ndarray:
+    """Number of ``pending`` epochs strictly before each completion epoch.
+
+    Equal to ``np.searchsorted(pending, completions, side="left")`` for sorted
+    ``pending``, but counted from the arrival side: with non-decreasing
+    ``completions``, arrival ``a`` precedes completion ``i`` exactly when the
+    first completion after ``a`` has index at most ``i``.  This takes one
+    binary search per arrival instead of one per completion.
+    """
+    first = np.searchsorted(completions, pending, side="right")
+    counts = np.bincount(first, minlength=completions.size + 1)
+    return np.cumsum(counts[: completions.size])
 
 
 class _SampleBuffer:
@@ -252,7 +270,7 @@ class _Engine:
             draws = buffer.take(chunk)
             completions = tail + np.cumsum(draws)
             pending = clock.peek_until(t0 + completions[-1]) - t0
-            arrived = np.searchsorted(pending, completions, side="left")
+            arrived = _arrivals_before(pending, completions)
             walk = base + 1 + np.arange(draws.size) - arrived
             hits = np.nonzero(walk == drop)[0]
             if hits.size:
@@ -279,33 +297,21 @@ class _Engine:
         and, for the attended queue, the supplied service completions."""
         t0 = self._t
         start = self._levels.copy()
-        per_queue: list[tuple[np.ndarray, np.ndarray]] = []
+        moves: list[tuple[np.ndarray, np.ndarray]] = []
         for k in range(start.size):
             arrivals = self._clocks[k].consume_until(t0 + duration) - t0
-            if k == attended:
-                times = np.concatenate([completions, arrivals])
-                deltas = np.concatenate(
-                    [
-                        np.full(completions.size, -1, dtype=np.int64),
-                        np.ones(arrivals.size, dtype=np.int64),
-                    ]
-                )
-                order = np.argsort(times, kind="stable")
-                times = times[order]
-                deltas = deltas[order]
-            else:
-                times = arrivals
-                deltas = np.ones(arrivals.size, dtype=np.int64)
-            levels = start[k] + np.cumsum(deltas)
-            per_queue.append((times, levels))
+            downs = completions if k == attended else arrivals[:0]
+            moves.append((arrivals, downs))
             self._cycle_arrivals[k] += arrivals.size
-            if levels.size:
-                self._levels[k] = levels[-1]
+            self._levels[k] += arrivals.size - downs.size
 
+        paths = None
+        if self._recording or (self._psi is not None and not self._separable):
+            paths = [step_path(start[k], *move) for k, move in enumerate(moves)]
         if self._psi is not None:
-            self._cycle_cost.append(self._window_cost(start, duration, per_queue))
+            self._cycle_cost.append(self._window_cost(start, duration, moves, paths))
         if self._recording and self.recorder is not None:
-            for k, (times, levels) in enumerate(per_queue):
+            for k, (times, levels) in enumerate(paths):
                 self.recorder.add(k, t0 + times, levels)
         self._t = t0 + duration
 
@@ -313,30 +319,31 @@ class _Engine:
         self,
         start: np.ndarray,
         duration: float,
-        per_queue: list[tuple[np.ndarray, np.ndarray]],
+        moves: list[tuple[np.ndarray, np.ndarray]],
+        paths: list[tuple[np.ndarray, np.ndarray]] | None,
     ) -> float:
         scale = self._scaled.scale
         if self._separable and self._components is not None:
             total = 0.0
-            for k, (times, levels) in enumerate(per_queue):
-                seq = np.concatenate([[start[k]], levels]) / scale
-                bounds = np.concatenate([[0.0], times, [duration]])
-                total += float(np.dot(self._components[k].value(seq), np.diff(bounds)))
+            for k, (ups, downs) in enumerate(moves):
+                total += self._components[k].window_integral(
+                    start[k], ups, downs, duration, scale
+                )
             return total
         # joint step path for non-separable costs
-        all_times = np.concatenate([times for times, _ in per_queue])
+        assert paths is not None and self._psi is not None
+        all_times = np.concatenate([times for times, _ in paths])
         columns = np.concatenate(
-            [np.full(times.size, k) for k, (times, _) in enumerate(per_queue)]
+            [np.full(times.size, k) for k, (times, _) in enumerate(paths)]
         )
         jumps = np.concatenate(
-            [np.diff(levels, prepend=start[k]) for k, (_, levels) in enumerate(per_queue)]
+            [np.diff(levels, prepend=start[k]) for k, (_, levels) in enumerate(paths)]
         )
         order = np.argsort(all_times, kind="stable")
         steps = np.zeros((all_times.size + 1, start.size))
         steps[1:][np.arange(order.size), columns[order]] = jumps[order]
         path = start + np.cumsum(steps, axis=0)
         bounds = np.concatenate([[0.0], all_times[order], [duration]])
-        assert self._psi is not None
         return float(np.dot(self._psi.value(path / scale), np.diff(bounds)))
 
     # -- cycle driver ---------------------------------------------------------
@@ -409,6 +416,9 @@ class SimulationResult:
     warmup_cycles: int
     records: list[CycleRecord] = field(repr=False)
     path: ScaledPath | None = None
+    #: False when adaptive warmup reached ``warmup_limit`` with the Geweke
+    #: score still at 3 or more; a fixed ``warmup_cycles`` is taken as given
+    warmup_converged: bool = True
 
     @cached_property
     def durations(self) -> np.ndarray:
@@ -448,7 +458,8 @@ def run(
     The system starts empty with the server about to poll stage 0.  With
     ``warmup_cycles=None`` at least 500 tours are discarded and warmup is
     extended in steps of 250 (up to ``warmup_limit``) until the Geweke score
-    of the total queue length at tour starts drops below 3.
+    of the total queue length at tour starts drops below 3.  If it never
+    does, ``warmup_converged`` is False and a ``RuntimeWarning`` is issued.
     """
     params = scaled.params
     validate(params)
@@ -457,6 +468,7 @@ def run(
         raise ValueError("measured_cycles must be positive")
 
     engine = _Engine(scaled, control, psi, seed)
+    converged = True
     if warmup_cycles is None:
         totals: list[int] = []
         target = 500
@@ -464,9 +476,18 @@ def run(
             while engine.cycles_run < target:
                 record = engine.cycle()
                 totals.append(sum(record.start_levels))
-            if abs(geweke_z(np.array(totals, dtype=float))) < 3.0:
+            z = geweke_z(np.array(totals, dtype=float))
+            if abs(z) < 3.0:
                 break
             if target >= warmup_limit:
+                converged = False
+                warnings.warn(
+                    f"adaptive warmup stopped at warmup_limit={warmup_limit} "
+                    f"cycles with Geweke |z| = {abs(z):.2f} >= 3; the measured "
+                    "cycles may still carry the empty initial state",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
                 break
             target = min(target + 250, warmup_limit)
     else:
@@ -490,6 +511,7 @@ def run(
         warmup_cycles=warmup_used,
         records=records,
         path=path,
+        warmup_converged=converged,
     )
 
 

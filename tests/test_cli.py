@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pollctl import cli
 from pollctl.cli import main
 
 
@@ -218,6 +219,30 @@ def test_error_exit_codes(tmp_path, capsys):
         )
         == 2
     )
+
+
+def test_simulate_workers_never_exceed_replications_or_cpus(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._worker_count(threads=64, replications=3) == 3
+    assert cli._worker_count(threads=64, replications=100) == 4
+    assert cli._worker_count(threads=2, replications=100) == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(threads=8, replications=8) == 1
+
+
+def test_simulate_with_one_worker_runs_in_process(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single worker must not start a process pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    config = write_config(
+        tmp_path,
+        {"simulation": {"warmup_cycles": 5, "measured_cycles": 20, "batches": 4}},
+    )
+    args = ["simulate", "--config", str(config), "--threads", "8"]
+    assert main(args + ["--out", str(tmp_path / "threads")]) == 0
+    assert main(args[:-2] + ["--out", str(tmp_path / "single")]) == 0
+    assert tree_bytes(tmp_path / "threads") == tree_bytes(tmp_path / "single")
 
 
 def test_console_script_entry_point(tmp_path):

@@ -193,6 +193,13 @@ def test_optimize_and_simulation_validation():
     bad_batches["simulation"] = {"batches": 1}
     with pytest.raises(ConfigError, match="batches"):
         resolve_config(bad_batches)
+    too_many = minimal()
+    too_many["simulation"] = {"measured_cycles": 30, "batches": 40}
+    with pytest.raises(ConfigError, match=r"simulation\.batches \(40\) exceeds"):
+        resolve_config(too_many)
+    one_each = minimal()
+    one_each["simulation"] = {"measured_cycles": 40, "batches": 40}
+    assert resolve_config(one_each)["simulation"]["batches"] == 40
 
 
 def test_scaled_from_builds_matching_system():

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import pollctl as pc
-from pollctl.cost import LinearScalar, PiecewiseLinearScalar, PolynomialScalar
+from pollctl.cost import (
+    LinearScalar,
+    PiecewiseLinearScalar,
+    PolynomialScalar,
+    ScalarCost,
+    step_path,
+)
 
 
 def quad_oracle(scalar, x0: float, x1: float, duration: float) -> float:
@@ -174,6 +180,52 @@ def test_step_integral_matches_direct_sum():
     durations = gen.uniform(0.0, 1.0, 40)
     direct = float(np.dot(psi.value(levels), durations))
     assert psi.step_integral(levels, durations) == pytest.approx(direct, rel=1e-12)
+
+
+# -- simulated windows -------------------------------------------------------------
+
+
+def test_step_path_puts_completions_first():
+    times, levels = step_path(2, np.array([0.5, 1.0]), np.array([1.0, 1.5]))
+    np.testing.assert_array_equal(times, [0.5, 1.0, 1.0, 1.5])
+    np.testing.assert_array_equal(levels, [3, 2, 3, 2])
+    times, levels = step_path(4, np.array([0.25, 0.75]), np.empty(0))
+    np.testing.assert_array_equal(times, [0.25, 0.75])
+    np.testing.assert_array_equal(levels, [5, 6])
+
+
+def test_default_window_integral_by_hand():
+    pwl = PiecewiseLinearScalar([0.0, 3.0], [1.0, 2.0])
+    ups, downs = np.array([0.5, 1.0]), np.array([1.0, 1.5])
+    # levels 2, 3, 3, 2 over four half-unit pieces; cost 2x from level 3 up
+    assert pwl.window_integral(2, ups, downs, 2.0, 1) == pytest.approx(8.0)
+    # scale 2 halves every level: 1, 1.5, 1.5, 1 all below the threshold
+    assert pwl.window_integral(2, ups, downs, 2.0, 2) == pytest.approx(2.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_up=st.integers(0, 200),
+    n_down=st.integers(0, 200),
+    scale=st.sampled_from([1, 7, 500]),
+)
+def test_linear_window_integral_matches_merged_path(seed, n_up, n_down, scale):
+    gen = np.random.default_rng(seed)
+    duration = float(gen.uniform(0.1, 50.0))
+    grid = gen.uniform(0.0, duration, 8)  # drawing from a grid makes ties
+
+    def epochs(count: int) -> np.ndarray:
+        if gen.random() < 0.3:
+            return np.sort(gen.choice(grid, count))
+        return np.sort(gen.uniform(0.0, duration, count))
+
+    ups, downs = epochs(n_up), epochs(n_down)
+    start = n_down + int(gen.integers(0, 50))  # the level never goes negative
+    lin = LinearScalar(float(gen.uniform(0.1, 10.0)))
+    closed = lin.window_integral(start, ups, downs, duration, scale)
+    merged = ScalarCost.window_integral(lin, start, ups, downs, duration, scale)
+    assert closed == pytest.approx(merged, rel=1e-12, abs=0.0)
 
 
 def test_custom_cost_matches_separable_on_segments():

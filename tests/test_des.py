@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pollctl as pc
+from pollctl import des
 from pollctl.distributions import Deterministic, Exponential
 
 
@@ -62,6 +67,23 @@ def test_scaled_system_checks_means(symmetric_params):
             (Exponential(0.25), Exponential(0.25)),
             (Deterministic(1.0), Deterministic(1.0)),
         )
+
+
+# -- busy-period counting -----------------------------------------------------------
+
+
+epoch_lists = st.lists(st.integers(0, 40).map(lambda v: v / 4.0), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pending=epoch_lists, completions=epoch_lists.filter(len))
+def test_arrival_side_count_equals_completion_side_search(pending, completions):
+    # quarter-unit grid epochs: ties between arrivals and completions are common
+    pending = np.sort(np.array(pending, dtype=float))
+    completions = np.sort(np.array(completions, dtype=float))
+    counted = des._arrivals_before(pending, completions)
+    expected = np.searchsorted(pending, completions, side="left")
+    np.testing.assert_array_equal(counted, expected)
 
 
 # -- conservation and determinism --------------------------------------------------
@@ -129,6 +151,68 @@ def test_identical_seeds_reproduce_bitwise(symmetric_scaled, symmetric_params):
         np.testing.assert_array_equal(ta, tb)
 
 
+@pytest.mark.parametrize(
+    "control",
+    [None, pc.ControlParams(1, (0.7, 0.5, 1.0, 0.6, 0.9))],
+    ids=["exhaustive", "binomial"],
+)
+def test_linear_cost_matches_custom_cost_of_same_function(revisit_params, control):
+    control = control or exhaustive(revisit_params)
+    scaled = pc.scaled_system(revisit_params, 20)
+    weights = np.array([1.0, 1.0, 8.0])
+    runs = [
+        pc.run(
+            scaled,
+            control,
+            psi,
+            warmup_cycles=5,
+            measured_cycles=30,
+            seed=4,
+        )
+        for psi in (
+            pc.linear_cost(weights),
+            pc.CustomCost(lambda x: x @ weights, growth_order=1.0),
+        )
+    ]
+    closed, joint = runs
+    for a, b in zip(closed.records, joint.records):
+        np.testing.assert_array_equal(a.polling_levels, b.polling_levels)
+        np.testing.assert_array_equal(a.arrivals, b.arrivals)
+        np.testing.assert_array_equal(a.services, b.services)
+    np.testing.assert_array_equal(closed.durations, joint.durations)
+    np.testing.assert_array_equal(closed.busy_array, joint.busy_array)
+    np.testing.assert_allclose(closed.costs, joint.costs, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        pc.linear_cost([1.0, 1.0, 8.0]),
+        pc.piecewise_linear_cost(
+            [[0.0, 1.0]] * 3, [[1.0, 2.0], [1.0, 3.0], [2.0, 5.0]]
+        ),
+    ],
+    ids=["linear", "piecewise"],
+)
+def test_costs_do_not_depend_on_path_recording(revisit_params, psi):
+    scaled = pc.scaled_system(revisit_params, 10)
+    control = exhaustive(revisit_params)
+    plain, recorded = (
+        pc.run(
+            scaled,
+            control,
+            psi,
+            warmup_cycles=3,
+            measured_cycles=12,
+            seed=9,
+            record_path_cycles=cycles,
+        )
+        for cycles in (0, 12)
+    )
+    assert recorded.path is not None
+    np.testing.assert_array_equal(plain.costs, recorded.costs)
+
+
 def test_different_seeds_decorrelate(symmetric_scaled, symmetric_params):
     a = pc.run(
         symmetric_scaled,
@@ -184,6 +268,50 @@ def test_adaptive_warmup_discards_at_least_500(symmetric_scaled, symmetric_param
         seed=0,
     )
     assert 500 <= result.warmup_cycles <= 2000
+
+
+def test_unsettled_adaptive_warmup_is_reported(
+    symmetric_scaled, symmetric_params, monkeypatch
+):
+    scores = []
+
+    def never_settles(samples):
+        scores.append(len(samples))
+        return 4.5
+
+    monkeypatch.setattr(des, "geweke_z", never_settles)
+    with pytest.warns(RuntimeWarning, match="warmup_limit=1000"):
+        result = pc.run(
+            symmetric_scaled,
+            exhaustive(symmetric_params),
+            measured_cycles=5,
+            seed=0,
+            warmup_limit=1000,
+        )
+    assert result.warmup_converged is False
+    assert result.warmup_cycles == 1000
+    assert scores == [500, 750, 1000]
+
+
+def test_settled_and_fixed_warmups_report_convergence(
+    symmetric_scaled, symmetric_params, monkeypatch
+):
+    monkeypatch.setattr(des, "geweke_z", lambda samples: 2.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        settled = pc.run(
+            symmetric_scaled, exhaustive(symmetric_params), measured_cycles=5, seed=0
+        )
+    assert settled.warmup_converged is True
+    assert settled.warmup_cycles == 500
+    fixed = pc.run(
+        symmetric_scaled,
+        exhaustive(symmetric_params),
+        warmup_cycles=3,
+        measured_cycles=5,
+        seed=0,
+    )
+    assert fixed.warmup_converged is True
 
 
 def test_measured_cycles_must_be_positive(symmetric_scaled, symmetric_params):
