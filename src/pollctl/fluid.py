@@ -319,7 +319,39 @@ class VisitRecursion:
         Each queue's level is a sawtooth: per visit a linear drain to the
         level left, then a linear refill until its next polling.
         """
-        levels, left, busy, refill = self.visits(ratios)
+        return self._integrate(self.visits(ratios), psi)
+
+    def cost_and_gradient(self, ratios, psi) -> tuple[float, np.ndarray]:
+        """``average_cost`` and its gradient in the ratios.
+
+        With ``Phi`` the antiderivative of the polled queue's cost, stage
+        ``i`` adds ``(Phi(v_i) - Phi(l_i)) / d_i + (Phi(v_next) - Phi(l_i)) /
+        lam_i`` per tour, ``l_i = (1 - r_i) v_i``.  Its partial derivatives
+        need only the cost values at ``v`` and ``l``; the dependence of ``v``
+        on ``r`` through ``A(r) v = b`` costs one adjoint solve.
+        """
+        r = np.asarray(ratios, dtype=float)
+        orbit = self.visits(r)
+        levels, left, _, _ = orbit
+        stacked = np.concatenate([levels, left])[self._pieces]
+        values = np.empty(stacked.size)
+        values[self._pieces] = np.concatenate(
+            [
+                comp.value(stacked[a:b])
+                for comp, a, b in zip(psi.components, self._bounds, self._bounds[1:])
+            ]
+        )
+        at_poll, at_left = np.split(values, 2)
+        rates = 1.0 / self.drain + 1.0 / self.arrivals
+        # v_i starts stage i's drain and ends its predecessor visit's refill
+        # (same queue, same lam); l_i = (1 - r_i) v_i
+        by_levels = rates * (at_poll - (1.0 - r) * at_left)
+        adjoint = np.linalg.solve((self.base + self.coupling * r).T, by_levels)
+        gradient = rates * at_left * levels - (adjoint @ self.coupling) * levels
+        return self._integrate(orbit, psi), gradient / self.cycle_time
+
+    def _integrate(self, orbit, psi) -> float:
+        levels, left, busy, refill = orbit
         x0 = np.concatenate([levels, left])[self._pieces]
         x1 = np.concatenate([left, levels[self.successor]])[self._pieces]
         dt = np.concatenate([busy, refill])[self._pieces]
@@ -346,50 +378,6 @@ def polling_values_by_recursion(
     first = np.unique(recursion.polled, return_index=True)[1]
     start = values[first] - params.arrival_array * epochs[first]
     return values, _clamp_levels(start)
-
-
-def next_server_activity(
-    params: SystemParameters,
-    control: ControlParams,
-    stage: int,
-    switching: bool,
-    levels: np.ndarray,
-) -> tuple[str, int]:
-    """Which activity follows the one just finished at ``stage``.
-
-    Zero-length activities are skipped: the server jumps to the first stage
-    ahead with a positive switchover or a positive prospective busy time,
-    whichever comes first in table order.  ``switching=False`` means a busy
-    period at ``stage`` just ended (its own switchover is still pending);
-    ``switching=True`` means the switchover after ``stage`` just ended.
-    Returns ("serve", i) or ("switch", i) with an augmented stage index.
-    """
-    stages = len(control.ratios)
-    table = control.augmented_table(params)
-
-    def switch_len(i: int) -> float:
-        return params.switchover_means[i % params.num_stages]
-
-    def prospective_busy(i: int) -> float:
-        queue = table.polled_queue(i)
-        return control.ratios[i % stages] * levels[queue] / params.drain_rates[queue]
-
-    first_switch = None
-    start = stage if not switching else stage + 1
-    for j in range(start, start + stages + 1):
-        if switch_len(j) > 0.0:
-            first_switch = j
-            break
-    first_busy = None
-    for j in range(stage + 1, stage + stages + 1):
-        if prospective_busy(j) > 0.0:
-            first_busy = j
-            break
-    if first_busy is not None and (first_switch is None or first_busy <= first_switch):
-        return ("serve", first_busy % stages)
-    if first_switch is None:
-        raise AssertionError("no positive switchover or busy time within one tour")
-    return ("switch", first_switch % stages)
 
 
 @dataclass(frozen=True, eq=False)

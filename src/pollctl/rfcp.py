@@ -3,10 +3,11 @@
 The decision variables are the repetition count of the visit table and one
 thinning ratio per augmented stage.  Equilibrium cost is evaluated exactly
 through the fluid periodic orbit, so the optimisation is a low-dimensional
-deterministic problem; multi-start Nelder-Mead with a soft penalty keeping
-iterates near the compact subset (per-queue ratio sums at least one) is
-robust to its piecewise-smooth structure.  Restricting to that subset loses
-no equilibrium cost and makes the minimum attained.
+smooth program over [0, 1] ratios with per-queue sums at least one (the
+compact subset; restricting to it loses no equilibrium cost and makes the
+minimum attained).  SLSQP solves it from several seeded starts, with the
+exact adjoint gradient of the visit recursion for separable costs and
+finite differences otherwise.
 """
 
 from __future__ import annotations
@@ -37,45 +38,52 @@ from .model import (
 
 
 def _cost_of_ratios(params: SystemParameters, repetitions: int, psi: CostFunction):
-    """Equilibrium cost as a function of the ratios: closed form for separable
-    costs, quadrature along the breakpoint orbit otherwise."""
+    """Equilibrium cost as a function of the ratios, and the same function
+    returning its gradient too, if there is one: closed form and adjoint
+    gradient for separable costs, quadrature along the breakpoint orbit and
+    no gradient otherwise."""
     if isinstance(psi, SeparableCost):
-        return partial(VisitRecursion(params, repetitions).average_cost, psi=psi)
-    return lambda r: pe_average_cost(
-        pe_from_params(params, ControlParams(repetitions, r)), psi
-    )
+        recursion = VisitRecursion(params, repetitions)
+        return (
+            partial(recursion.average_cost, psi=psi),
+            partial(recursion.cost_and_gradient, psi=psi),
+        )
+
+    def cost(r):
+        return pe_average_cost(pe_from_params(params, ControlParams(repetitions, r)), psi)
+
+    return cost, None
 
 
 def control_cost(
     params: SystemParameters, control: ControlParams, psi: CostFunction
 ) -> float:
     """Long-run average cost of one policy in periodic equilibrium."""
-    return _cost_of_ratios(params, control.repetitions, psi)(control.ratios)
+    return _cost_of_ratios(params, control.repetitions, psi)[0](control.ratios)
 
 
 def project_to_compact(
     params: SystemParameters, repetitions: int, ratios: np.ndarray
 ) -> np.ndarray:
-    """Euclidean projection onto [0,1] ratios with per-queue sums >= 1.
+    """Clip to [0, 1], then project onto the ratios with per-queue sums >= 1.
 
-    Queues partition the stages, so the projection separates: clip, then for
-    any queue still short of total one, shift its visits up uniformly
-    (saturating at 1) until the sum reaches one.
+    Queues partition the stages, so the projection separates into one capped
+    simplex per queue (Wang & Lu, arXiv:1503.01002): shift the queue's visits
+    up uniformly, each capped at 1, until their sum reaches one.  Once they
+    are clipped to [0, 1] with a sum below one, the shift ``(1 - sum) /
+    visits`` leaves every visit at most 1, so no cap binds and the shift is
+    exact.  Visits of a queue whose floating-point sum still falls short move
+    up by one ulp until it does not.
     """
-    table = augment(params.table, repetitions)
+    stages = np.asarray(augment(params.table, repetitions).stages)
     r = np.clip(np.asarray(ratios, dtype=float), 0.0, 1.0)
-    for k in range(params.num_queues):
-        idx = np.asarray(table.visit_stages(k))
-        if r[idx].sum() >= 1.0:
-            continue
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if np.clip(r[idx] + mid, 0.0, 1.0).sum() >= 1.0:
-                hi = mid
-            else:
-                lo = mid
-        r[idx] = np.clip(r[idx] + hi, 0.0, 1.0)
+    sums = np.bincount(stages, r, params.num_queues)
+    shift = np.maximum(1.0 - sums, 0.0) / np.bincount(stages)
+    r = np.minimum(r + shift[stages], 1.0)
+    short = np.bincount(stages, r, params.num_queues) < 1.0
+    while short.any():
+        r[short[stages]] = np.nextafter(r[short[stages]], 1.0)
+        short = np.bincount(stages, r, params.num_queues) < 1.0
     return r
 
 
@@ -149,6 +157,15 @@ def relaxation_bound_cyclic(
 
 
 @dataclass(frozen=True)
+class StartOutcome:
+    """Where one start of the search ended."""
+
+    cost: float  # equilibrium cost of the projected end point
+    evaluations: int  # orbit solves SLSQP made, without the final evaluation
+    success: bool  # SLSQP's own convergence flag
+
+
+@dataclass(frozen=True)
 class RepetitionSearch:
     """Best policy found for one repetition count."""
 
@@ -156,6 +173,7 @@ class RepetitionSearch:
     ratios: tuple[float, ...]
     cost: float
     evaluations: int
+    starts: tuple[StartOutcome, ...]
 
 
 @dataclass(frozen=True)
@@ -183,87 +201,54 @@ def _search_single(
     dim = params.num_stages * repetitions
     if budget is None:
         budget = 20 + 5 * dim
-    table = augment(params.table, repetitions)
-    stage_queue = np.asarray(table.stages)
+    stages = np.asarray(augment(params.table, repetitions).stages)
     gen = np.random.default_rng((seed, repetitions))
-    evaluations = [0]
-    weight = [1e4]
-    cost_of = _cost_of_ratios(params, repetitions, psi)
+    cost_of, with_gradient = _cost_of_ratios(params, repetitions, psi)
+    fun = with_gradient or cost_of
+    evaluations = 0
 
-    def queue_sums(r: np.ndarray) -> np.ndarray:
-        return np.bincount(stage_queue, r, params.num_queues)
+    def objective(x: np.ndarray):
+        nonlocal evaluations
+        evaluations += 1
+        # SLSQP may step slightly past the sum constraints; no queue may starve
+        return fun(project_to_compact(params, repetitions, x))
 
-    def true_cost(r: np.ndarray) -> float:
-        evaluations[0] += 1
-        return cost_of(r)
-
-    def objective(x: np.ndarray) -> float:
-        r = np.clip(x, 0.0, 1.0)
-        sums = queue_sums(r)
-        deficit = np.maximum(0.0, 1e-9 - sums)
-        if deficit.any():
-            # no orbit exists near a starved queue; steer back hard
-            return 1e12 * (1.0 + float(deficit.sum()))
-        shortfall = np.maximum(0.0, 1.0 - sums)
-        return true_cost(r) + weight[0] * float(np.dot(shortfall, shortfall))
-
+    sums = optimize.LinearConstraint(
+        np.equal.outer(np.arange(params.num_queues), stages).astype(float), lb=1.0
+    )
     starts = [np.ones(dim)]
     starts += [
         project_to_compact(params, repetitions, gen.uniform(size=dim))
         for _ in range(budget)
     ]
-
-    def explore(x0: np.ndarray, tight: bool) -> np.ndarray:
-        options = (
-            {"xatol": 1e-10, "fatol": 1e-12, "maxfev": 400 * dim}
-            if tight
-            else {"xatol": 1e-4, "fatol": 1e-8, "maxfev": 200 * dim}
-        )
+    outcomes = []
+    incumbent, incumbent_cost = starts[0], np.inf
+    for x0 in starts:
+        before = evaluations
         result = optimize.minimize(
             objective,
-            0.98 * x0 + 0.01,  # off the corner so the initial simplex has volume
-            method="Nelder-Mead",
+            x0,
+            method="SLSQP",
+            jac=with_gradient is not None,
             bounds=[(0.0, 1.0)] * dim,
-            options=options,
+            constraints=sums,
+            # converge to round-off, so equal optima of two repetition counts tie
+            options={"ftol": 1e-12},
         )
-        return np.clip(result.x, 0.0, 1.0)
-
-    finalists: list[np.ndarray] = []
-    for x0 in starts:
-        finalists.append(x0)
-        finalists.append(explore(x0, tight=False))
-
-    def best_projected(points: list[np.ndarray]) -> tuple[np.ndarray, float]:
-        best_r: np.ndarray | None = None
-        best_c = np.inf
-        for point in points:
-            projected = project_to_compact(params, repetitions, point)
-            cost = true_cost(projected)
-            if cost < best_c:
-                best_r, best_c = projected, cost
-        assert best_r is not None
-        return best_r, best_c
-
-    incumbent, incumbent_cost = best_projected(finalists)
-    raw_best = min(finalists, key=objective)
-    if np.any(queue_sums(raw_best) < 1.0 - 1e-6):
-        # the penalty was too soft to pin the active constraint; harden and retry
-        weight[0] *= 2.0
-        retry = explore(incumbent, tight=False)
-        candidate, cost = best_projected([retry])
+        spent = evaluations - before
+        finalist = project_to_compact(params, repetitions, result.x)
+        evaluations += 1
+        cost = cost_of(finalist)
+        outcomes.append(StartOutcome(float(cost), spent, bool(result.success)))
         if cost < incumbent_cost:
-            incumbent, incumbent_cost = candidate, cost
-
-    polished = explore(incumbent, tight=True)
-    candidate, cost = best_projected([polished])
-    if cost < incumbent_cost:
-        incumbent, incumbent_cost = candidate, cost
+            incumbent, incumbent_cost = finalist, cost
 
     return RepetitionSearch(
         repetitions=repetitions,
         ratios=tuple(float(v) for v in incumbent),
         cost=float(incumbent_cost),
-        evaluations=evaluations[0],
+        evaluations=evaluations,
+        starts=tuple(outcomes),
     )
 
 
@@ -277,10 +262,12 @@ def solve_rfcp(
 ) -> RFCPSolution:
     """Minimise equilibrium cost over repetition counts and stage ratios.
 
-    For each repetition count the search runs Nelder-Mead from the all-ones
-    policy plus ``budget`` seeded random feasible starts, projects every
-    finalist onto the compact subset, polishes the winner and re-projects.
-    Reported costs are exact penalty-free equilibrium evaluations.  Ties
+    For each repetition count the search runs SLSQP from the all-ones policy
+    plus ``budget`` seeded random feasible starts, on the projection of each
+    iterate onto the compact subset, and keeps the best projected end point.
+    Separable costs supply their exact gradient; other costs use finite
+    differences.  Reported costs are exact equilibrium evaluations, and
+    ``evaluations`` counts orbit solves, with or without a gradient.  Ties
     between repetition counts go to the smaller one.  Results are
     deterministic for fixed inputs.
     """

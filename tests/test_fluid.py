@@ -247,6 +247,71 @@ def test_kernel_orbit_checks_fire(revisit_params):
         broken("switchovers", lambda s: 1.01 * s).visits(ratios)
 
 
+# -- adjoint gradient of the kernel cost ---------------------------------------
+
+
+def _costs_away_from_orbit(gen, params, recursion, ratios):
+    """One cost per family; thresholds sit midway between the levels the
+    orbit attains, so small ratio changes cross none of them."""
+    queues = params.num_queues
+    levels, left, _, _ = recursion.visits(ratios)
+    thresholds, slopes = [], []
+    for k in range(queues):
+        touched = np.unique(np.concatenate([levels, left])[np.tile(recursion.polled, 2) == k])
+        cuts = 0.5 * (touched[:-1] + touched[1:])
+        cuts = np.append(cuts[cuts > 0.0], 1.5 * touched.max() + 0.1)
+        thresholds.append([0.0] + sorted(set(cuts)))
+        slopes.append(np.cumsum(gen.uniform(0.2, 2.0, len(thresholds[-1]))))
+    return (
+        pc.linear_cost(gen.uniform(0.2, 3.0, queues)),
+        pc.piecewise_linear_cost(thresholds, slopes),
+        pc.polynomial_cost(gen.uniform(0.0, 1.0, (queues, 4))),
+    )
+
+
+@pytest.mark.parametrize("repetitions", [1, 2])
+def test_gradient_matches_central_differences(repetitions):
+    gen = np.random.default_rng(500 + repetitions)
+    step = 1e-6
+    for _ in range(20):
+        params, control = _revisit_instance(gen, repetitions)
+        recursion = pc.VisitRecursion(params, repetitions)
+        ratios = gen.uniform(0.1, 0.9, len(control.ratios))
+        for psi in _costs_away_from_orbit(gen, params, recursion, ratios):
+            cost, gradient = recursion.cost_and_gradient(ratios, psi)
+            assert cost == recursion.average_cost(ratios, psi)
+            central = np.array(
+                [
+                    recursion.average_cost(ratios + step * e, psi)
+                    - recursion.average_cost(ratios - step * e, psi)
+                    for e in np.eye(ratios.size)
+                ]
+            ) / (2.0 * step)
+            np.testing.assert_allclose(
+                gradient, central, rtol=1e-6, atol=1e-6 * np.abs(central).max()
+            )
+
+
+def test_gradient_rejects_what_visits_rejects(revisit_params):
+    psi = pc.linear_cost([1.0, 1.0, 1.0])
+    recursion = pc.VisitRecursion(revisit_params, 1)
+    cases = (
+        (1.0, 0.0, 1.0, 0.0, 1.0),
+        (1.0, 0.5, 1.2, 0.5, 1.0),
+        (1.0, 0.5, np.nan, 0.5, 1.0),
+        (1.0, 0.5, 1.0, 0.5),
+    )
+    for ratios in cases:
+        with pytest.raises(Exception) as expected:
+            recursion.visits(ratios)
+        with pytest.raises(expected.type):
+            recursion.cost_and_gradient(ratios, psi)
+    broken = pc.VisitRecursion(revisit_params, 1)
+    broken.rhs = -broken.rhs
+    with pytest.raises(pc.InfeasibleParameters, match="below zero"):
+        broken.cost_and_gradient([0.9, 0.3, 1.0, 0.8, 0.4], psi)
+
+
 # -- trajectories -------------------------------------------------------------
 
 
@@ -307,46 +372,6 @@ def test_fully_drained_system_cannot_tour_without_switchovers(symmetric_params):
     ctrl = pc.ControlParams.exhaustive(params)
     with pytest.raises(AssertionError, match="zero duration"):
         pc.simulate_fluid(params, ctrl, [6.0, 3.0], horizon=1e9)
-
-
-# -- zero-length activity skipping --------------------------------------------
-
-
-def test_next_activity_own_switchover_first(symmetric_params):
-    ctrl = pc.ControlParams.exhaustive(symmetric_params)
-    kind, stage = pc.next_server_activity(
-        symmetric_params, ctrl, stage=0, switching=False, levels=np.array([0.0, 2.0])
-    )
-    assert (kind, stage) == ("switch", 0)
-
-
-def test_next_activity_skips_empty_visit():
-    params = pc.SystemParameters((1.0, 1.0), (4.0, 4.0), (0, 1), (0.0, 1.0))
-    ctrl = pc.ControlParams.exhaustive(params)
-    # after queue 0's busy: its switchover has length 0 and queue 1 is empty,
-    # so the next positive activity is the switchover after stage 1
-    kind, stage = pc.next_server_activity(
-        params, ctrl, stage=0, switching=False, levels=np.array([0.0, 0.0])
-    )
-    assert (kind, stage) == ("switch", 1)
-
-
-def test_next_activity_serving_wins_ties():
-    params = pc.SystemParameters((1.0, 1.0), (4.0, 4.0), (0, 1), (0.0, 1.0))
-    ctrl = pc.ControlParams.exhaustive(params)
-    # zero switchover after stage 0 but queue 1 holds fluid: serve it at once
-    kind, stage = pc.next_server_activity(
-        params, ctrl, stage=0, switching=False, levels=np.array([0.0, 2.0])
-    )
-    assert (kind, stage) == ("serve", 1)
-
-
-def test_next_activity_wraps_after_final_switchover(symmetric_params):
-    ctrl = pc.ControlParams.exhaustive(symmetric_params)
-    kind, stage = pc.next_server_activity(
-        symmetric_params, ctrl, stage=1, switching=True, levels=np.array([2.0, 1.0])
-    )
-    assert (kind, stage) == ("serve", 0)
 
 
 # -- randomized invariants -----------------------------------------------------
