@@ -186,6 +186,13 @@ def _run_replication(payload: tuple[dict, int, int]) -> dict[str, Any]:
         "cost_rate": None,
         "half_width": None,
         "path": None,
+        "counters": {
+            "warmup_cycles": result.warmup_cycles,
+            "warmup_converged": result.warmup_converged,
+            "tours": result.warmup_cycles + len(result.records),
+            "jobs_served": int(np.sum([r.services for r in result.records])),
+            "cost_integrations": result.cost_integrations,
+        },
     }
     if psi is not None:
         rate, half = long_run_cost(result, sim["batches"], sim["confidence"])
@@ -205,7 +212,12 @@ def _worker_count(threads: int, replications: int) -> int:
 
 
 def _cmd_simulate(
-    resolved: dict, out: Path, seed: int, replications: int, threads: int
+    resolved: dict,
+    out: Path,
+    seed: int,
+    replications: int,
+    threads: int,
+    counters: dict[str, Any],
 ) -> list[str]:
     sim = resolved["simulation"]
     payloads = [
@@ -244,6 +256,7 @@ def _cmd_simulate(
         stat_rows,
     )
 
+    counters["replications"] = [rep["counters"] for rep in results]
     rates = [rep["cost_rate"] for rep in results if rep["cost_rate"] is not None]
     summary = {
         "replications": [
@@ -365,6 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out if args.out is not None else f"pollctl_{args.command}")
     started = datetime.now(timezone.utc).isoformat()
     clock = time.perf_counter()
+    counters: dict[str, Any] = {}
     try:
         resolved = load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
@@ -378,7 +392,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.threads < 1:
                 raise ConfigError("--threads must be positive")
             outputs = _cmd_simulate(
-                resolved, out, args.seed, args.replications, args.threads
+                resolved, out, args.seed, args.replications, args.threads, counters
             )
         else:
             outputs = _cmd_sweep(resolved, out, args.seed)
@@ -403,6 +417,7 @@ def main(argv: list[str] | None = None) -> int:
             "version": __version__,
             "started_utc": started,
             "elapsed_seconds": time.perf_counter() - clock,
+            "counters": counters,
         },
     )
     return 0

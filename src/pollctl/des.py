@@ -3,18 +3,18 @@
 The simulator advances the server stage by stage.  Within a stage it first
 draws the binomially thinned number of jobs to clear, serves that many busy
 periods of the attended queue in one vectorised first-passage computation,
-then samples the switchover.  Each window consumes every queue's arrivals
-and moves its level by arrivals minus completions; a separable cost is
-integrated per queue straight from those epochs (in closed form for linear
-costs).  Merged per-queue step paths are built only while a path is being
-recorded or for a non-separable cost, which keeps per-event Python overhead
-and sorting out of the hot loop.
+then samples the switchover.  A window (busy period or switchover) only
+moves each queue's level by its arrivals minus completions.  The cost is
+integrated once per tour and queue, from the tour's arrival epochs (one
+contiguous slice of the queue's clock) and completion epochs, in closed form
+for linear costs; merged step paths are built once per tour, and only while
+a path is recorded or for a non-separable cost.
 
 Event-order convention at coincident epochs: service completions precede
 arrivals, which precede switchover ends.  All sampled epochs are continuous,
 so ties have probability zero; the convention only pins down the semantics
-of window boundaries (an arrival exactly at a boundary belongs to the next
-window).
+of window and tour boundaries (an arrival exactly at a boundary belongs to
+the next window, and so to the next tour).
 
 Randomness is split into named substreams per source (queue arrivals, queue
 services, per-stage switchovers and binomial thinnings), so runs are
@@ -48,7 +48,7 @@ def _arrivals_before(pending: np.ndarray, completions: np.ndarray) -> np.ndarray
     first completion after ``a`` has index at most ``i``.  This takes one
     binary search per arrival instead of one per completion.
     """
-    first = np.searchsorted(completions, pending, side="right")
+    first = completions.searchsorted(pending, "right")
     counts = np.bincount(first, minlength=completions.size + 1)
     return np.cumsum(counts[: completions.size])
 
@@ -81,48 +81,63 @@ class _SampleBuffer:
         return view
 
     def rollback(self, count: int) -> None:
-        assert 0 <= count <= self._ptr
+        if not 0 <= count <= self._ptr:
+            raise RuntimeError(f"cannot roll back {count} of {self._ptr} draws")
         self._ptr -= count
 
 
 class _ArrivalClock:
     """Poisson arrival epochs for one queue, consumed in time order.
 
-    ``peek_until``/``consume_until(t)`` return the pending epochs strictly
-    before ``t``; peeking never advances the stream.
+    ``peek_until(t)`` returns the pending epochs strictly before ``t`` without
+    advancing; ``advance_to(t)`` consumes them and returns their count.  The
+    epochs consumed since the tour mark stay buffered, and ``take_tour``
+    returns them as one view and moves the mark to the read pointer.
     """
 
     def __init__(self, rate: float, gen: np.random.Generator, chunk: int = 4096):
         self._scale = 1.0 / float(rate)
         self._gen = gen
         self._chunk = chunk
-        self._times = np.empty(0)
+        self._store = self._times = np.empty(0)
+        self._mark = 0
         self._ptr = 0
         self._horizon = 0.0
 
     def _ensure(self, t: float) -> None:
+        # one refill, in blocks doubling from ``chunk``: epochs' last bits depend
+        # on where refills start.  The store keeps every epoch from the tour
+        # mark on; a full one is replaced by one a quarter larger than needed
+        if self._horizon > t:
+            return
+        blocks = []
         block_size = self._chunk
         while self._horizon <= t:
             gaps = self._gen.exponential(self._scale, block_size)
-            block = self._horizon + np.cumsum(gaps)
-            self._horizon = float(block[-1])
-            self._times = np.concatenate([self._times[self._ptr :], block])
-            self._ptr = 0
+            blocks.append(self._horizon + np.cumsum(gaps))
+            self._horizon = float(blocks[-1][-1])
             block_size = min(block_size * 2, 1 << 20)
+        kept = self._times[self._mark :]
+        size = kept.size + sum(block.size for block in blocks)
+        if self._mark + size > self._store.size:
+            self._store = np.empty(size + size // 4)
+            self._store[: kept.size] = kept
+            self._ptr -= self._mark
+            self._mark = 0
+        self._times = self._store[: self._mark + size]
+        np.concatenate(blocks, out=self._times[self._mark + kept.size :])
 
     def peek_until(self, t: float) -> np.ndarray:
         self._ensure(t)
-        idx = int(np.searchsorted(self._times, t, side="left"))
-        return self._times[self._ptr : idx]
+        return self._times[self._ptr : self._times.searchsorted(t, "left")]
 
-    def consume_until(self, t: float) -> np.ndarray:
+    def advance_to(self, t: float) -> int:
         self._ensure(t)
-        idx = int(np.searchsorted(self._times, t, side="left"))
-        view = self._times[self._ptr : idx]
-        self._ptr = idx
-        if self._ptr > 65536:
-            self._times = self._times[self._ptr :].copy()
-            self._ptr = 0
+        ptr, self._ptr = self._ptr, int(self._times.searchsorted(t, "left"))
+        return self._ptr - ptr
+
+    def take_tour(self) -> np.ndarray:
+        view, self._mark = self._times[self._mark : self._ptr], self._ptr
         return view
 
 
@@ -174,6 +189,7 @@ class _PathRecorder:
     def __init__(self, num_queues: int):
         self.origin: float | None = None
         self.start: np.ndarray | None = None
+        self.end = 0.0
         self._times: list[list[np.ndarray]] = [[] for _ in range(num_queues)]
         self._values: list[list[np.ndarray]] = [[] for _ in range(num_queues)]
 
@@ -182,23 +198,19 @@ class _PathRecorder:
             self.origin = t
             self.start = levels.copy()
 
-    def add(self, queue: int, times: np.ndarray, levels: np.ndarray) -> None:
-        if times.size:
-            self._times[queue].append(times)
-            self._values[queue].append(levels)
+    def add(self, end: float, paths: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Append one tour's per-queue step paths (absolute epochs, counts)."""
+        self.end = end
+        for k, (times, levels) in enumerate(paths):
+            self._times[k].append(times)
+            self._values[k].append(levels)
 
-    def finalize(self, scale: int, end: float) -> ScaledPath:
+    def finalize(self, scale: int) -> ScaledPath:
         assert self.origin is not None and self.start is not None
-        times = tuple(
-            (np.concatenate(chunks) - self.origin) / scale if chunks else np.empty(0)
-            for chunks in self._times
-        )
-        values = tuple(
-            np.concatenate(chunks) / scale if chunks else np.empty(0)
-            for chunks in self._values
-        )
+        times = tuple((np.concatenate(c) - self.origin) / scale for c in self._times)
+        values = tuple(np.concatenate(c) / scale for c in self._values)
         return ScaledPath(
-            end_time=(end - self.origin) / scale,
+            end_time=(self.end - self.origin) / scale,
             start_levels=self.start / scale,
             times=times,
             values=values,
@@ -220,8 +232,7 @@ class _Engine:
         self._table = table
         self._ratios = control.ratio_array
         self._psi = psi
-        self._separable = psi is not None and psi.separable
-        self._components = getattr(psi, "components", None) if psi else None
+        self._components = psi.components if psi is not None and psi.separable else None
 
         k_range = range(params.num_queues)
         self._clocks = [
@@ -244,8 +255,9 @@ class _Engine:
         self.cycles_run = 0
         self.recorder: _PathRecorder | None = None
         self._recording = False
-        self._cycle_cost: list[float] = []
-        self._cycle_arrivals = np.zeros(params.num_queues, dtype=np.int64)
+        self.cost_integrations = 0
+        # absolute completion epochs of the current tour, one array per visit
+        self._downs: list[list[np.ndarray]] = [[] for _ in k_range]
 
     # -- window machinery ---------------------------------------------------
 
@@ -261,8 +273,10 @@ class _Engine:
         buffer = self._services[queue]
         t0 = self._t
         load = self._params.arrival_rates[queue] / self._params.service_rates[queue]
+        # mean plus four standard deviations of an M/M/1 busy period's services
         expected = drop / (1.0 - load)
-        chunk = max(32, int(1.25 * expected) + 8)
+        spread = math.sqrt(expected * load / (1.0 - load) ** 2 + 1.0)
+        chunk = max(32, int(expected + 4.0 * spread) + 8)
         base = 0
         tail = 0.0
         parts: list[np.ndarray] = []
@@ -287,64 +301,47 @@ class _Engine:
                 raise RuntimeError("busy period failed to terminate")
             chunk = min(chunk * 2, 1 << 22)
 
-    def _process_window(
-        self,
-        duration: float,
-        attended: int | None = None,
-        completions: np.ndarray | None = None,
-    ) -> None:
-        """Advance time by ``duration``, folding in arrivals on every queue
-        and, for the attended queue, the supplied service completions."""
-        t0 = self._t
-        start = self._levels.copy()
-        moves: list[tuple[np.ndarray, np.ndarray]] = []
-        for k in range(start.size):
-            arrivals = self._clocks[k].consume_until(t0 + duration) - t0
-            downs = completions if k == attended else arrivals[:0]
-            moves.append((arrivals, downs))
-            self._cycle_arrivals[k] += arrivals.size
-            self._levels[k] += arrivals.size - downs.size
+    def _process_window(self, duration: float) -> None:
+        """Advance time by ``duration``, counting in every queue's arrivals."""
+        self._t += duration
+        self._levels += [clock.advance_to(self._t) for clock in self._clocks]
 
-        paths = None
-        if self._recording or (self._psi is not None and not self._separable):
-            paths = [step_path(start[k], *move) for k, move in enumerate(moves)]
-        if self._psi is not None:
-            self._cycle_cost.append(self._window_cost(start, duration, moves, paths))
+    def _close_tour(self, start_t: float, start: np.ndarray):
+        """Take every queue's arrivals of the tour that just ended; return
+        their counts and the tour's cost integral in unscaled time."""
+        moves = []
+        for clock, downs in zip(self._clocks, self._downs):
+            ups = clock.take_tour()
+            moves.append((ups, np.concatenate(downs) if downs else ups[:0]))
+            downs.clear()
         if self._recording and self.recorder is not None:
-            for k, (times, levels) in enumerate(paths):
-                self.recorder.add(k, t0 + times, levels)
-        self._t = t0 + duration
-
-    def _window_cost(
-        self,
-        start: np.ndarray,
-        duration: float,
-        moves: list[tuple[np.ndarray, np.ndarray]],
-        paths: list[tuple[np.ndarray, np.ndarray]] | None,
-    ) -> float:
+            self.recorder.add(self._t, [step_path(s, *m) for s, m in zip(start, moves)])
+        arrivals = np.array([ups.size for ups, _ in moves], dtype=np.int64)
+        if self._psi is None:
+            return arrivals, math.nan
+        # epochs relative to the tour start; the whole tour is one window
         scale = self._scaled.scale
-        if self._separable and self._components is not None:
-            total = 0.0
-            for k, (ups, downs) in enumerate(moves):
-                total += self._components[k].window_integral(
-                    start[k], ups, downs, duration, scale
-                )
-            return total
-        # joint step path for non-separable costs
-        assert paths is not None and self._psi is not None
-        all_times = np.concatenate([times for times, _ in paths])
-        columns = np.concatenate(
-            [np.full(times.size, k) for k, (times, _) in enumerate(paths)]
-        )
-        jumps = np.concatenate(
-            [np.diff(levels, prepend=start[k]) for k, (_, levels) in enumerate(paths)]
-        )
-        order = np.argsort(all_times, kind="stable")
-        steps = np.zeros((all_times.size + 1, start.size))
+        duration = self._t - start_t
+        if self._components is not None:
+            self.cost_integrations += len(moves)
+            return arrivals, sum(
+                comp.window_integral(s, u - start_t, d - start_t, duration, scale)
+                for comp, s, (u, d) in zip(self._components, start, moves)
+            )
+        self.cost_integrations += 1
+        moves = [(ups - start_t, downs - start_t) for ups, downs in moves]
+        # joint step path for non-separable costs: a stable sort of every
+        # queue's downs-then-ups keeps downs first at equal epochs
+        times = np.concatenate([np.concatenate([d, u]) for u, d in moves])
+        columns = np.repeat(np.arange(start.size), [d.size + u.size for u, d in moves])
+        signs = [np.repeat([-1.0, 1.0], [d.size, u.size]) for u, d in moves]
+        jumps = np.concatenate(signs)
+        order = np.argsort(times, kind="stable")
+        steps = np.zeros((times.size + 1, start.size))
         steps[1:][np.arange(order.size), columns[order]] = jumps[order]
         path = start + np.cumsum(steps, axis=0)
-        bounds = np.concatenate([[0.0], all_times[order], [duration]])
-        return float(np.dot(self._psi.value(path / scale), np.diff(bounds)))
+        bounds = np.concatenate([[0.0], times[order], [duration]])
+        return arrivals, float(np.dot(self._psi.value(path / scale), np.diff(bounds)))
 
     # -- cycle driver ---------------------------------------------------------
 
@@ -362,11 +359,9 @@ class _Engine:
         start_levels = self._levels.copy()
         num_stages = len(table)
         polling = np.empty((num_stages, start_levels.size), dtype=np.int64)
-        busy = np.empty(num_stages)
+        busy = np.zeros(num_stages)
         switch = np.empty(num_stages)
         services = np.zeros(start_levels.size, dtype=np.int64)
-        self._cycle_cost = []
-        self._cycle_arrivals[:] = 0
 
         basic = len(table.basic)
         for i in range(num_stages):
@@ -378,12 +373,16 @@ class _Engine:
             if cleared > 0:
                 duration, served, completions = self._busy_period(queue, cleared)
                 before = self._levels[queue]
-                self._process_window(duration, attended=queue, completions=completions)
-                assert self._levels[queue] == before - cleared
+                self._downs[queue].append(self._t + completions)
+                self._process_window(duration)
+                self._levels[queue] -= served
+                if self._levels[queue] != before - cleared:
+                    raise RuntimeError(
+                        f"stage {i}: queue {queue} holds {self._levels[queue]} jobs, "
+                        f"not {before} - {cleared}"
+                    )
                 services[queue] += served
                 busy[i] = duration
-            else:
-                busy[i] = 0.0
             pause = float(
                 self._scaled.switchover[i % basic].sample(self._switch_gens[i])
             )
@@ -391,17 +390,18 @@ class _Engine:
                 self._process_window(pause)
             switch[i] = pause
 
+        arrivals, cost = self._close_tour(start_t, start_levels)
         self.cycles_run += 1
         return CycleRecord(
             index=self.cycles_run - 1,
             start_time=start_t / scale,
             duration=(self._t - start_t) / scale,
-            cost=math.fsum(self._cycle_cost) / scale if self._psi else math.nan,
+            cost=cost / scale,
             start_levels=tuple(int(v) for v in start_levels),
             polling_levels=polling,
             busy_times=busy / scale,
             switchover_times=switch / scale,
-            arrivals=self._cycle_arrivals.copy(),
+            arrivals=arrivals,
             services=services,
         )
 
@@ -419,6 +419,8 @@ class SimulationResult:
     #: False when adaptive warmup reached ``warmup_limit`` with the Geweke
     #: score still at 3 or more; a fixed ``warmup_cycles`` is taken as given
     warmup_converged: bool = True
+    #: cost integrals over all tours: one per queue for a separable cost
+    cost_integrations: int = 0
 
     @cached_property
     def durations(self) -> np.ndarray:
@@ -500,10 +502,7 @@ def run(
         records.append(engine.cycle(record_path=m < record_path_cycles))
     path = None
     if record_path_cycles > 0 and engine.recorder is not None:
-        end = engine.recorder.origin + sum(
-            r.duration for r in records[:record_path_cycles]
-        ) * scaled.scale
-        path = engine.recorder.finalize(scaled.scale, end)
+        path = engine.recorder.finalize(scaled.scale)
     return SimulationResult(
         scaled=scaled,
         control=control,
@@ -512,6 +511,7 @@ def run(
         records=records,
         path=path,
         warmup_converged=converged,
+        cost_integrations=engine.cost_integrations,
     )
 
 

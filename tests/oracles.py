@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 import pollctl as pc
@@ -28,3 +30,13 @@ def project_to_compact_by_bisection(
                 lo = mid
         r[idx] = np.clip(r[idx] + hi, 0.0, 1.0)
     return r
+
+
+def recorded_path_cost(path, psi: pc.CostFunction, t0: float, t1: float) -> float:
+    """Integral of ``psi`` over a recorded ``ScaledPath`` on [t0, t1), summed one
+    constant step at a time: the level just after each jump of any queue, times
+    the time to the next jump."""
+    jumps = np.concatenate(path.times)
+    bounds = np.unique(np.concatenate([[t0, t1], jumps[(jumps > t0) & (jumps < t1)]]))
+    steps = psi.value(path.sample(bounds[:-1])) * np.diff(bounds)
+    return math.fsum(steps)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pollctl import cli
+from pollctl import cli, des
 from pollctl.cli import main
 
 
@@ -127,6 +127,16 @@ def test_simulate_command_outputs(tmp_path):
     assert path_rows[0] == ["time", "q1", "q2", "fluid_q1", "fluid_q2"]
     assert len(path_rows) == 2002
 
+    counters = json.loads((out / "run_meta.json").read_text("utf-8"))["counters"]
+    assert len(counters["replications"]) == 2
+    for rep in counters["replications"]:
+        assert rep["warmup_cycles"] == 20
+        assert rep["warmup_converged"] is True
+        assert rep["tours"] == 100
+        assert rep["jobs_served"] > 0
+        assert rep["cost_integrations"] == 100 * 2  # one per queue and tour
+    assert "counters" not in summary["replications"][0]
+
 
 def test_sweep_command_outputs(tmp_path):
     config = write_config(
@@ -219,6 +229,22 @@ def test_error_exit_codes(tmp_path, capsys):
         )
         == 2
     )
+
+
+def test_simulator_level_mismatch_exits_as_runtime_failure(
+    tmp_path, capsys, monkeypatch
+):
+    counted = des._arrivals_before
+    monkeypatch.setattr(
+        des, "_arrivals_before", lambda pending, done: counted(pending, done) + 1
+    )
+    config = write_config(
+        tmp_path,
+        {"simulation": {"warmup_cycles": 0, "measured_cycles": 5, "batches": 5}},
+    )
+    args = ["simulate", "--config", str(config), "--out", str(tmp_path / "s")]
+    assert main(args) == 1
+    assert "runtime failure: stage" in capsys.readouterr().err
 
 
 def test_simulate_workers_never_exceed_replications_or_cpus(monkeypatch):

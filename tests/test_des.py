@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pollctl as pc
+from oracles import recorded_path_cost
 from pollctl import des
 from pollctl.distributions import Deterministic, Exponential
 
@@ -211,6 +212,92 @@ def test_costs_do_not_depend_on_path_recording(revisit_params, psi):
     )
     assert recorded.path is not None
     np.testing.assert_array_equal(plain.costs, recorded.costs)
+
+
+BINOMIAL = pc.ControlParams(1, (0.7, 0.5, 1.0, 0.6, 0.9))
+WEIGHTS = np.array([1.0, 1.0, 8.0])
+COSTS = {
+    "linear": pc.linear_cost(WEIGHTS),
+    "piecewise": pc.piecewise_linear_cost(
+        [[0.0, 1.0]] * 3, [[1.0, 2.0], [1.0, 3.0], [2.0, 5.0]]
+    ),
+    "polynomial": pc.polynomial_cost(
+        [[0.0, 1.0, 0.5], [0.5, 1.0], [0.0, 2.0, 0.0, 0.3]]
+    ),
+    "custom": pc.CustomCost(
+        lambda x: x @ WEIGHTS + 0.2 * x[..., 0] * x[..., 2], growth_order=2.0
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [1, 100])
+@pytest.mark.parametrize("control", [None, BINOMIAL], ids=["exhaustive", "binomial"])
+@pytest.mark.parametrize("name", list(COSTS))
+def test_tour_costs_match_recorded_path_integral(revisit_params, scale, control, name):
+    control = control or exhaustive(revisit_params)
+    tours = 6 if scale == 1 else 3
+    result = pc.run(
+        pc.scaled_system(revisit_params, scale),
+        control,
+        COSTS[name],
+        warmup_cycles=4,
+        measured_cycles=tours,
+        seed=scale + 17,
+        record_path_cycles=tours,
+    )
+    t0 = 0.0
+    for record in result.records:
+        t1 = t0 + record.duration
+        expected = recorded_path_cost(result.path, COSTS[name], t0, t1)
+        assert record.cost == pytest.approx(expected, rel=1e-12, abs=0.0)
+        t0 = t1
+    assert result.path.end_time == pytest.approx(t0, rel=1e-12)
+    assert result.cost_integrations == (4 + tours) * (1 if name == "custom" else 3)
+
+
+@pytest.mark.parametrize("control", [None, BINOMIAL], ids=["exhaustive", "binomial"])
+def test_cost_integration_leaves_observables_bitwise_unchanged(revisit_params, control):
+    control = control or exhaustive(revisit_params)
+    scaled = pc.scaled_system(revisit_params, 30)
+    plain, costed = (
+        pc.run(scaled, control, psi, warmup_cycles=3, measured_cycles=20, seed=6)
+        for psi in (None, COSTS["piecewise"])
+    )
+    for a, b in zip(plain.records, costed.records):
+        assert a.start_levels == b.start_levels
+        np.testing.assert_array_equal(a.polling_levels, b.polling_levels)
+        np.testing.assert_array_equal(a.arrivals, b.arrivals)
+        np.testing.assert_array_equal(a.services, b.services)
+    np.testing.assert_array_equal(plain.durations, costed.durations)
+    np.testing.assert_array_equal(plain.busy_array, costed.busy_array)
+    np.testing.assert_array_equal(plain.switchover_array, costed.switchover_array)
+    assert np.isnan(plain.costs).all() and plain.cost_integrations == 0
+    assert np.isfinite(costed.costs).all()
+
+
+def test_level_mismatch_after_busy_period_is_a_runtime_error(
+    symmetric_scaled, symmetric_params, monkeypatch
+):
+    counted = des._arrivals_before
+    monkeypatch.setattr(
+        des, "_arrivals_before", lambda pending, done: counted(pending, done) + 1
+    )
+    with pytest.raises(RuntimeError, match="holds .* jobs, not"):
+        pc.run(
+            symmetric_scaled,
+            exhaustive(symmetric_params),
+            warmup_cycles=0,
+            measured_cycles=5,
+            seed=0,
+        )
+
+
+def test_rolling_back_more_than_was_taken_is_a_runtime_error():
+    buffer = des._SampleBuffer(Exponential(1.0), np.random.default_rng(0))
+    buffer.take(3)
+    buffer.rollback(2)
+    with pytest.raises(RuntimeError, match="cannot roll back 2 of 1"):
+        buffer.rollback(2)
 
 
 def test_different_seeds_decorrelate(symmetric_scaled, symmetric_params):
