@@ -168,6 +168,7 @@ def _run_replication(payload: tuple[dict, int, int]) -> dict[str, Any]:
     psi = cost_from(resolved["cost"])
     sim = resolved["simulation"]
     scaled = scaled_from(resolved, params)
+    clock = time.perf_counter()
     result = run(
         scaled,
         control,
@@ -177,6 +178,7 @@ def _run_replication(payload: tuple[dict, int, int]) -> dict[str, Any]:
         seed=rep_seed,
         record_path_cycles=record_cycles,
     )
+    simulate_s = time.perf_counter() - clock
     pe = pe_from_params(params, control)
     stats = polling_epoch_stats(result, pe, batches=sim["batches"])
     payload_out: dict[str, Any] = {
@@ -192,6 +194,7 @@ def _run_replication(payload: tuple[dict, int, int]) -> dict[str, Any]:
             "tours": result.warmup_cycles + len(result.records),
             "jobs_served": int(np.sum([r.services for r in result.records])),
             "cost_integrations": result.cost_integrations,
+            "simulate_s": simulate_s,
         },
     }
     if psi is not None:

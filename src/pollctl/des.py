@@ -1,20 +1,21 @@
 """Discrete-event simulation of the polling system at a given scale.
 
 The simulator advances the server stage by stage.  Within a stage it first
-draws the binomially thinned number of jobs to clear, serves that many busy
-periods of the attended queue in one vectorised first-passage computation,
-then samples the switchover.  A window (busy period or switchover) only
-moves each queue's level by its arrivals minus completions.  The cost is
-integrated once per tour and queue, from the tour's arrival epochs (one
-contiguous slice of the queue's clock) and completion epochs, in closed form
-for linear costs; merged step paths are built once per tour, and only while
-a path is recorded or for a non-separable cost.
+draws the binomially thinned number of jobs to clear, serves the attended
+queue until its count has fallen by that many (located by one shifted ``>=``
+comparison of completions with arrivals per chunk of draws), then samples
+the switchover.  A window (busy period or switchover) only moves each
+queue's level by its arrivals minus completions.  The cost is integrated
+once per tour and queue, from the tour's arrival epochs (one contiguous
+slice of the queue's clock) and completion epochs, in closed form for linear
+costs; merged step paths are built once per tour, and only while a path is
+recorded or for a non-separable cost.
 
 Event-order convention at coincident epochs: service completions precede
-arrivals, which precede switchover ends.  All sampled epochs are continuous,
-so ties have probability zero; the convention only pins down the semantics
-of window and tour boundaries (an arrival exactly at a boundary belongs to
-the next window, and so to the next tour).
+arrivals (the ``>=`` above), which precede switchover ends.  All sampled
+epochs are continuous, so ties have probability zero; the convention only
+pins down the semantics of window and tour boundaries (an arrival exactly at
+a boundary belongs to the next window, and so to the next tour).
 
 Randomness is split into named substreams per source (queue arrivals, queue
 services, per-stage switchovers and binomial thinnings), so runs are
@@ -39,18 +40,16 @@ from .model import ControlParams, validate
 from .stats import batch_means, geweke_z, ratio_ci
 
 
-def _arrivals_before(pending: np.ndarray, completions: np.ndarray) -> np.ndarray:
-    """Number of ``pending`` epochs strictly before each completion epoch.
-
-    Equal to ``np.searchsorted(pending, completions, side="left")`` for sorted
-    ``pending``, but counted from the arrival side: with non-decreasing
-    ``completions``, arrival ``a`` precedes completion ``i`` exactly when the
-    first completion after ``a`` has index at most ``i``.  This takes one
-    binary search per arrival instead of one per completion.
-    """
-    first = completions.searchsorted(pending, "right")
-    counts = np.bincount(first, minlength=completions.size + 1)
-    return np.cumsum(counts[: completions.size])
+def _first_passage(pending, t0: float, completions, shift: int) -> int:
+    """First ``j`` where absolute arrival ``pending[j - shift]`` is at or after
+    completion ``completions[j]`` (relative to ``t0``) or does not exist; -1 if
+    none.  ``_Engine._busy_period`` explains why that ends the busy period."""
+    lo, first = max(shift, 0), max(-shift, 0)
+    n = max(min(completions.size - lo, pending.size - first), 0)
+    reached = pending[first : first + n] - t0 >= completions[lo : lo + n]
+    if reached.any():
+        return lo + int(reached.argmax())
+    return lo + n if lo + n < completions.size else -1
 
 
 class _SampleBuffer:
@@ -105,27 +104,28 @@ class _ArrivalClock:
         self._horizon = 0.0
 
     def _ensure(self, t: float) -> None:
-        # one refill, in blocks doubling from ``chunk``: epochs' last bits depend
-        # on where refills start.  The store keeps every epoch from the tour
-        # mark on; a full one is replaced by one a quarter larger than needed
+        # one refill in blocks doubling from ``chunk``, each drawn, summed and shifted
+        # in place; epochs' last bits depend on where refills start.  A full store of
+        # the epochs from the tour mark on is replaced by one a quarter larger
         if self._horizon > t:
             return
-        blocks = []
+        end = self._times.size
         block_size = self._chunk
         while self._horizon <= t:
-            gaps = self._gen.exponential(self._scale, block_size)
-            blocks.append(self._horizon + np.cumsum(gaps))
-            self._horizon = float(blocks[-1][-1])
+            if end + block_size > self._store.size:
+                kept = self._store[self._mark : end]
+                self._store = np.empty((kept.size + block_size) * 5 // 4)
+                self._store[: kept.size] = kept
+                self._ptr, self._mark, end = self._ptr - self._mark, 0, kept.size
+            block = self._store[end : end + block_size]
+            self._gen.standard_exponential(out=block)
+            block *= self._scale
+            np.cumsum(block, out=block)
+            block += self._horizon
+            self._horizon = float(block[-1])
+            end += block_size
             block_size = min(block_size * 2, 1 << 20)
-        kept = self._times[self._mark :]
-        size = kept.size + sum(block.size for block in blocks)
-        if self._mark + size > self._store.size:
-            self._store = np.empty(size + size // 4)
-            self._store[: kept.size] = kept
-            self._ptr -= self._mark
-            self._mark = 0
-        self._times = self._store[: self._mark + size]
-        np.concatenate(blocks, out=self._times[self._mark + kept.size :])
+        self._times = self._store[:end]
 
     def peek_until(self, t: float) -> np.ndarray:
         self._ensure(t)
@@ -265,9 +265,12 @@ class _Engine:
         """Serve ``queue`` until its count first falls by ``drop`` jobs.
 
         Returns (duration, services used, completion epochs relative to the
-        window start).  Works chunk-wise: completions are laid out against
-        the pending arrivals and the first passage of the net-drop walk is
-        located by vector comparison; unused service draws are rolled back.
+        window start).  Works chunk-wise on drawn services, rolling back unused
+        ones.  With ``done`` services in earlier chunks and ``A(c)`` arrivals
+        before ``c``, the count has fallen by ``done + j + 1 - A(c_j)`` at
+        completion ``j``.  Rising at most one per completion, that walk first
+        reaches ``drop`` where pending arrival ``done + j + 1 - drop`` (0-based)
+        is at or after ``c_j`` or does not exist: ``>=`` puts completions first.
         """
         clock = self._clocks[queue]
         buffer = self._services[queue]
@@ -277,27 +280,23 @@ class _Engine:
         expected = drop / (1.0 - load)
         spread = math.sqrt(expected * load / (1.0 - load) ** 2 + 1.0)
         chunk = max(32, int(expected + 4.0 * spread) + 8)
-        base = 0
+        done = 0
         tail = 0.0
         parts: list[np.ndarray] = []
         while True:
             draws = buffer.take(chunk)
             completions = tail + np.cumsum(draws)
-            pending = clock.peek_until(t0 + completions[-1]) - t0
-            arrived = _arrivals_before(pending, completions)
-            walk = base + 1 + np.arange(draws.size) - arrived
-            hits = np.nonzero(walk == drop)[0]
-            if hits.size:
-                used = int(hits[0]) + 1
-                buffer.rollback(draws.size - used)
-                parts.append(completions[:used])
-                duration = float(completions[used - 1])
-                all_completions = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                return duration, base + used, all_completions
-            base += draws.size
+            pending = clock.peek_until(t0 + completions[-1])
+            hit = _first_passage(pending, t0, completions, drop - done - 1)
+            if hit >= 0:
+                buffer.rollback(draws.size - hit - 1)
+                parts.append(completions[: hit + 1])
+                joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                return float(completions[hit]), done + hit + 1, joined
+            done += draws.size
             tail = float(completions[-1])
             parts.append(completions)
-            if base > 100_000_000:
+            if done > 100_000_000:
                 raise RuntimeError("busy period failed to terminate")
             chunk = min(chunk * 2, 1 << 22)
 

@@ -40,3 +40,46 @@ def recorded_path_cost(path, psi: pc.CostFunction, t0: float, t1: float) -> floa
     bounds = np.unique(np.concatenate([[t0, t1], jumps[(jumps > t0) & (jumps < t1)]]))
     steps = psi.value(path.sample(bounds[:-1])) * np.diff(bounds)
     return math.fsum(steps)
+
+
+def arrivals_before(pending: np.ndarray, completions: np.ndarray) -> np.ndarray:
+    """Number of ``pending`` epochs strictly before each completion epoch.
+
+    Equal to ``np.searchsorted(pending, completions, side="left")`` for sorted
+    ``pending``, but counted from the arrival side: with non-decreasing
+    ``completions``, arrival ``a`` precedes completion ``i`` exactly when the
+    first completion after ``a`` has index at most ``i``.
+    """
+    first = completions.searchsorted(pending, "right")
+    counts = np.bincount(first, minlength=completions.size + 1)
+    return np.cumsum(counts[: completions.size])
+
+
+def walk_first_hit(
+    pending: np.ndarray, t0: float, completions: np.ndarray, done: int, drop: int
+) -> int:
+    """First completion of a busy-period chunk at which the net drop, services
+    (``done`` before the chunk) minus arrivals since ``t0``, equals ``drop``;
+    -1 when it never does.  ``completions`` are relative to ``t0``."""
+    arrived = arrivals_before(pending - t0, completions)
+    walk = done + 1 + np.arange(completions.size) - arrived
+    hits = np.nonzero(walk == drop)[0]
+    return int(hits[0]) if hits.size else -1
+
+
+def arrival_epochs(
+    rate: float, gen: np.random.Generator, chunk: int, requests
+) -> np.ndarray:
+    """Every epoch an arrival clock holds after refills for each time in
+    ``requests``, in order: a refill draws blocks doubling from ``chunk`` (at
+    most 2**20) until the horizon passes the request, each block being
+    ``horizon + cumsum(gen.exponential(1 / rate, block))``."""
+    blocks = []
+    horizon = 0.0
+    for t in requests:
+        size = chunk
+        while horizon <= t:
+            blocks.append(horizon + np.cumsum(gen.exponential(1.0 / rate, size)))
+            horizon = float(blocks[-1][-1])
+            size = min(size * 2, 1 << 20)
+    return np.concatenate(blocks)

@@ -138,6 +138,22 @@ def test_simulate_command_outputs(tmp_path):
     assert "counters" not in summary["replications"][0]
 
 
+def test_simulate_reports_each_replications_run_time(tmp_path):
+    config = write_config(
+        tmp_path,
+        {"simulation": {"warmup_cycles": 5, "measured_cycles": 40, "batches": 4}},
+    )
+    out = tmp_path / "timed"
+    args = ["simulate", "--config", str(config), "--out", str(out)]
+    assert main(args + ["--replications", "2"]) == 0
+    meta = json.loads((out / "run_meta.json").read_text("utf-8"))
+    times = [rep["simulate_s"] for rep in meta["counters"]["replications"]]
+    assert len(times) == 2
+    assert all(0.0 < s < meta["elapsed_seconds"] for s in times)
+    summary = (out / "simulation_summary.json").read_text("utf-8")
+    assert "simulate_s" not in summary
+
+
 def test_sweep_command_outputs(tmp_path):
     config = write_config(
         tmp_path,
@@ -234,9 +250,12 @@ def test_error_exit_codes(tmp_path, capsys):
 def test_simulator_level_mismatch_exits_as_runtime_failure(
     tmp_path, capsys, monkeypatch
 ):
-    counted = des._arrivals_before
+    # stop the busy period at the walk's first passage of drop + 1
+    found = des._first_passage
     monkeypatch.setattr(
-        des, "_arrivals_before", lambda pending, done: counted(pending, done) + 1
+        des,
+        "_first_passage",
+        lambda p, t0, c, shift: found(p, t0, c, shift + 1),
     )
     config = write_config(
         tmp_path,

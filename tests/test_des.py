@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pollctl as pc
-from oracles import recorded_path_cost
+from oracles import arrival_epochs, recorded_path_cost, walk_first_hit
 from pollctl import des
 from pollctl.distributions import Deterministic, Exponential
 
@@ -73,18 +73,59 @@ def test_scaled_system_checks_means(symmetric_params):
 # -- busy-period counting -----------------------------------------------------------
 
 
-epoch_lists = st.lists(st.integers(0, 40).map(lambda v: v / 4.0), max_size=60)
+quarters = st.integers(0, 40).map(lambda v: v / 4.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(pending=epoch_lists, completions=epoch_lists.filter(len))
-def test_arrival_side_count_equals_completion_side_search(pending, completions):
-    # quarter-unit grid epochs: ties between arrivals and completions are common
-    pending = np.sort(np.array(pending, dtype=float))
-    completions = np.sort(np.array(completions, dtype=float))
-    counted = des._arrivals_before(pending, completions)
-    expected = np.searchsorted(pending, completions, side="left")
-    np.testing.assert_array_equal(counted, expected)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_first_passage_equals_the_walk_oracle(data):
+    # quarter-unit grid epochs: ties between arrivals and completions are
+    # common, and every difference from t0 is exact
+    t0 = data.draw(quarters)
+    completions = np.sort(data.draw(st.lists(quarters, min_size=1, max_size=40)))
+    arrivals = np.sort(data.draw(st.lists(quarters, max_size=60)))
+    drop = data.draw(st.integers(1, completions.size))
+    # services of earlier chunks: any count the walk can carry below ``drop``
+    first = int(np.searchsorted(arrivals, completions[0], side="left"))
+    done = data.draw(st.integers(0, first + drop - 1))
+    pending = t0 + arrivals
+    hit = des._first_passage(pending, t0, completions, drop - done - 1)
+    assert hit == walk_first_hit(pending, t0, completions, done, drop)
+
+
+def test_first_passage_when_pending_arrivals_run_out():
+    completions = np.array([1.0, 2.0, 3.0, 4.0])
+    # two arrivals: the walk is 0, 0, 1, 2 and first reaches 2 at the end
+    pending = np.array([10.5, 11.5])
+    assert des._first_passage(pending, 10.0, completions, 1) == 3
+    assert walk_first_hit(pending, 10.0, completions, 0, 2) == 3
+    # a drop beyond the chunk's reach
+    assert des._first_passage(pending, 10.0, completions, 5) == -1
+    assert walk_first_hit(pending, 10.0, completions, 0, 6) == -1
+
+
+def test_arrival_clock_epochs_equal_a_blockwise_oracle():
+    # small blocks: many refills, tour marks that move and a store that grows
+    rate, chunk = 1.5, 4
+    clock = des._ArrivalClock(rate, np.random.default_rng(11), chunk)
+    requests, tours, stores = [], [], [clock._store]
+    t = 0.0
+    for step in range(60):
+        t += (0.4, 3.0, 11.0, 0.1, 60.0)[step % 5]
+        requests.append(t)
+        peeked = clock.peek_until(t).copy()
+        assert clock.advance_to(t) == peeked.size
+        if step % 7 in (2, 6):
+            tours.append(clock.take_tour())
+        if clock._store is not stores[-1]:
+            stores.append(clock._store)
+    tours.append(clock.take_tour())
+    expected = arrival_epochs(rate, np.random.default_rng(11), chunk, requests)
+    consumed = np.concatenate(tours)
+    assert consumed.size == np.searchsorted(expected, t, side="left")
+    # views taken before a store replacement still hold their epochs
+    assert len(stores) >= 5 and stores[-1].size > stores[1].size
+    assert consumed.tobytes() == expected[: consumed.size].tobytes()
 
 
 # -- conservation and determinism --------------------------------------------------
@@ -278,9 +319,12 @@ def test_cost_integration_leaves_observables_bitwise_unchanged(revisit_params, c
 def test_level_mismatch_after_busy_period_is_a_runtime_error(
     symmetric_scaled, symmetric_params, monkeypatch
 ):
-    counted = des._arrivals_before
+    # stop the busy period at the walk's first passage of drop + 1
+    found = des._first_passage
     monkeypatch.setattr(
-        des, "_arrivals_before", lambda pending, done: counted(pending, done) + 1
+        des,
+        "_first_passage",
+        lambda p, t0, c, shift: found(p, t0, c, shift + 1),
     )
     with pytest.raises(RuntimeError, match="holds .* jobs, not"):
         pc.run(
