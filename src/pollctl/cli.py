@@ -194,6 +194,7 @@ def _run_replication(payload: tuple[dict, int, int]) -> dict[str, Any]:
             "tours": result.warmup_cycles + len(result.records),
             "jobs_served": int(np.sum([r.services for r in result.records])),
             "cost_integrations": result.cost_integrations,
+            "cost_passes": result.cost_passes,
             "simulate_s": simulate_s,
         },
     }

@@ -4,9 +4,13 @@ Fluid paths are piecewise linear and simulated sample paths are piecewise
 constant, so for the built-in cost families every integral is computed in
 closed form, vectorised over arrays of linear pieces: linear and polynomial
 costs via antiderivatives, piecewise-linear costs as sums of threshold-
-activated linear terms.  A linear cost over a simulated window needs no step
-path at all: it is the total time the jobs spend in the queue.  Arbitrary cost callables fall back to adaptive
-Gauss-Legendre quadrature with a 1e-10 relative target, segment by segment.
+activated linear terms.  Simulated paths are integrated a block of tours at a
+time: the block's step path is merged once by ``searchsorted`` position
+arithmetic, the cost is evaluated once on it, and the pieces are summed per
+tour.  A linear cost needs no step path at all: its integral is the total
+time the jobs spend in the queue.  Arbitrary cost callables fall back to
+adaptive Gauss-Legendre quadrature with a 1e-10 relative target, segment by
+segment.
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ class CostFunction:
         """Integral over one interval on which levels move linearly."""
         raise NotImplementedError
 
-    def step_integral(self, levels: np.ndarray, durations: np.ndarray) -> float:
-        """Integral over a piecewise-constant path, levels row-per-interval."""
-        return float(np.dot(self.value(levels), durations))
-
 
 class ScalarCost:
     """Cost of a single queue's level; building block of separable costs."""
@@ -55,24 +55,102 @@ class ScalarCost:
     def segment_integral(self, x0: float, x1: float, duration: float) -> float:
         return float(self.integrals(x0, x1, duration))
 
-    def window_integral(
+    def tour_integrals(
         self,
-        start: int,
+        levels: np.ndarray,
         ups: np.ndarray,
         downs: np.ndarray,
-        duration: float,
+        bounds: np.ndarray,
         scale: int,
-    ) -> float:
-        """Integral of ``value(level / scale)`` over a window of ``duration``.
+    ) -> np.ndarray:
+        """Integral of ``value(level / scale)`` over each tour of a block.
 
-        The job count starts at ``start`` and moves by +1 at each epoch of
-        ``ups`` and by -1 at each epoch of ``downs`` (sorted epochs relative
-        to the window start; downs first at equal epochs).
+        Tour ``j`` runs from ``bounds[j]`` to ``bounds[j + 1]`` and starts
+        with ``levels[j]`` jobs; ``levels[-1]`` is the count at the block's
+        end.  The count moves by +1 at each epoch of ``ups`` and by -1 at
+        each epoch of ``downs`` (sorted absolute epochs; downs first at equal
+        epochs).  An arrival at a bound belongs to the later tour.
+        Completions go to the tours in order, as many to each as ``levels``
+        implies: one at a bound can close the earlier tour or open the later.
         """
-        times, levels = step_path(start, ups, downs)
-        seq = np.concatenate([[start], levels]) / scale
-        bounds = np.concatenate([[0.0], times, [duration]])
-        return float(np.dot(self.value(seq), np.diff(bounds)))
+        durations, path, slots = _block_path(levels, ups, downs, bounds)
+        return np.add.reduceat(self.value(path[:-1] / scale) * durations, slots[:-1])
+
+
+def _tour_counts(
+    levels: np.ndarray, ups: np.ndarray, downs: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jumps up and down in each tour of a block (see ``tour_integrals``).
+
+    Arrivals are split at the bounds by epoch, completions by the job counts
+    ``levels`` at the bounds.  Counts that do not add up raise
+    ``RuntimeError``.
+    """
+    up_counts = np.diff(ups.searchsorted(bounds))
+    down_counts = levels[:-1] + up_counts - levels[1:]
+    if (
+        up_counts.sum() != ups.size
+        or down_counts.sum() != downs.size
+        or (down_counts < 0).any()
+    ):
+        raise RuntimeError(
+            f"a block of {bounds.size - 1} tours with {ups.size} arrivals and "
+            f"{downs.size} completions cannot move the job count from "
+            f"{levels[0]} through its tour start levels to {levels[-1]}"
+        )
+    return up_counts, down_counts
+
+
+def _bound_slots(jumps: np.ndarray) -> np.ndarray:
+    """Slot of each tour bound in a block's merged path, given the jumps per
+    tour: bound ``j`` follows every jump of the tours before it."""
+    slots = np.zeros(jumps.size + 1, dtype=np.int64)
+    np.cumsum(jumps + 1, out=slots[1:])
+    return slots
+
+
+def _block_path(
+    levels: np.ndarray, ups: np.ndarray, downs: np.ndarray, bounds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merged step path of a block of tours (see ``tour_integrals``).
+
+    Returns the duration of every piece, the job count on every piece plus
+    the count at the block's end, and the piece that opens each tour (its
+    last entry is the final slot).  Slots hold the bounds and the jumps in
+    time order, downs before ups at equal epochs and bound ``j`` before the
+    jumps of tour ``j``; each slot's position is counted by ``searchsorted``,
+    with no sort.  A path that misses a tour's start level, goes negative
+    or runs backwards in time raises ``RuntimeError``.
+    """
+    up_counts, down_counts = _tour_counts(levels, ups, downs, bounds)
+    jumps = up_counts + down_counts
+    slots = _bound_slots(jumps)
+    # index among the jumps (downs first at ties), then past the bounds before it
+    up_at = np.arange(ups.size) + downs.searchsorted(ups, "right")
+    down_at = np.arange(downs.size) + ups.searchsorted(downs, "left")
+    passed = np.repeat(np.arange(1, jumps.size + 1), jumps)
+    up_at += passed[up_at]
+    down_at += passed[down_at]
+    times = np.empty(slots[-1] + 1)
+    steps = np.zeros(times.size, dtype=np.int64)
+    times[slots] = bounds
+    times[up_at] = ups
+    times[down_at] = downs
+    steps[up_at] = 1
+    steps[down_at] = -1
+    steps[0] = levels[0]
+    path = np.cumsum(steps)
+    durations = np.diff(times)
+    missed = np.flatnonzero(path[slots] != levels)
+    if missed.size:
+        j = missed[0]
+        raise RuntimeError(
+            f"merged path holds {path[slots[j]]} jobs at tour bound {j}, "
+            f"not the start level {levels[j]}"
+        )
+    if path.min() < 0 or (durations < 0.0).any():
+        raise RuntimeError("merged path goes negative or back in time")
+    return durations, path, slots
 
 
 def step_path(
@@ -102,17 +180,31 @@ class LinearScalar(ScalarCost):
     def integrals(self, x0, x1, dt) -> np.ndarray:
         return self.slope * 0.5 * (np.asarray(x0) + x1) * dt
 
-    def window_integral(
+    def tour_integrals(
         self,
-        start: int,
+        levels: np.ndarray,
         ups: np.ndarray,
         downs: np.ndarray,
-        duration: float,
+        bounds: np.ndarray,
         scale: int,
-    ) -> float:
+    ) -> np.ndarray:
         # each job present for time T adds slope * T / scale, in any order
-        held = start * duration + np.sum(duration - ups) - np.sum(duration - downs)
-        return float(self.slope * held / scale)
+        up_counts, down_counts = _tour_counts(levels, ups, downs, bounds)
+
+        def held(epochs, counts):
+            # time from each epoch to its tour's end, summed per tour with
+            # events (``reduceat`` cannot sum an empty run)
+            sums = np.zeros(counts.size)
+            busy = counts > 0
+            if busy.any():
+                # a block of one tour, as every tour at large scales, needs no repeat
+                ends = bounds[-1] if counts.size == 1 else np.repeat(bounds[1:], counts)
+                each = ends - epochs
+                sums[busy] = np.add.reduceat(each, (np.cumsum(counts) - counts)[busy])
+            return sums
+
+        total = levels[:-1] * np.diff(bounds) + held(ups, up_counts)
+        return self.slope * (total - held(downs, down_counts)) / scale
 
 
 class PiecewiseLinearScalar(ScalarCost):
@@ -223,12 +315,6 @@ class SeparableCost(CostFunction):
 
     def segment_integral(self, start, end, duration: float) -> float:
         return float(self.integrals(start, end, duration))
-
-    def step_integral(self, levels: np.ndarray, durations: np.ndarray) -> float:
-        return sum(
-            float(np.dot(comp.value(levels[:, k]), durations))
-            for k, comp in enumerate(self.components)
-        )
 
 
 def linear_cost(coefficients) -> SeparableCost:

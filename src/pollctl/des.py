@@ -5,11 +5,14 @@ draws the binomially thinned number of jobs to clear, serves the attended
 queue until its count has fallen by that many (located by one shifted ``>=``
 comparison of completions with arrivals per chunk of draws), then samples
 the switchover.  A window (busy period or switchover) only moves each
-queue's level by its arrivals minus completions.  The cost is integrated
-once per tour and queue, from the tour's arrival epochs (one contiguous
-slice of the queue's clock) and completion epochs, in closed form for linear
-costs; merged step paths are built once per tour, and only while a path is
-recorded or for a non-separable cost.
+queue's level by its arrivals minus completions.  The cost does not feed
+back into the dynamics, so it is integrated a block of tours at a time:
+tours are simulated until the block holds more than ``_Engine.BLOCK_EVENTS``
+arrivals and completions (or the run ends), then each queue's cost is
+integrated over the whole block in one vectorised pass, from the block's
+arrival epochs (one contiguous slice of the queue's clock) and completion
+epochs, and the block's tour records are built.  A non-separable cost keeps
+one joint merge per tour, and recorded paths are merged once per block.
 
 Event-order convention at coincident epochs: service completions precede
 arrivals (the ``>=`` above), which precede switchover ends.  All sampled
@@ -29,6 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,7 +95,9 @@ class _ArrivalClock:
     ``peek_until(t)`` returns the pending epochs strictly before ``t`` without
     advancing; ``advance_to(t)`` consumes them and returns their count.  The
     epochs consumed since the tour mark stay buffered, and ``take_tour``
-    returns them as one view and moves the mark to the read pointer.
+    returns them as one view and moves the mark to the read pointer.  The
+    simulator takes them once per block of tours, so the mark stays at the
+    first tour whose cost is not yet integrated.
     """
 
     def __init__(self, rate: float, gen: np.random.Generator, chunk: int = 4096):
@@ -199,7 +205,8 @@ class _PathRecorder:
             self.start = levels.copy()
 
     def add(self, end: float, paths: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Append one tour's per-queue step paths (absolute epochs, counts)."""
+        """Append per-queue step paths of consecutive tours (absolute epochs,
+        counts)."""
         self.end = end
         for k, (times, levels) in enumerate(paths):
             self._times[k].append(times)
@@ -217,7 +224,21 @@ class _PathRecorder:
         )
 
 
+class _Tour(NamedTuple):
+    """A simulated tour whose record waits for its block's costs."""
+
+    start: float
+    levels: np.ndarray
+    recorded: bool
+    #: every ``CycleRecord`` field but the cost and the arrivals
+    fields: dict
+
+
 class _Engine:
+    #: arrivals plus completions a block of tours may hold before its costs
+    #: are integrated and its records built; bounds the memory the block keeps
+    BLOCK_EVENTS = 1 << 14
+
     def __init__(
         self,
         scaled: ScaledSystem,
@@ -254,10 +275,14 @@ class _Engine:
         self._levels = np.zeros(params.num_queues, dtype=np.int64)
         self.cycles_run = 0
         self.recorder: _PathRecorder | None = None
-        self._recording = False
         self.cost_integrations = 0
-        # absolute completion epochs of the current tour, one array per visit
+        self.cost_passes = 0
+        # the block: tours whose records wait for their costs, and the
+        # absolute completion epochs of its visits, one list per queue
+        self._block: list[_Tour] = []
+        self._block_events = 0
         self._downs: list[list[np.ndarray]] = [[] for _ in k_range]
+        self._finished: list[CycleRecord] = []
 
     # -- window machinery ---------------------------------------------------
 
@@ -305,32 +330,76 @@ class _Engine:
         self._t += duration
         self._levels += [clock.advance_to(self._t) for clock in self._clocks]
 
-    def _close_tour(self, start_t: float, start: np.ndarray):
-        """Take every queue's arrivals of the tour that just ended; return
-        their counts and the tour's cost integral in unscaled time."""
-        moves = []
-        for clock, downs in zip(self._clocks, self._downs):
-            ups = clock.take_tour()
-            moves.append((ups, np.concatenate(downs) if downs else ups[:0]))
-            downs.clear()
-        if self._recording and self.recorder is not None:
-            self.recorder.add(self._t, [step_path(s, *m) for s, m in zip(start, moves)])
-        arrivals = np.array([ups.size for ups, _ in moves], dtype=np.int64)
-        if self._psi is None:
-            return arrivals, math.nan
-        # epochs relative to the tour start; the whole tour is one window
+    def _flush(self) -> None:
+        """Integrate the block's costs in one pass per queue, then finish its
+        records; every clock's tour mark moves to the block's end."""
+        block, self._block, self._block_events = self._block, [], 0
+        if not block:
+            return
+        ups = [clock.take_tour() for clock in self._clocks]
+        downs = []
+        for parts in self._downs:
+            downs.append(np.concatenate(parts) if parts else np.empty(0))
+            parts.clear()
+        bounds = np.array([tour.start for tour in block] + [self._t])
+        levels = np.array([tour.levels for tour in block] + [self._levels])
+        # arrivals and completions of each queue before every bound; an
+        # arrival at a bound opens the later tour, as in ``advance_to``
+        ups_before = np.array([u.searchsorted(bounds) for u in ups]).T
+        downs_before = levels[0] + ups_before - levels
+        recorded = [j for j, tour in enumerate(block) if tour.recorded]
+        if recorded and self.recorder is not None:
+            # the recorded tours run on from the first one: one path per queue
+            i, j = recorded[0], recorded[-1] + 1
+            paths = [
+                step_path(start, u[a[i] : a[j]], d[b[i] : b[j]])
+                for start, u, d, a, b in zip(
+                    levels[i], ups, downs, ups_before.T, downs_before.T
+                )
+            ]
+            self.recorder.add(bounds[j], paths)
+        costs = self._block_costs(levels, ups, downs, bounds, ups_before, downs_before)
         scale = self._scaled.scale
-        duration = self._t - start_t
-        if self._components is not None:
-            self.cost_integrations += len(moves)
-            return arrivals, sum(
-                comp.window_integral(s, u - start_t, d - start_t, duration, scale)
-                for comp, s, (u, d) in zip(self._components, start, moves)
+        arrivals = np.diff(ups_before, axis=0)
+        for cost, came, tour in zip(costs, arrivals, block):
+            self._finished.append(
+                CycleRecord(cost=cost / scale, arrivals=came, **tour.fields)
             )
-        self.cost_integrations += 1
-        moves = [(ups - start_t, downs - start_t) for ups, downs in moves]
-        # joint step path for non-separable costs: a stable sort of every
-        # queue's downs-then-ups keeps downs first at equal epochs
+
+    def _block_costs(
+        self, levels, ups, downs, bounds, ups_before, downs_before
+    ) -> np.ndarray:
+        """Each tour's cost integral in unscaled time."""
+        tours = bounds.size - 1
+        if self._psi is None:
+            return np.full(tours, math.nan)
+        self.cost_passes += 1
+        scale = self._scaled.scale
+        if self._components is not None:
+            self.cost_integrations += tours * len(self._components)
+            return np.sum(
+                [
+                    comp.tour_integrals(levels[:, k], ups[k], downs[k], bounds, scale)
+                    for k, comp in enumerate(self._components)
+                ],
+                axis=0,
+            )
+        # a non-separable cost keeps one joint merge per tour
+        self.cost_integrations += tours
+        costs = np.empty(tours)
+        for j in range(tours):
+            moves = [
+                (u[a[j] : a[j + 1]] - bounds[j], d[b[j] : b[j + 1]] - bounds[j])
+                for u, d, a, b in zip(ups, downs, ups_before.T, downs_before.T)
+            ]
+            costs[j] = self._joint_integral(levels[j], moves, bounds[j + 1] - bounds[j])
+        return costs
+
+    def _joint_integral(self, start: np.ndarray, moves, duration: float) -> float:
+        """One tour's integral of a non-separable cost; ``moves`` holds each
+        queue's (ups, downs) relative to the tour start."""
+        # a stable sort of every queue's downs-then-ups keeps downs first at
+        # equal epochs
         times = np.concatenate([np.concatenate([d, u]) for u, d in moves])
         columns = np.repeat(np.arange(start.size), [d.size + u.size for u, d in moves])
         signs = [np.repeat([-1.0, 1.0], [d.size, u.size]) for u, d in moves]
@@ -340,13 +409,17 @@ class _Engine:
         steps[1:][np.arange(order.size), columns[order]] = jumps[order]
         path = start + np.cumsum(steps, axis=0)
         bounds = np.concatenate([[0.0], times[order], [duration]])
-        return arrivals, float(np.dot(self._psi.value(path / scale), np.diff(bounds)))
+        scale = self._scaled.scale
+        return float(np.dot(self._psi.value(path / scale), np.diff(bounds)))
 
     # -- cycle driver ---------------------------------------------------------
 
-    def cycle(self, record_path: bool = False) -> CycleRecord:
-        """Run one full server tour and return its observables."""
-        self._recording = record_path
+    def cycle(self, record_path: bool = False) -> np.ndarray:
+        """Run one full server tour and return its start levels.
+
+        Its record is finished once its block's costs are integrated, when
+        the block exceeds ``BLOCK_EVENTS`` or at ``take_records``.
+        """
         if record_path:
             if self.recorder is None:
                 self.recorder = _PathRecorder(self._levels.size)
@@ -389,20 +462,30 @@ class _Engine:
                 self._process_window(pause)
             switch[i] = pause
 
-        arrivals, cost = self._close_tour(start_t, start_levels)
-        self.cycles_run += 1
-        return CycleRecord(
-            index=self.cycles_run - 1,
+        fields = dict(
+            index=self.cycles_run,
             start_time=start_t / scale,
             duration=(self._t - start_t) / scale,
-            cost=cost / scale,
             start_levels=tuple(int(v) for v in start_levels),
             polling_levels=polling,
             busy_times=busy / scale,
             switchover_times=switch / scale,
-            arrivals=arrivals,
             services=services,
         )
+        self.cycles_run += 1
+        self._block.append(_Tour(start_t, start_levels, record_path, fields))
+        # arrivals are the count's rise plus the completions
+        self._block_events += int((self._levels - start_levels + 2 * services).sum())
+        if self._block_events > self.BLOCK_EVENTS:
+            self._flush()
+        return start_levels
+
+    def take_records(self) -> list[CycleRecord]:
+        """Finish the open block and hand over every record finished since
+        the last call."""
+        self._flush()
+        records, self._finished = self._finished, []
+        return records
 
 
 @dataclass
@@ -420,6 +503,8 @@ class SimulationResult:
     warmup_converged: bool = True
     #: cost integrals over all tours: one per queue for a separable cost
     cost_integrations: int = 0
+    #: blocks of tours whose costs were integrated together
+    cost_passes: int = 0
 
     @cached_property
     def durations(self) -> np.ndarray:
@@ -475,8 +560,7 @@ def run(
         target = 500
         while True:
             while engine.cycles_run < target:
-                record = engine.cycle()
-                totals.append(sum(record.start_levels))
+                totals.append(int(engine.cycle().sum()))
             z = geweke_z(np.array(totals, dtype=float))
             if abs(z) < 3.0:
                 break
@@ -495,10 +579,11 @@ def run(
         for _ in range(warmup_cycles):
             engine.cycle()
     warmup_used = engine.cycles_run
+    engine.take_records()
 
-    records = []
     for m in range(measured_cycles):
-        records.append(engine.cycle(record_path=m < record_path_cycles))
+        engine.cycle(record_path=m < record_path_cycles)
+    records = engine.take_records()
     path = None
     if record_path_cycles > 0 and engine.recorder is not None:
         path = engine.recorder.finalize(scaled.scale)
@@ -511,6 +596,7 @@ def run(
         path=path,
         warmup_converged=converged,
         cost_integrations=engine.cost_integrations,
+        cost_passes=engine.cost_passes,
     )
 
 

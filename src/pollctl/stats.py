@@ -9,7 +9,13 @@ denominator sums.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtrit
+
+
+def t_quantile(confidence: float, df: int) -> float:
+    """Two-sided Student t quantile: the half-width factor of a
+    ``confidence`` interval on ``df`` degrees of freedom."""
+    return float(stdtrit(df, 0.5 * (1.0 + confidence)))
 
 
 def batch_means(samples: np.ndarray, batches: int = 20) -> np.ndarray:
@@ -33,7 +39,7 @@ def mean_ci(
     means = batch_means(samples, batches)
     estimate = float(means.mean())
     scale = float(means.std(ddof=1)) / np.sqrt(means.size)
-    quantile = sps.t.ppf(0.5 * (1.0 + confidence), means.size - 1)
+    quantile = t_quantile(confidence, means.size - 1)
     return estimate, float(quantile * scale)
 
 
@@ -55,7 +61,7 @@ def ratio_ci(
     estimate = float(numerators.sum() / denominators.sum())
     ratios = batch_means(numerators, batches) / batch_means(denominators, batches)
     scale = float(ratios.std(ddof=1)) / np.sqrt(ratios.size)
-    quantile = sps.t.ppf(0.5 * (1.0 + confidence), ratios.size - 1)
+    quantile = t_quantile(confidence, ratios.size - 1)
     return estimate, float(quantile * scale)
 
 

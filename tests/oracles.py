@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 import pollctl as pc
+from pollctl.cost import step_path
 
 
 def project_to_compact_by_bisection(
@@ -40,6 +41,22 @@ def recorded_path_cost(path, psi: pc.CostFunction, t0: float, t1: float) -> floa
     bounds = np.unique(np.concatenate([[t0, t1], jumps[(jumps > t0) & (jumps < t1)]]))
     steps = psi.value(path.sample(bounds[:-1])) * np.diff(bounds)
     return math.fsum(steps)
+
+
+def window_integral(
+    scalar, start: int, ups: np.ndarray, downs: np.ndarray, duration: float, scale: int
+) -> float:
+    """Integral of ``scalar.value(level / scale)`` over one window of
+    ``duration``, by merging its step path and a dot product.
+
+    The job count starts at ``start`` and moves by +1 at each epoch of ``ups``
+    and by -1 at each epoch of ``downs`` (sorted epochs relative to the
+    window start; downs first at equal epochs).
+    """
+    times, levels = step_path(start, ups, downs)
+    seq = np.concatenate([[start], levels]) / scale
+    bounds = np.concatenate([[0.0], times, [duration]])
+    return float(np.dot(scalar.value(seq), np.diff(bounds)))
 
 
 def arrivals_before(pending: np.ndarray, completions: np.ndarray) -> np.ndarray:

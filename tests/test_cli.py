@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+import numpy as np
+
 from pollctl import cli, des
+from pollctl import cost as cost_module
 from pollctl.cli import main
 
 
@@ -264,6 +267,53 @@ def test_simulator_level_mismatch_exits_as_runtime_failure(
     args = ["simulate", "--config", str(config), "--out", str(tmp_path / "s")]
     assert main(args) == 1
     assert "runtime failure: stage" in capsys.readouterr().err
+
+
+PIECEWISE = {
+    "kind": "piecewise_linear",
+    "thresholds": [[0.0, 2.0], [0.0, 3.0]],
+    "slopes": [[1.0, 5.0], [1.0, 3.0]],
+}
+
+
+def test_corrupted_block_merge_exits_as_runtime_failure(tmp_path, capsys, monkeypatch):
+    # every tour bound after the first one slot late in the merged path
+    found = cost_module._bound_slots
+    monkeypatch.setattr(
+        cost_module,
+        "_bound_slots",
+        lambda jumps: found(jumps) + (np.arange(jumps.size + 1) > 0),
+    )
+    config = write_config(
+        tmp_path,
+        {
+            "cost": PIECEWISE,
+            "simulation": {"warmup_cycles": 0, "measured_cycles": 5, "batches": 5},
+        },
+    )
+    args = ["simulate", "--config", str(config), "--out", str(tmp_path / "s")]
+    assert main(args) == 1
+    assert "runtime failure: merged path holds" in capsys.readouterr().err
+
+
+def test_simulate_reports_cost_passes(tmp_path):
+    simulation = {"warmup_cycles": 5, "measured_cycles": 40, "batches": 4}
+    passes = {}
+    for name, cost in (("piecewise", PIECEWISE), ("none", None)):
+        config = write_config(
+            tmp_path, {"cost": cost, "simulation": simulation}, name=f"{name}.json"
+        )
+        if cost is None:  # no cost section at all
+            data = json.loads(config.read_text("utf-8"))
+            del data["cost"]
+            config.write_text(json.dumps(data), "utf-8")
+        out = tmp_path / name
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        meta = json.loads((out / "run_meta.json").read_text("utf-8"))
+        (rep,) = meta["counters"]["replications"]
+        passes[name] = rep["cost_passes"], rep["cost_integrations"]
+    # one block for the warmup tours and one for the measured ones
+    assert passes == {"piecewise": (2, 45 * 2), "none": (0, 0)}
 
 
 def test_simulate_workers_never_exceed_replications_or_cpus(monkeypatch):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import pollctl as pc
+from oracles import window_integral
 from pollctl.cost import (
     LinearScalar,
     PiecewiseLinearScalar,
     PolynomialScalar,
-    ScalarCost,
     step_path,
 )
 
@@ -171,17 +171,6 @@ def test_separable_growth_order_is_max():
     assert psi.growth_order == 3.0
 
 
-def test_step_integral_matches_direct_sum():
-    gen = np.random.default_rng(5)
-    psi = pc.piecewise_linear_cost(
-        [[0.0, 1.0], [0.0, 2.0, 4.0]], [[1.0, 2.0], [0.5, 1.5, 3.0]]
-    )
-    levels = gen.uniform(0.0, 6.0, (40, 2))
-    durations = gen.uniform(0.0, 1.0, 40)
-    direct = float(np.dot(psi.value(levels), durations))
-    assert psi.step_integral(levels, durations) == pytest.approx(direct, rel=1e-12)
-
-
 # -- simulated windows -------------------------------------------------------------
 
 
@@ -194,38 +183,112 @@ def test_step_path_puts_completions_first():
     np.testing.assert_array_equal(levels, [5, 6])
 
 
-def test_default_window_integral_by_hand():
+def test_default_tour_integrals_by_hand():
     pwl = PiecewiseLinearScalar([0.0, 3.0], [1.0, 2.0])
-    ups, downs = np.array([0.5, 1.0]), np.array([1.0, 1.5])
-    # levels 2, 3, 3, 2 over four half-unit pieces; cost 2x from level 3 up
-    assert pwl.window_integral(2, ups, downs, 2.0, 1) == pytest.approx(8.0)
-    # scale 2 halves every level: 1, 1.5, 1.5, 1 all below the threshold
-    assert pwl.window_integral(2, ups, downs, 2.0, 2) == pytest.approx(2.5)
+    # tour 0 on [0, 2): levels 2, 3, 3, 2 over four half-unit pieces; tour 1
+    # on [2, 3) takes the arrival at its bound and ends on a completion, so it
+    # holds 3 jobs throughout
+    ups, downs = np.array([0.5, 1.0, 2.0]), np.array([1.0, 1.5, 3.0])
+    levels, bounds = np.array([2, 2, 2]), np.array([0.0, 2.0, 3.0])
+    np.testing.assert_allclose(
+        pwl.tour_integrals(levels, ups, downs, bounds, 1), [8.0, 6.0], rtol=1e-15
+    )
+    # scale 2 halves every level: 1, 1.5, 1.5, 1 and 1.5, all below the threshold
+    np.testing.assert_allclose(
+        pwl.tour_integrals(levels, ups, downs, bounds, 2), [2.5, 1.5], rtol=1e-15
+    )
+    np.testing.assert_allclose(
+        LinearScalar(1.0).tour_integrals(levels, ups, downs, bounds, 1),
+        [5.0, 3.0],
+        rtol=1e-15,
+    )
 
 
-@settings(max_examples=80, deadline=None)
+SCALARS = {
+    "linear": LinearScalar(1.5),
+    # integer thresholds: scale-1 levels land on them
+    "piecewise": PiecewiseLinearScalar([0.0, 1.0, 3.0, 6.0], [0.5, 1.0, 2.5, 4.0]),
+    "polynomial": PolynomialScalar([0.5, 1.0, 0.0, 0.25]),
+}
+
+
+def random_block(gen: np.random.Generator, tours: int, events: int, scale: int):
+    """A block of tours with a nonnegative step path: (levels, ups, downs,
+    bounds).  Half the blocks lie on a quarter grid, so epochs tie with each
+    other and with the bounds.  Tours may be empty or of zero length,
+    arrivals may sit on the bound that opens their tour and completions on
+    the bound that closes theirs (a zero-length switchover)."""
+    grid = gen.random() < 0.5
+    if grid:
+        bounds = np.cumsum(gen.integers(0, 12, tours + 1)) / 4.0
+    else:
+        bounds = np.cumsum(gen.uniform(0.0, 8.0, tours + 1))
+    level = scale * int(gen.integers(0, 4)) + int(gen.integers(0, 3))
+    levels, ups, downs = [level], [], []
+    for j, count in enumerate(gen.multinomial(events, gen.dirichlet(np.ones(tours)))):
+        lo, hi = bounds[j], bounds[j + 1]
+        if grid:
+            times = lo + gen.integers(0, 4.0 * (hi - lo) + 1, count) / 4.0
+        else:
+            times = gen.uniform(lo, hi, count)
+            times[gen.random(count) < 0.1] = lo
+            times[gen.random(count) < 0.1] = hi
+        kinds = gen.random(count) < 0.5  # True: a completion
+        kinds[times == hi] = True  # an arrival at ``hi`` opens the next tour
+        # downs first at equal epochs; drop completions from an empty queue
+        for t, down in sorted(zip(times, kinds), key=lambda e: (e[0], not e[1])):
+            if not down:
+                ups.append(t)
+                level += 1
+            elif level > 0:
+                downs.append(t)
+                level -= 1
+        levels.append(level)
+    return np.array(levels), np.array(ups), np.array(downs), bounds
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_up=st.integers(0, 200),
-    n_down=st.integers(0, 200),
+    tours=st.integers(1, 6),
+    events=st.integers(0, 80),
     scale=st.sampled_from([1, 7, 500]),
+    name=st.sampled_from(list(SCALARS)),
 )
-def test_linear_window_integral_matches_merged_path(seed, n_up, n_down, scale):
-    gen = np.random.default_rng(seed)
-    duration = float(gen.uniform(0.1, 50.0))
-    grid = gen.uniform(0.0, duration, 8)  # drawing from a grid makes ties
+def test_tour_integrals_match_the_per_tour_oracle(seed, tours, events, scale, name):
+    scalar = SCALARS[name]
+    levels, ups, downs, bounds = random_block(
+        np.random.default_rng(seed), tours, events, scale
+    )
+    block = scalar.tour_integrals(levels, ups, downs, bounds, scale)
+    assert block.shape == (tours,)
+    # the oracle merges one tour at a time, epochs relative to its start
+    done = levels[0] + np.searchsorted(ups, bounds) - levels
+    for j in range(tours):
+        lo, hi = bounds[j], bounds[j + 1]
+        tour_ups = ups[(ups >= lo) & (ups < hi)]
+        tour_downs = downs[done[j] : done[j + 1]]
+        expected = window_integral(
+            scalar, levels[j], tour_ups - lo, tour_downs - lo, hi - lo, scale
+        )
+        assert block[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
-    def epochs(count: int) -> np.ndarray:
-        if gen.random() < 0.3:
-            return np.sort(gen.choice(grid, count))
-        return np.sort(gen.uniform(0.0, duration, count))
 
-    ups, downs = epochs(n_up), epochs(n_down)
-    start = n_down + int(gen.integers(0, 50))  # the level never goes negative
-    lin = LinearScalar(float(gen.uniform(0.1, 10.0)))
-    closed = lin.window_integral(start, ups, downs, duration, scale)
-    merged = ScalarCost.window_integral(lin, start, ups, downs, duration, scale)
-    assert closed == pytest.approx(merged, rel=1e-12, abs=0.0)
+def test_block_path_rejects_paths_the_levels_contradict():
+    ups, downs, bounds = np.array([0.5]), np.array([0.25]), np.array([0.0, 1.0])
+    pwl = PiecewiseLinearScalar([0.0, 1.0], [1.0, 2.0])
+    # one arrival cannot lift the count from 1 to 3, and no tour can gain a
+    # job without arrivals, even when the block's totals add up
+    for scalar in (pwl, LinearScalar(1.0)):
+        with pytest.raises(RuntimeError, match="cannot move the job count"):
+            scalar.tour_integrals(np.array([1, 3]), ups, downs, bounds, 1)
+        with pytest.raises(RuntimeError, match="cannot move the job count"):
+            scalar.tour_integrals(
+                np.array([1, 2, 0]), ups[:0], downs, np.array([0.0, 1.0, 2.0]), 1
+            )
+    # the completion at 0.25 comes before the arrival it would serve
+    with pytest.raises(RuntimeError, match="goes negative"):
+        pwl.tour_integrals(np.array([0, 0]), ups, downs, bounds, 1)
 
 
 def test_custom_cost_matches_separable_on_segments():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import pollctl as pc
 from oracles import arrival_epochs, recorded_path_cost, walk_first_hit
+from pollctl import cost as cost_module
 from pollctl import des
 from pollctl.distributions import Deterministic, Exponential
 
@@ -334,6 +335,54 @@ def test_level_mismatch_after_busy_period_is_a_runtime_error(
             measured_cycles=5,
             seed=0,
         )
+
+
+def test_corrupted_block_merge_is_a_runtime_error(revisit_params, monkeypatch):
+    # every tour bound after the first one slot late in the merged path
+    found = cost_module._bound_slots
+    monkeypatch.setattr(
+        cost_module,
+        "_bound_slots",
+        lambda jumps: found(jumps) + (np.arange(jumps.size + 1) > 0),
+    )
+    with pytest.raises(RuntimeError, match="merged path holds"):
+        pc.run(
+            pc.scaled_system(revisit_params, 1),
+            exhaustive(revisit_params),
+            COSTS["piecewise"],
+            warmup_cycles=0,
+            measured_cycles=5,
+            seed=0,
+        )
+
+
+@pytest.mark.parametrize("name", list(COSTS))
+def test_records_do_not_depend_on_the_block_size(revisit_params, name, monkeypatch):
+    def simulate():
+        return pc.run(
+            pc.scaled_system(revisit_params, 1),
+            BINOMIAL,
+            COSTS[name],
+            warmup_cycles=7,
+            measured_cycles=60,
+            seed=5,
+            record_path_cycles=25,
+        )
+
+    whole = simulate()
+    monkeypatch.setattr(des._Engine, "BLOCK_EVENTS", 40)
+    split = simulate()
+    # a block of 40 events holds at most one tour
+    assert split.cost_passes == 67 > whole.cost_passes
+    assert whole.cost_integrations == split.cost_integrations
+    for a, b in zip(whole.records, split.records):
+        assert a.cost == b.cost and a.start_levels == b.start_levels
+        np.testing.assert_array_equal(a.arrivals, b.arrivals)
+        np.testing.assert_array_equal(a.services, b.services)
+    for k in range(3):
+        np.testing.assert_array_equal(whole.path.times[k], split.path.times[k])
+        np.testing.assert_array_equal(whole.path.values[k], split.path.values[k])
+    assert whole.path.end_time == split.path.end_time
 
 
 def test_rolling_back_more_than_was_taken_is_a_runtime_error():

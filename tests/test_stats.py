@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import pollctl as pc
+from pollctl.stats import t_quantile
 
 
 def test_batch_means_exact_partition():
@@ -63,3 +68,26 @@ def test_geweke_score_flags_trends_not_noise():
     trending = stationary + np.linspace(0.0, 4.0, 5000)
     assert abs(pc.geweke_z(trending)) > 5.0
     assert pc.geweke_z(np.ones(1000)) == 0.0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, pollctl.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_t_quantile_equals_scipy_stats_bitwise():
+    from scipy import stats
+
+    gen = np.random.default_rng(3)
+    for df in range(1, 400, 3):
+        for confidence in [0.9, 0.95, 0.99, *gen.uniform(0.5, 0.999, 4)]:
+            expected = stats.t.ppf(0.5 * (1.0 + confidence), df)
+            assert t_quantile(confidence, df) == expected
