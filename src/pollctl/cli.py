@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -49,6 +50,20 @@ from .cost import pe_average_cost
 from .model import ControlParams
 from .rfcp import exhaustive_shortcut, relaxation_bound_cyclic, solve_rfcp
 from .rng import replication_seed
+
+
+#: the phases ``run_meta.json`` times for every command
+PHASES = ("load", "solve", "simulate", "write")
+
+
+@contextmanager
+def _phase(phases: dict[str, float], name: str):
+    """Add the wall time of the ``with`` block to ``phases[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] += time.perf_counter() - start
 
 
 def _write_json(path: Path, payload: Any) -> None:
@@ -87,50 +102,57 @@ def _stage_rows(params, control: ControlParams, pe) -> list[list[Any]]:
     return rows
 
 
-def _cmd_pe(resolved: dict, out: Path, seed: int) -> list[str]:
-    params = system_from(resolved["system"])
-    control = control_from(resolved["control"])
-    psi = cost_from(resolved["cost"])
-    pe = pe_from_params(params, control)
+def _cmd_pe(resolved: dict, out: Path, seed: int, phases: dict) -> list[str]:
+    with _phase(phases, "load"):
+        params = system_from(resolved["system"])
+        control = control_from(resolved["control"])
+        psi = cost_from(resolved["cost"])
+    with _phase(phases, "solve"):
+        pe = pe_from_params(params, control)
+        summary = {
+            "cycle_time": float(pe.cycle_time),
+            "start_levels": [float(v) for v in pe.levels[0]],
+            "busy_times": [float(v) for v in pe.busy_times],
+            "queue_ratio_sums": [
+                float(v) for v in control.queue_ratio_sums(params)
+            ],
+            "flow_balance_residual": float(
+                np.abs(pe.flow_balance_residual()).max()
+            ),
+            "cycle_map_spectral_radius": float(
+                spectral_radius(cycle_map(params, control).matrix)
+            ),
+            "average_cost": pe_average_cost(pe, psi) if psi is not None else None,
+        }
 
-    header = ["time", "kind", "stage"] + _queue_columns("q", params.num_queues)
-    rows = []
-    for t, (kind, stage), levels in zip(pe.times, pe.markers, pe.levels):
-        rows.append([float(t), kind, stage + 1] + [float(v) for v in levels])
-    _write_csv(out / "pe_breakpoints.csv", header, rows)
-
-    summary = {
-        "cycle_time": float(pe.cycle_time),
-        "start_levels": [float(v) for v in pe.levels[0]],
-        "busy_times": [float(v) for v in pe.busy_times],
-        "queue_ratio_sums": [
-            float(v) for v in control.queue_ratio_sums(params)
-        ],
-        "flow_balance_residual": float(np.abs(pe.flow_balance_residual()).max()),
-        "cycle_map_spectral_radius": float(
-            spectral_radius(cycle_map(params, control).matrix)
-        ),
-        "average_cost": pe_average_cost(pe, psi) if psi is not None else None,
-    }
-    _write_json(out / "pe_summary.json", summary)
+    with _phase(phases, "write"):
+        header = ["time", "kind", "stage"] + _queue_columns("q", params.num_queues)
+        rows = []
+        for t, (kind, stage), levels in zip(pe.times, pe.markers, pe.levels):
+            rows.append([float(t), kind, stage + 1] + [float(v) for v in levels])
+        _write_csv(out / "pe_breakpoints.csv", header, rows)
+        _write_json(out / "pe_summary.json", summary)
     return ["pe_breakpoints.csv", "pe_summary.json"]
 
 
-def _cmd_optimize(resolved: dict, out: Path, seed: int) -> list[str]:
-    params = system_from(resolved["system"])
-    psi = cost_from(resolved["cost"])
-    if psi is None:
-        raise ConfigError("optimize requires a cost section")
-    settings = resolved["optimize"]
-    repetition_set = tuple(settings["repetition_set"])
-    solution = solve_rfcp(
-        params, psi, repetition_set, budget=settings["budget"], seed=seed
-    )
-    shortcut = exhaustive_shortcut(params, psi, repetition_set)
-    try:
-        bound = relaxation_bound_cyclic(params, solution.repetitions, psi)
-    except ValueError:
-        bound = None
+def _cmd_optimize(resolved: dict, out: Path, seed: int, phases: dict) -> list[str]:
+    with _phase(phases, "load"):
+        params = system_from(resolved["system"])
+        psi = cost_from(resolved["cost"])
+        if psi is None:
+            raise ConfigError("optimize requires a cost section")
+        settings = resolved["optimize"]
+        repetition_set = tuple(settings["repetition_set"])
+    with _phase(phases, "solve"):
+        solution = solve_rfcp(
+            params, psi, repetition_set, budget=settings["budget"], seed=seed
+        )
+        shortcut = exhaustive_shortcut(params, psi, repetition_set)
+        try:
+            bound = relaxation_bound_cyclic(params, solution.repetitions, psi)
+        except ValueError:
+            bound = None
+        pe = pe_from_params(params, solution.control)
 
     result = {
         "repetitions": solution.repetitions,
@@ -149,14 +171,13 @@ def _cmd_optimize(resolved: dict, out: Path, seed: int) -> list[str]:
         "shortcut_applies": shortcut is not None,
         "relaxation_bound": bound,
     }
-    _write_json(out / "optimize_result.json", result)
-
-    pe = pe_from_params(params, solution.control)
-    _write_csv(
-        out / "optimize_stages.csv",
-        ["stage", "queue", "ratio", "busy_time", "busy_share"],
-        _stage_rows(params, solution.control, pe),
-    )
+    with _phase(phases, "write"):
+        _write_json(out / "optimize_result.json", result)
+        _write_csv(
+            out / "optimize_stages.csv",
+            ["stage", "queue", "ratio", "busy_time", "busy_share"],
+            _stage_rows(params, solution.control, pe),
+        )
     return ["optimize_result.json", "optimize_stages.csv"]
 
 
@@ -222,6 +243,7 @@ def _cmd_simulate(
     replications: int,
     threads: int,
     counters: dict[str, Any],
+    phases: dict,
 ) -> list[str]:
     sim = resolved["simulation"]
     payloads = [
@@ -233,119 +255,131 @@ def _cmd_simulate(
         for j in range(replications)
     ]
     workers = _worker_count(threads, replications)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replication, payloads))
-    else:
-        results = [_run_replication(p) for p in payloads]
-
-    stat_rows = []
-    for j, rep in enumerate(results):
-        for row in rep["stats"]:
-            stat_rows.append(
-                [
-                    j,
-                    row["kind"],
-                    row["stage"] + 1 if row["stage"] >= 0 else 0,
-                    row["queue"] + 1 if row["queue"] >= 0 else 0,
-                    row["estimate"],
-                    row["std_error"],
-                    row["fluid"],
-                    row["z"],
-                ]
-            )
-    _write_csv(
-        out / "simulation_stats.csv",
-        ["replication", "kind", "stage", "queue", "estimate", "std_error", "fluid", "z"],
-        stat_rows,
-    )
-
-    counters["replications"] = [rep["counters"] for rep in results]
-    rates = [rep["cost_rate"] for rep in results if rep["cost_rate"] is not None]
-    summary = {
-        "replications": [
-            {
-                "seed": rep["seed"],
-                "warmup_cycles": rep["warmup_cycles"],
-                "cost_rate": rep["cost_rate"],
-                "half_width": rep["half_width"],
-            }
-            for rep in results
-        ],
-        "pooled_cost_rate": float(np.mean(rates)) if rates else None,
-    }
-    _write_json(out / "simulation_summary.json", summary)
-    outputs = ["simulation_stats.csv", "simulation_summary.json"]
-
-    path = results[0]["path"]
-    if path is not None:
-        grid, sampled, fluid = path
-        queues = sampled.shape[1]
-        header = (
-            ["time"]
-            + _queue_columns("q", queues)
-            + _queue_columns("fluid_q", queues)
+    with _phase(phases, "simulate"):
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_run_replication, payloads))
+        else:
+            results = [_run_replication(p) for p in payloads]
+    with _phase(phases, "write"):
+        stat_rows = []
+        for j, rep in enumerate(results):
+            for row in rep["stats"]:
+                stat_rows.append(
+                    [
+                        j,
+                        row["kind"],
+                        row["stage"] + 1 if row["stage"] >= 0 else 0,
+                        row["queue"] + 1 if row["queue"] >= 0 else 0,
+                        row["estimate"],
+                        row["std_error"],
+                        row["fluid"],
+                        row["z"],
+                    ]
+                )
+        _write_csv(
+            out / "simulation_stats.csv",
+            [
+                "replication",
+                "kind",
+                "stage",
+                "queue",
+                "estimate",
+                "std_error",
+                "fluid",
+                "z",
+            ],
+            stat_rows,
         )
-        rows = [
-            [float(t)] + [float(v) for v in sampled[i]] + [float(v) for v in fluid[i]]
-            for i, t in enumerate(grid)
-        ]
-        _write_csv(out / "simulation_path.csv", header, rows)
-        outputs.append("simulation_path.csv")
+
+        counters["replications"] = [rep["counters"] for rep in results]
+        rates = [rep["cost_rate"] for rep in results if rep["cost_rate"] is not None]
+        summary = {
+            "replications": [
+                {
+                    "seed": rep["seed"],
+                    "warmup_cycles": rep["warmup_cycles"],
+                    "cost_rate": rep["cost_rate"],
+                    "half_width": rep["half_width"],
+                }
+                for rep in results
+            ],
+            "pooled_cost_rate": float(np.mean(rates)) if rates else None,
+        }
+        _write_json(out / "simulation_summary.json", summary)
+        outputs = ["simulation_stats.csv", "simulation_summary.json"]
+
+        path = results[0]["path"]
+        if path is not None:
+            grid, sampled, fluid = path
+            queues = sampled.shape[1]
+            header = (
+                ["time"]
+                + _queue_columns("q", queues)
+                + _queue_columns("fluid_q", queues)
+            )
+            rows = [
+                [float(t)]
+                + [float(v) for v in sampled[i]]
+                + [float(v) for v in fluid[i]]
+                for i, t in enumerate(grid)
+            ]
+            _write_csv(out / "simulation_path.csv", header, rows)
+            outputs.append("simulation_path.csv")
     return outputs
 
 
-def _cmd_sweep(resolved: dict, out: Path, seed: int) -> list[str]:
+def _cmd_sweep(resolved: dict, out: Path, seed: int, phases: dict) -> list[str]:
     sweep = resolved["sweep"]
     if sweep is None:
         raise ConfigError("sweep requires a sweep section")
     if resolved["cost"] is None:
         raise ConfigError("sweep requires a cost section")
-
-    summary_rows = []
-    stage_rows = []
-    records = []
-    for value in sweep["values"]:
-        variant = rewrite_config(resolved, sweep["parameter"], value)
-        params = system_from(variant["system"])
-        psi = cost_from(variant["cost"])
-        settings = variant["optimize"]
-        solution = solve_rfcp(
-            params,
-            psi,
-            tuple(settings["repetition_set"]),
-            budget=settings["budget"],
-            seed=seed,
+    with _phase(phases, "solve"):
+        summary_rows = []
+        stage_rows = []
+        records = []
+        for value in sweep["values"]:
+            variant = rewrite_config(resolved, sweep["parameter"], value)
+            params = system_from(variant["system"])
+            psi = cost_from(variant["cost"])
+            settings = variant["optimize"]
+            solution = solve_rfcp(
+                params,
+                psi,
+                tuple(settings["repetition_set"]),
+                budget=settings["budget"],
+                seed=seed,
+            )
+            pe = pe_from_params(params, solution.control)
+            summary_rows.append(
+                [value, solution.repetitions, solution.cost, solution.evaluations]
+            )
+            for row in _stage_rows(params, solution.control, pe):
+                stage_rows.append([value] + row)
+            records.append(
+                {
+                    "value": value,
+                    "repetitions": solution.repetitions,
+                    "ratios": list(solution.ratios),
+                    "cost": solution.cost,
+                }
+            )
+    with _phase(phases, "write"):
+        _write_csv(
+            out / "sweep_summary.csv",
+            ["value", "repetitions", "cost", "evaluations"],
+            summary_rows,
         )
-        pe = pe_from_params(params, solution.control)
-        summary_rows.append(
-            [value, solution.repetitions, solution.cost, solution.evaluations]
+        _write_csv(
+            out / "sweep_stages.csv",
+            ["value", "stage", "queue", "ratio", "busy_time", "busy_share"],
+            stage_rows,
         )
-        for row in _stage_rows(params, solution.control, pe):
-            stage_rows.append([value] + row)
-        records.append(
-            {
-                "value": value,
-                "repetitions": solution.repetitions,
-                "ratios": list(solution.ratios),
-                "cost": solution.cost,
-            }
+        _write_json(
+            out / "sweep_result.json",
+            {"parameter": sweep["parameter"], "results": records},
         )
-
-    _write_csv(
-        out / "sweep_summary.csv",
-        ["value", "repetitions", "cost", "evaluations"],
-        summary_rows,
-    )
-    _write_csv(
-        out / "sweep_stages.csv",
-        ["value", "stage", "queue", "ratio", "busy_time", "busy_share"],
-        stage_rows,
-    )
-    _write_json(
-        out / "sweep_result.json",
-        {"parameter": sweep["parameter"], "results": records},
-    )
     return ["sweep_summary.csv", "sweep_stages.csv", "sweep_result.json"]
 
 
@@ -383,23 +417,31 @@ def main(argv: list[str] | None = None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     clock = time.perf_counter()
     counters: dict[str, Any] = {}
+    phases = dict.fromkeys(PHASES, 0.0)
     try:
-        resolved = load_config(args.config)
+        with _phase(phases, "load"):
+            resolved = load_config(args.config)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "pe":
-            outputs = _cmd_pe(resolved, out, args.seed)
+            outputs = _cmd_pe(resolved, out, args.seed, phases)
         elif args.command == "optimize":
-            outputs = _cmd_optimize(resolved, out, args.seed)
+            outputs = _cmd_optimize(resolved, out, args.seed, phases)
         elif args.command == "simulate":
             if args.replications < 1:
                 raise ConfigError("--replications must be positive")
             if args.threads < 1:
                 raise ConfigError("--threads must be positive")
             outputs = _cmd_simulate(
-                resolved, out, args.seed, args.replications, args.threads, counters
+                resolved,
+                out,
+                args.seed,
+                args.replications,
+                args.threads,
+                counters,
+                phases,
             )
         else:
-            outputs = _cmd_sweep(resolved, out, args.seed)
+            outputs = _cmd_sweep(resolved, out, args.seed, phases)
         manifest = {
             "command": args.command,
             "seed": args.seed,
@@ -408,7 +450,8 @@ def main(argv: list[str] | None = None) -> int:
         }
         if args.command == "simulate":
             manifest["replications"] = args.replications
-        _write_json(out / "resolved_config.json", manifest)
+        with _phase(phases, "write"):
+            _write_json(out / "resolved_config.json", manifest)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -421,6 +464,7 @@ def main(argv: list[str] | None = None) -> int:
             "version": __version__,
             "started_utc": started,
             "elapsed_seconds": time.perf_counter() - clock,
+            "phases": phases,
             "counters": counters,
         },
     )

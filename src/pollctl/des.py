@@ -5,14 +5,22 @@ draws the binomially thinned number of jobs to clear, serves the attended
 queue until its count has fallen by that many (located by one shifted ``>=``
 comparison of completions with arrivals per chunk of draws), then samples
 the switchover.  A window (busy period or switchover) only moves each
-queue's level by its arrivals minus completions.  The cost does not feed
-back into the dynamics, so it is integrated a block of tours at a time:
+queue's level by its arrivals minus completions, and only the polled queue's
+count is needed online: its arrival clock is advanced at its polling epoch
+(the ``n`` of the binomial) and at the end of its busy period (where the
+count is checked), and every clock once at the tour's end.
+
+The other queues' levels at each polling epoch, and the cost, do not feed
+back into the dynamics, so they are rebuilt a block of tours at a time:
 tours are simulated until the block holds more than ``_Engine.BLOCK_EVENTS``
-arrivals and completions (or the run ends), then each queue's cost is
-integrated over the whole block in one vectorised pass, from the block's
-arrival epochs (one contiguous slice of the queue's clock) and completion
-epochs, and the block's tour records are built.  A non-separable cost keeps
-one joint merge per tour, and recorded paths are merged once per block.
+arrivals and completions (or the run ends).  Then every queue's polling
+levels come from one ``searchsorted`` of its arrivals over the block's
+polling epochs minus its services in the stages before (checked against the
+levels used online), each queue's cost is integrated over the whole block in
+one vectorised pass, from the block's arrival epochs (one contiguous slice
+of the queue's clock) and completion epochs, and the block's tour records
+are built.  A non-separable cost keeps one joint merge per tour, and
+recorded paths are merged once per block.
 
 Event-order convention at coincident epochs: service completions precede
 arrivals (the ``>=`` above), which precede switchover ends.  All sampled
@@ -23,7 +31,9 @@ a boundary belongs to the next window, and so to the next tour).
 Randomness is split into named substreams per source (queue arrivals, queue
 services, per-stage switchovers and binomial thinnings), so runs are
 reproducible and individual sources can be varied without disturbing the
-rest.
+rest.  Arrival epochs are cumulated in blocks aligned with their substream's
+draw index, so they depend on the seed alone, not on when the simulator
+asks for them.
 """
 
 from __future__ import annotations
@@ -50,9 +60,11 @@ def _first_passage(pending, t0: float, completions, shift: int) -> int:
     none.  ``_Engine._busy_period`` explains why that ends the busy period."""
     lo, first = max(shift, 0), max(-shift, 0)
     n = max(min(completions.size - lo, pending.size - first), 0)
-    reached = pending[first : first + n] - t0 >= completions[lo : lo + n]
-    if reached.any():
-        return lo + int(reached.argmax())
+    if n > 0:
+        reached = pending[first : first + n] - t0 >= completions[lo : lo + n]
+        j = int(reached.argmax())
+        if reached[j]:
+            return lo + j
     return lo + n if lo + n < completions.size else -1
 
 
@@ -98,39 +110,51 @@ class _ArrivalClock:
     returns them as one view and moves the mark to the read pointer.  The
     simulator takes them once per block of tours, so the mark stays at the
     first tour whose cost is not yet integrated.
+
+    Epochs are cumulated in blocks of ``BLOCK`` gaps that line up with the
+    substream's draw index: an epoch is its block's head (the last epoch of
+    the block before, 0 for the first) plus the cumsum of its block's gaps up
+    to it.  Every epoch is therefore a function of the seed alone, whatever
+    the requests that trigger the refills.
     """
 
-    def __init__(self, rate: float, gen: np.random.Generator, chunk: int = 4096):
+    BLOCK = 4096
+
+    def __init__(self, rate: float, gen: np.random.Generator):
         self._scale = 1.0 / float(rate)
         self._gen = gen
-        self._chunk = chunk
         self._store = self._times = np.empty(0)
         self._mark = 0
         self._ptr = 0
         self._horizon = 0.0
 
     def _ensure(self, t: float) -> None:
-        # one refill in blocks doubling from ``chunk``, each drawn, summed and shifted
-        # in place; epochs' last bits depend on where refills start.  A full store of
-        # the epochs from the tour mark on is replaced by one a quarter larger
+        # one refill of whole blocks, doubling up to 256 per pass: a row-wise cumsum,
+        # then the heads folded in sequence.  A full store of the epochs from the
+        # tour mark on is replaced by one a quarter larger
         if self._horizon > t:
             return
         end = self._times.size
-        block_size = self._chunk
+        blocks = 1
         while self._horizon <= t:
-            if end + block_size > self._store.size:
+            size = blocks * self.BLOCK
+            if end + size > self._store.size:
                 kept = self._store[self._mark : end]
-                self._store = np.empty((kept.size + block_size) * 5 // 4)
+                self._store = np.empty((kept.size + size) * 5 // 4)
                 self._store[: kept.size] = kept
                 self._ptr, self._mark, end = self._ptr - self._mark, 0, kept.size
-            block = self._store[end : end + block_size]
-            self._gen.standard_exponential(out=block)
-            block *= self._scale
-            np.cumsum(block, out=block)
-            block += self._horizon
-            self._horizon = float(block[-1])
-            end += block_size
-            block_size = min(block_size * 2, 1 << 20)
+            rows = self._store[end : end + size].reshape(blocks, self.BLOCK)
+            self._gen.standard_exponential(out=rows)
+            rows *= self._scale
+            np.cumsum(rows, axis=1, out=rows)
+            heads = np.empty(blocks + 1)
+            heads[0] = self._horizon
+            heads[1:] = rows[:, -1]
+            np.cumsum(heads, out=heads)
+            rows += heads[:-1, None]
+            self._horizon = float(heads[-1])
+            end += size
+            blocks = min(blocks * 2, 256)
         self._times = self._store[:end]
 
     def peek_until(self, t: float) -> np.ndarray:
@@ -199,10 +223,10 @@ class _PathRecorder:
         self._times: list[list[np.ndarray]] = [[] for _ in range(num_queues)]
         self._values: list[list[np.ndarray]] = [[] for _ in range(num_queues)]
 
-    def begin(self, t: float, levels: np.ndarray) -> None:
+    def begin(self, t: float, levels) -> None:
         if self.origin is None:
             self.origin = t
-            self.start = levels.copy()
+            self.start = np.array(levels)
 
     def add(self, end: float, paths: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """Append per-queue step paths of consecutive tours (absolute epochs,
@@ -224,13 +248,29 @@ class _PathRecorder:
         )
 
 
+def _draws(dist: Distribution, gen: np.random.Generator, size: int):
+    """Endless scalar draws of ``dist``, sampled ``size`` at a time; for every
+    shipped kind they equal draws taken one by one."""
+    while True:
+        yield from np.asarray(dist.sample(gen, size), dtype=float).tolist()
+
+
+def _served_before(served: np.ndarray) -> np.ndarray:
+    """Services of each queue before every stage of a block and at its end:
+    the exclusive cumsum of ``served`` (stages, queues) down the stages."""
+    before = np.zeros((served.shape[0] + 1, served.shape[1]), dtype=np.int64)
+    np.cumsum(served, axis=0, out=before[1:])
+    return before
+
+
 class _Tour(NamedTuple):
     """A simulated tour whose record waits for its block's costs."""
 
     start: float
-    levels: np.ndarray
+    levels: tuple[int, ...]
     recorded: bool
-    #: every ``CycleRecord`` field but the cost and the arrivals
+    #: every ``CycleRecord`` field but the cost, the polling levels, the
+    #: arrivals and the services
     fields: dict
 
 
@@ -238,6 +278,8 @@ class _Engine:
     #: arrivals plus completions a block of tours may hold before its costs
     #: are integrated and its records built; bounds the memory the block keeps
     BLOCK_EVENTS = 1 << 14
+    #: switchovers drawn at once from each stage's substream
+    SWITCHOVER_DRAWS = 256
 
     def __init__(
         self,
@@ -248,10 +290,7 @@ class _Engine:
     ):
         params = scaled.params
         table = control.augmented_table(params)
-        self._params = params
         self._scaled = scaled
-        self._table = table
-        self._ratios = control.ratio_array
         self._psi = psi
         self._components = psi.components if psi is not None and psi.separable else None
 
@@ -264,33 +303,52 @@ class _Engine:
             _SampleBuffer(scaled.service[k], rng.substream(seed, rng.SERVICES, k))
             for k in k_range
         ]
-        self._switch_gens = [
-            rng.substream(seed, rng.SWITCHOVERS, i) for i in range(len(table))
+        self._loads = [
+            params.arrival_rates[k] / params.service_rates[k] for k in k_range
         ]
-        self._binomial_gens = [
-            rng.substream(seed, rng.BINOMIALS, i) for i in range(len(table))
+        basic = len(table.basic)
+        self._polled = np.array([table.polled_queue(i) for i in range(len(table))])
+        #: per stage: polled queue, ratio, binomial substream, switchover draws
+        self._stages = [
+            (
+                table.polled_queue(i),
+                float(ratio),
+                rng.substream(seed, rng.BINOMIALS, i),
+                _draws(
+                    scaled.switchover[i % basic],
+                    rng.substream(seed, rng.SWITCHOVERS, i),
+                    self.SWITCHOVER_DRAWS,
+                ),
+            )
+            for i, ratio in enumerate(control.ratio_array)
         ]
 
         self._t = 0.0
-        self._levels = np.zeros(params.num_queues, dtype=np.int64)
+        self._levels = [0] * params.num_queues
         self.cycles_run = 0
         self.recorder: _PathRecorder | None = None
         self.cost_integrations = 0
         self.cost_passes = 0
-        # the block: tours whose records wait for their costs, and the
-        # absolute completion epochs of its visits, one list per queue
+        # the block: tours whose records wait for their costs, the absolute
+        # completion epochs of its visits (one list per queue), and per stage
+        # its polling epoch, the polled queue's level then and its services
         self._block: list[_Tour] = []
         self._block_events = 0
         self._downs: list[list[np.ndarray]] = [[] for _ in k_range]
+        self._epochs: list[float] = []
+        self._found: list[int] = []
+        self._served: list[int] = []
         self._finished: list[CycleRecord] = []
 
     # -- window machinery ---------------------------------------------------
 
-    def _busy_period(self, queue: int, drop: int) -> tuple[float, int, np.ndarray]:
-        """Serve ``queue`` until its count first falls by ``drop`` jobs.
+    def _busy_period(
+        self, queue: int, drop: int, t0: float
+    ) -> tuple[float, int, np.ndarray]:
+        """Serve ``queue`` from ``t0`` until its count first falls by ``drop``.
 
-        Returns (duration, services used, completion epochs relative to the
-        window start).  Works chunk-wise on drawn services, rolling back unused
+        Returns (duration, services used, completion epochs relative to
+        ``t0``).  Works chunk-wise on drawn services, rolling back unused
         ones.  With ``done`` services in earlier chunks and ``A(c)`` arrivals
         before ``c``, the count has fallen by ``done + j + 1 - A(c_j)`` at
         completion ``j``.  Rising at most one per completion, that walk first
@@ -299,8 +357,7 @@ class _Engine:
         """
         clock = self._clocks[queue]
         buffer = self._services[queue]
-        t0 = self._t
-        load = self._params.arrival_rates[queue] / self._params.service_rates[queue]
+        load = self._loads[queue]
         # mean plus four standard deviations of an M/M/1 busy period's services
         expected = drop / (1.0 - load)
         spread = math.sqrt(expected * load / (1.0 - load) ** 2 + 1.0)
@@ -310,7 +367,9 @@ class _Engine:
         parts: list[np.ndarray] = []
         while True:
             draws = buffer.take(chunk)
-            completions = tail + np.cumsum(draws)
+            completions = np.add.accumulate(draws)
+            if tail:
+                completions += tail
             pending = clock.peek_until(t0 + completions[-1])
             hit = _first_passage(pending, t0, completions, drop - done - 1)
             if hit >= 0:
@@ -325,28 +384,42 @@ class _Engine:
                 raise RuntimeError("busy period failed to terminate")
             chunk = min(chunk * 2, 1 << 22)
 
-    def _process_window(self, duration: float) -> None:
-        """Advance time by ``duration``, counting in every queue's arrivals."""
-        self._t += duration
-        self._levels += [clock.advance_to(self._t) for clock in self._clocks]
-
     def _flush(self) -> None:
-        """Integrate the block's costs in one pass per queue, then finish its
-        records; every clock's tour mark moves to the block's end."""
+        """Rebuild the block's polling levels, integrate its costs in one pass
+        per queue, then finish its records; every clock's tour mark moves to
+        the block's end."""
         block, self._block, self._block_events = self._block, [], 0
         if not block:
             return
+        epochs = np.array(self._epochs + [self._t])
+        found = np.array(self._found)
+        served = np.zeros((found.size, len(self._clocks)), dtype=np.int64)
+        stages = np.arange(found.size)
+        polled = self._polled[stages % self._polled.size]
+        served[stages, polled] = self._served
+        self._epochs, self._found, self._served = [], [], []
         ups = [clock.take_tour() for clock in self._clocks]
         downs = []
         for parts in self._downs:
             downs.append(np.concatenate(parts) if parts else np.empty(0))
             parts.clear()
-        bounds = np.array([tour.start for tour in block] + [self._t])
-        levels = np.array([tour.levels for tour in block] + [self._levels])
-        # arrivals and completions of each queue before every bound; an
-        # arrival at a bound opens the later tour, as in ``advance_to``
-        ups_before = np.array([u.searchsorted(bounds) for u in ups]).T
-        downs_before = levels[0] + ups_before - levels
+        # every queue's level at every polling epoch and at the block's end:
+        # arrivals before it (one at the epoch comes after it, as in
+        # ``advance_to``) minus services in the stages before it
+        ups_before = np.array([u.searchsorted(epochs) for u in ups]).T
+        levels = np.array(block[0].levels) + ups_before - _served_before(served)
+        # the online levels: each polled queue's, and all at tour bounds
+        starts = np.array([tour.levels for tour in block] + [self._levels])
+        tour_rows = slice(None, None, self._polled.size)
+        if (levels[stages, polled] != found).any() or (
+            levels[tour_rows] != starts
+        ).any():
+            raise RuntimeError(
+                "rebuilt polling levels disagree with the simulated ones"
+            )
+        bounds = epochs[tour_rows]
+        ups_before = ups_before[tour_rows]
+        downs_before = starts[0] + ups_before - starts
         recorded = [j for j, tour in enumerate(block) if tour.recorded]
         if recorded and self.recorder is not None:
             # the recorded tours run on from the first one: one path per queue
@@ -354,16 +427,25 @@ class _Engine:
             paths = [
                 step_path(start, u[a[i] : a[j]], d[b[i] : b[j]])
                 for start, u, d, a, b in zip(
-                    levels[i], ups, downs, ups_before.T, downs_before.T
+                    starts[i], ups, downs, ups_before.T, downs_before.T
                 )
             ]
             self.recorder.add(bounds[j], paths)
-        costs = self._block_costs(levels, ups, downs, bounds, ups_before, downs_before)
+        costs = self._block_costs(starts, ups, downs, bounds, ups_before, downs_before)
         scale = self._scaled.scale
+        shape = (len(block), self._polled.size, len(self._clocks))
+        polling = levels[:-1].reshape(shape)
+        services = served.reshape(shape).sum(axis=1)
         arrivals = np.diff(ups_before, axis=0)
-        for cost, came, tour in zip(costs, arrivals, block):
+        for j, tour in enumerate(block):
             self._finished.append(
-                CycleRecord(cost=cost / scale, arrivals=came, **tour.fields)
+                CycleRecord(
+                    cost=costs[j] / scale,
+                    polling_levels=polling[j],
+                    arrivals=arrivals[j],
+                    services=services[j],
+                    **tour.fields,
+                )
             )
 
     def _block_costs(
@@ -414,68 +496,78 @@ class _Engine:
 
     # -- cycle driver ---------------------------------------------------------
 
-    def cycle(self, record_path: bool = False) -> np.ndarray:
+    def cycle(self, record_path: bool = False) -> tuple[int, ...]:
         """Run one full server tour and return its start levels.
 
-        Its record is finished once its block's costs are integrated, when
-        the block exceeds ``BLOCK_EVENTS`` or at ``take_records``.
+        Only the polled queue's clock is advanced within the tour, at its
+        polling epoch and at the end of its busy period; every clock is
+        advanced at the tour's end.  The other queues' polling levels are
+        rebuilt per block in ``_flush``, and the record is finished once its
+        block's costs are integrated, when the block exceeds
+        ``BLOCK_EVENTS`` or at ``take_records``.
         """
+        levels = self._levels
+        start_levels = tuple(levels)
+        start_t = t = self._t
         if record_path:
             if self.recorder is None:
-                self.recorder = _PathRecorder(self._levels.size)
-            self.recorder.begin(self._t, self._levels)
+                self.recorder = _PathRecorder(len(levels))
+            self.recorder.begin(t, start_levels)
 
-        table = self._table
-        scale = self._scaled.scale
-        start_t = self._t
-        start_levels = self._levels.copy()
-        num_stages = len(table)
-        polling = np.empty((num_stages, start_levels.size), dtype=np.int64)
-        busy = np.zeros(num_stages)
-        switch = np.empty(num_stages)
-        services = np.zeros(start_levels.size, dtype=np.int64)
-
-        basic = len(table.basic)
-        for i in range(num_stages):
-            polling[i] = self._levels
-            queue = table.polled_queue(i)
-            cleared = int(
-                self._binomial_gens[i].binomial(self._levels[queue], self._ratios[i])
-            )
+        clocks = self._clocks
+        epochs, found, served = self._epochs, self._found, self._served
+        busy: list[float] = []
+        switch: list[float] = []
+        for i, (queue, ratio, binomials, pauses) in enumerate(self._stages):
+            clock = clocks[queue]
+            level = levels[queue] + clock.advance_to(t)
+            epochs.append(t)
+            found.append(level)
+            if ratio == 1.0:
+                cleared = level
+            else:
+                cleared = int(binomials.binomial(level, ratio))
             if cleared > 0:
-                duration, served, completions = self._busy_period(queue, cleared)
-                before = self._levels[queue]
-                self._downs[queue].append(self._t + completions)
-                self._process_window(duration)
-                self._levels[queue] -= served
-                if self._levels[queue] != before - cleared:
+                duration, done, completions = self._busy_period(queue, cleared, t)
+                completions += t
+                self._downs[queue].append(completions)
+                t += duration
+                left = level + clock.advance_to(t) - done
+                if left != level - cleared:
                     raise RuntimeError(
-                        f"stage {i}: queue {queue} holds {self._levels[queue]} jobs, "
-                        f"not {before} - {cleared}"
+                        f"stage {i}: queue {queue} holds {left} jobs, "
+                        f"not {level} - {cleared}"
                     )
-                services[queue] += served
-                busy[i] = duration
-            pause = float(
-                self._scaled.switchover[i % basic].sample(self._switch_gens[i])
-            )
+                levels[queue] = left
+                busy.append(duration)
+                served.append(done)
+            else:
+                levels[queue] = level
+                busy.append(0.0)
+                served.append(0)
+            pause = next(pauses)
             if pause > 0.0:
-                self._process_window(pause)
-            switch[i] = pause
+                t += pause
+            switch.append(pause)
+        for k, clock in enumerate(clocks):
+            levels[k] += clock.advance_to(t)
+        self._t = t
 
+        scale = self._scaled.scale
         fields = dict(
             index=self.cycles_run,
             start_time=start_t / scale,
-            duration=(self._t - start_t) / scale,
-            start_levels=tuple(int(v) for v in start_levels),
-            polling_levels=polling,
-            busy_times=busy / scale,
-            switchover_times=switch / scale,
-            services=services,
+            duration=(t - start_t) / scale,
+            start_levels=start_levels,
+            busy_times=np.array(busy) / scale,
+            switchover_times=np.array(switch) / scale,
         )
         self.cycles_run += 1
         self._block.append(_Tour(start_t, start_levels, record_path, fields))
         # arrivals are the count's rise plus the completions
-        self._block_events += int((self._levels - start_levels + 2 * services).sum())
+        self._block_events += (
+            sum(levels) - sum(start_levels) + 2 * sum(served[-len(busy) :])
+        )
         if self._block_events > self.BLOCK_EVENTS:
             self._flush()
         return start_levels
@@ -560,7 +652,7 @@ def run(
         target = 500
         while True:
             while engine.cycles_run < target:
-                totals.append(int(engine.cycle().sum()))
+                totals.append(sum(engine.cycle()))
             z = geweke_z(np.array(totals, dtype=float))
             if abs(z) < 3.0:
                 break

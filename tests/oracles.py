@@ -84,19 +84,15 @@ def walk_first_hit(
     return int(hits[0]) if hits.size else -1
 
 
-def arrival_epochs(
-    rate: float, gen: np.random.Generator, chunk: int, requests
-) -> np.ndarray:
-    """Every epoch an arrival clock holds after refills for each time in
-    ``requests``, in order: a refill draws blocks doubling from ``chunk`` (at
-    most 2**20) until the horizon passes the request, each block being
-    ``horizon + cumsum(gen.exponential(1 / rate, block))``."""
-    blocks = []
-    horizon = 0.0
-    for t in requests:
-        size = chunk
-        while horizon <= t:
-            blocks.append(horizon + np.cumsum(gen.exponential(1.0 / rate, size)))
-            horizon = float(blocks[-1][-1])
-            size = min(size * 2, 1 << 20)
-    return np.concatenate(blocks)
+def arrival_epochs(rate: float, gen: np.random.Generator, count: int) -> np.ndarray:
+    """The first ``count`` epochs of an arrival clock on ``gen``, from one long
+    draw of whole 4 096-gap blocks: each block's gap cumsum plus its head, the
+    last epoch of the block before (0 for the first), folded in sequence."""
+    blocks = -(-count // 4096)
+    gaps = gen.exponential(1.0 / rate, (blocks, 4096))
+    epochs = []
+    head = 0.0
+    for row in gaps:
+        epochs.append(head + np.cumsum(row))
+        head = float(epochs[-1][-1])
+    return np.concatenate(epochs)[:count]

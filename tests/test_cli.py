@@ -296,6 +296,59 @@ def test_corrupted_block_merge_exits_as_runtime_failure(tmp_path, capsys, monkey
     assert "runtime failure: merged path holds" in capsys.readouterr().err
 
 
+def test_corrupted_polling_levels_exit_as_runtime_failure(
+    tmp_path, capsys, monkeypatch
+):
+    # one service too many at the block's end only, so only the rebuilt
+    # levels at the tour bounds disagree
+    found = des._served_before
+
+    def off_by_one(served):
+        before = found(served)
+        before[-1] += 1
+        return before
+
+    monkeypatch.setattr(des, "_served_before", off_by_one)
+    config = write_config(
+        tmp_path,
+        {"simulation": {"warmup_cycles": 0, "measured_cycles": 5, "batches": 5}},
+    )
+    args = ["simulate", "--config", str(config), "--out", str(tmp_path / "s")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "runtime failure: rebuilt polling levels disagree" in err
+
+
+def test_run_meta_reports_phases_for_every_command(tmp_path):
+    config = write_config(
+        tmp_path,
+        {
+            "optimize": {"budget": 0},
+            "simulation": {"warmup_cycles": 5, "measured_cycles": 40, "batches": 4},
+            "sweep": {"parameter": "cost.coefficients.1", "values": [1.0, 2.0]},
+        },
+    )
+    busiest = {
+        "pe": "solve",
+        "optimize": "solve",
+        "simulate": "simulate",
+        "sweep": "solve",
+    }
+    for command, phase in busiest.items():
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        meta = json.loads((out / "run_meta.json").read_text("utf-8"))
+        phases = meta["phases"]
+        assert sorted(phases) == ["load", "simulate", "solve", "write"]
+        assert all(s >= 0.0 for s in phases.values())
+        assert phases["load"] > 0.0 and phases["write"] > 0.0 and phases[phase] > 0.0
+        idle = {"solve", "simulate"} - {phase}
+        assert all(phases[name] == 0.0 for name in idle)
+        assert sum(phases.values()) <= meta["elapsed_seconds"]
+        # timings stay out of the data artefacts
+        assert all(b"phases" not in data for data in tree_bytes(out).values())
+
+
 def test_simulate_reports_cost_passes(tmp_path):
     simulation = {"warmup_cycles": 5, "measured_cycles": 40, "batches": 4}
     passes = {}

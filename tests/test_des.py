@@ -42,6 +42,35 @@ def test_distribution_means_match_parameterisation():
         assert draws.mean() == pytest.approx(2.5, rel=0.02)
 
 
+def test_binomial_with_ratio_one_returns_n():
+    # a stage whose ratio is exactly 1 clears its level without a draw
+    gen = np.random.default_rng(3)
+    counts = [0] + gen.integers(1, 10**7, 200, endpoint=True).tolist() + [10**7]
+    for n in counts:
+        assert gen.binomial(n, 1.0) == n
+
+
+@pytest.mark.parametrize(
+    "kind, options",
+    [
+        ("deterministic", {}),
+        ("exponential", {}),
+        ("gamma", {"shape": 0.02}),
+        ("gamma", {"shape": 3.0}),
+        ("lognormal", {"cv": 2.0}),
+        ("uniform", {"width": 0.3}),
+    ],
+)
+def test_block_draws_equal_scalar_draws(kind, options):
+    dist = pc.make_distribution(kind, 2.5, **options)
+    draws = des._draws(dist, np.random.default_rng(21), 256)
+    blocked = [next(draws) for _ in range(600)]
+    gen = np.random.default_rng(21)
+    scalar = [float(dist.sample(gen)) for _ in range(600)]
+    assert all(type(v) is float for v in blocked)
+    assert np.array(blocked).tobytes() == np.array(scalar).tobytes()
+
+
 def test_make_distribution_rejects_bad_requests():
     with pytest.raises(ValueError, match="unknown distribution"):
         pc.make_distribution("cauchy", 1.0)
@@ -105,28 +134,54 @@ def test_first_passage_when_pending_arrivals_run_out():
     assert walk_first_hit(pending, 10.0, completions, 0, 6) == -1
 
 
-def test_arrival_clock_epochs_equal_a_blockwise_oracle():
-    # small blocks: many refills, tour marks that move and a store that grows
-    rate, chunk = 1.5, 4
-    clock = des._ArrivalClock(rate, np.random.default_rng(11), chunk)
-    requests, tours, stores = [], [], [clock._store]
-    t = 0.0
-    for step in range(60):
-        t += (0.4, 3.0, 11.0, 0.1, 60.0)[step % 5]
-        requests.append(t)
+def consume(clock, requests, tour_every=0):
+    """Advance ``clock`` to each request in turn (peeking first), taking a tour
+    every ``tour_every`` requests; returns every epoch consumed, in order."""
+    tours = []
+    for step, t in enumerate(requests):
         peeked = clock.peek_until(t).copy()
         assert clock.advance_to(t) == peeked.size
-        if step % 7 in (2, 6):
+        if tour_every and step % tour_every == 0:
             tours.append(clock.take_tour())
+    tours.append(clock.take_tour())
+    return np.concatenate(tours)
+
+
+def test_arrival_clock_epochs_equal_the_seed_only_oracle():
+    # about 30 blocks of 4 096 gaps: many refills, tour marks that move and a
+    # store that is replaced several times
+    rate = 40.0
+    clock = des._ArrivalClock(rate, np.random.default_rng(11))
+    stores = [clock._store]
+    requests = np.cumsum(np.tile([0.4, 3.0, 11.0, 0.1, 60.0], 40))
+    tours = []
+    for step, t in enumerate(requests):
+        tours.append(consume(clock, [t]))
         if clock._store is not stores[-1]:
             stores.append(clock._store)
-    tours.append(clock.take_tour())
-    expected = arrival_epochs(rate, np.random.default_rng(11), chunk, requests)
     consumed = np.concatenate(tours)
-    assert consumed.size == np.searchsorted(expected, t, side="left")
+    expected = arrival_epochs(rate, np.random.default_rng(11), consumed.size + 1)
+    assert expected[-2] < requests[-1] <= expected[-1]
     # views taken before a store replacement still hold their epochs
     assert len(stores) >= 5 and stores[-1].size > stores[1].size
-    assert consumed.tobytes() == expected[: consumed.size].tobytes()
+    assert consumed.tobytes() == expected[:-1].tobytes()
+
+
+def test_arrival_epochs_do_not_depend_on_the_requests():
+    # many tiny advances, one block per refill, against a few large jumps,
+    # the last of which refills some 50 blocks in one call
+    rate, end = 50.0, 4000.0
+    tiny = consume(
+        des._ArrivalClock(rate, np.random.default_rng(5)),
+        np.arange(0.37, end, 0.37),
+        tour_every=97,
+    )
+    jumps = consume(
+        des._ArrivalClock(rate, np.random.default_rng(5)), [1.0, 5000.0 / rate, end]
+    )
+    shared = min(tiny.size, jumps.size)
+    assert shared > 40 * 4096
+    assert tiny[:shared].tobytes() == jumps[:shared].tobytes()
 
 
 # -- conservation and determinism --------------------------------------------------
@@ -337,6 +392,27 @@ def test_level_mismatch_after_busy_period_is_a_runtime_error(
         )
 
 
+def test_corrupted_polling_levels_are_a_runtime_error(revisit_params, monkeypatch):
+    # one service too many before every stage but the first of a tour (five
+    # stages), so only the polled levels checked mid-tour disagree
+    found = des._served_before
+
+    def off_by_one(served):
+        before = found(served)
+        before[np.arange(before.shape[0]) % 5 > 0] += 1
+        return before
+
+    monkeypatch.setattr(des, "_served_before", off_by_one)
+    with pytest.raises(RuntimeError, match="rebuilt polling levels disagree"):
+        pc.run(
+            pc.scaled_system(revisit_params, 1),
+            BINOMIAL,
+            warmup_cycles=0,
+            measured_cycles=5,
+            seed=0,
+        )
+
+
 def test_corrupted_block_merge_is_a_runtime_error(revisit_params, monkeypatch):
     # every tour bound after the first one slot late in the merged path
     found = cost_module._bound_slots
@@ -383,6 +459,52 @@ def test_records_do_not_depend_on_the_block_size(revisit_params, name, monkeypat
         np.testing.assert_array_equal(whole.path.times[k], split.path.times[k])
         np.testing.assert_array_equal(whole.path.values[k], split.path.values[k])
     assert whole.path.end_time == split.path.end_time
+
+
+@pytest.mark.parametrize("scale", [1, 7])
+@pytest.mark.parametrize("control", [None, BINOMIAL], ids=["exhaustive", "binomial"])
+def test_polling_levels_equal_the_recorded_path(revisit_params, scale, control):
+    control = control or exhaustive(revisit_params)
+    tours = 40
+    result = pc.run(
+        pc.scaled_system(revisit_params, scale),
+        control,
+        warmup_cycles=3,
+        measured_cycles=tours,
+        seed=scale + 2,
+        record_path_cycles=tours,
+    )
+    origin = result.records[0].start_time
+    for record in result.records:
+        # each stage's polling epoch, just before which the path holds the
+        # levels the server found
+        spans = np.cumsum(record.busy_times + record.switchover_times)
+        epochs = record.start_time - origin + np.concatenate([[0.0], spans[:-1]])
+        found = np.rint(result.path.sample(epochs - 1e-9) * scale)
+        np.testing.assert_array_equal(found, record.polling_levels)
+
+
+def test_clock_advances_per_tour_are_bounded(revisit_params, monkeypatch):
+    calls = []
+    advance = des._ArrivalClock.advance_to
+
+    def counted(clock, t):
+        calls.append(t)
+        return advance(clock, t)
+
+    monkeypatch.setattr(des._ArrivalClock, "advance_to", counted)
+    tours = 50
+    pc.run(
+        pc.scaled_system(revisit_params, 1),
+        BINOMIAL,
+        warmup_cycles=0,
+        measured_cycles=tours,
+        seed=1,
+    )
+    stages, queues = 5, 3
+    # the polled queue at its polling epoch and after its busy period, then
+    # every queue at the tour's end
+    assert stages + queues <= len(calls) / tours <= 2 * stages + queues
 
 
 def test_rolling_back_more_than_was_taken_is_a_runtime_error():
