@@ -5,8 +5,9 @@ at rate ``mu_k - lambda_k``, otherwise it fills at rate ``lambda_k``.  A stage
 visit therefore acts on the vector of queue levels as an affine map, one full
 tour of the augmented table is a composition of such maps, and the long-run
 behaviour is the unique periodic orbit of that composition.  This module
-builds the stage and cycle maps, computes the periodic equilibrium by three
-independent routes, and simulates arbitrary fluid trajectories.
+builds the stage and cycle maps, finds the periodic equilibrium as the cycle
+map's fixed point and, independently, builds its orbit from the inter-visit
+recursion, and simulates arbitrary fluid trajectories.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ _NEGATIVE_CLAMP = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class AffineStageMap:
-    """Levels at the next polling epoch as an affine function of the current ones."""
+class AffineMap:
+    """Levels at a later polling epoch as an affine function of the current ones."""
 
     matrix: np.ndarray
     offset: np.ndarray
@@ -47,18 +48,7 @@ class AffineStageMap:
         return self.matrix @ levels + self.offset
 
 
-@dataclass(frozen=True, eq=False)
-class CycleMap:
-    """Composition of all stage maps over one augmented-table tour."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    def __call__(self, levels: np.ndarray) -> np.ndarray:
-        return self.matrix @ levels + self.offset
-
-
-def stage_map(params: SystemParameters, stage: int, ratio: float) -> AffineStageMap:
+def stage_map(params: SystemParameters, stage: int, ratio: float) -> AffineMap:
     """Affine update across one stage: serve a ``ratio`` share, then switch.
 
     Serving queue ``p`` for the busy time ``ratio * q_p / (mu_p - lambda_p)``
@@ -72,10 +62,10 @@ def stage_map(params: SystemParameters, stage: int, ratio: float) -> AffineStage
     matrix[:, queue] = lam * ratio / drain[queue]
     matrix[queue, queue] = 1.0 - ratio
     offset = lam * params.switchover_means[stage % params.num_stages]
-    return AffineStageMap(matrix, offset)
+    return AffineMap(matrix, offset)
 
 
-def cycle_map(params: SystemParameters, control: ControlParams) -> CycleMap:
+def cycle_map(params: SystemParameters, control: ControlParams) -> AffineMap:
     control.validate_for(params)
     matrix = np.eye(params.num_queues)
     offset = np.zeros(params.num_queues)
@@ -83,7 +73,7 @@ def cycle_map(params: SystemParameters, control: ControlParams) -> CycleMap:
         step = stage_map(params, stage, ratio)
         matrix = step.matrix @ matrix
         offset = step.matrix @ offset + step.offset
-    return CycleMap(matrix, offset)
+    return AffineMap(matrix, offset)
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
@@ -124,6 +114,17 @@ CUT = "cut"
 Marker = tuple[str, int]
 
 
+def _interpolate(times: np.ndarray, levels: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Piecewise-linear levels through the breakpoints at time(s) ``t``."""
+    right = np.clip(np.searchsorted(times, t, side="right"), 1, len(times) - 1)
+    left = right - 1
+    t0 = times[left]
+    t1 = times[right]
+    span = np.where(t1 > t0, t1 - t0, 1.0)
+    w = ((t - t0) / span)[..., None]
+    return (1.0 - w) * levels[left] + w * levels[right]
+
+
 @dataclass(frozen=True, eq=False)
 class PECandidate:
     """Periodic equilibrium: one tour of breakpoints with q(tau) = q(0).
@@ -145,9 +146,6 @@ class PECandidate:
     def num_stages(self) -> int:
         return len(self.busy_times)
 
-    def polling_epochs(self) -> np.ndarray:
-        return self.times[0:-1:2]
-
     def polling_levels(self) -> np.ndarray:
         """Level vectors at each stage's polling epoch, shape (stages, K)."""
         return self.levels[0:-1:2]
@@ -158,14 +156,7 @@ class PECandidate:
     def value_at(self, t) -> np.ndarray:
         """Orbit levels at time(s) ``t``, extended periodically."""
         t = np.mod(np.asarray(t, dtype=float), self.cycle_time)
-        right = np.searchsorted(self.times, t, side="right")
-        right = np.clip(right, 1, len(self.times) - 1)
-        left = right - 1
-        t0 = self.times[left]
-        t1 = self.times[right]
-        span = np.where(t1 > t0, t1 - t0, 1.0)
-        w = ((t - t0) / span)[..., None]
-        return (1.0 - w) * self.levels[left] + w * self.levels[right]
+        return _interpolate(self.times, self.levels, t)
 
     def flow_balance_residual(self) -> np.ndarray:
         """Per-queue busy-time totals minus rho_k * tau; zero in equilibrium."""
@@ -176,63 +167,37 @@ class PECandidate:
         return totals - per_queue * self.cycle_time
 
 
-def _walk_stage(
-    params: SystemParameters,
-    stage: int,
-    ratio: float,
-    t: float,
-    levels: np.ndarray,
-) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Advance through one stage: (departure time, levels, switch end, levels)."""
-    queue = params.table[stage % params.num_stages]
-    lam = params.arrival_array
-    busy = ratio * levels[queue] / params.drain_rates[queue]
-    after_busy = levels + lam * busy
-    after_busy[queue] = (1.0 - ratio) * levels[queue]
-    s = params.switchover_means[stage % params.num_stages]
-    after_switch = after_busy + lam * s
-    return t + busy, after_busy, t + busy + s, after_switch
-
-
 def pe_from_params(params: SystemParameters, control: ControlParams) -> PECandidate:
-    """Roll the fixed point through one tour, recording every breakpoint."""
-    start = pe_fixed_point(params, control)
-    tau = cycle_length(params, control.repetitions)
-    stages = len(control.ratios)
-    times = np.zeros(2 * stages + 1)
-    levels = np.zeros((2 * stages + 1, params.num_queues))
-    markers: list[Marker] = []
-    busy = np.zeros(stages)
-    t = 0.0
-    q = start.copy()
-    for i, ratio in enumerate(control.ratios):
-        times[2 * i] = t
-        levels[2 * i] = q
-        markers.append((POLL, i))
-        t_depart, q_depart, t, q = _walk_stage(params, i, ratio, t, q)
-        times[2 * i + 1] = t_depart
-        levels[2 * i + 1] = q_depart
-        markers.append((DEPART, i))
-        busy[i] = t_depart - times[2 * i]
-    times[-1] = t
-    levels[-1] = q
-    markers.append((POLL, 0))
-    scale = max(1.0, float(np.abs(start).max()))
-    if np.abs(q - start).max() > 1e-9 * scale:
-        raise InfeasibleParameters("periodic orbit failed to close on itself")
-    if abs(t - tau) > 1e-9 * max(1.0, tau):
-        raise InfeasibleParameters("tour duration disagrees with switchover budget")
-    # Snap the roll-forward endpoint so downstream interpolation sees an
-    # exactly periodic orbit.
-    times[-1] = tau
-    levels[-1] = start
+    """Breakpoint orbit of the periodic equilibrium, in closed form.
+
+    ``VisitRecursion`` gives every stage's level left and busy time, and so
+    every polling and departure epoch.  Between its visits a queue refills
+    linearly, so its level at a breakpoint is the level left at its latest
+    departure plus the inflow since; before its first departure in the tour
+    that is its last departure of the previous tour.  Every level is thus a
+    sum of nonnegative terms, and a visit that empties its queue leaves 0.
+    """
+    recursion = VisitRecursion(params, control.repetitions)
+    _, left, busy, _ = recursion.visits(control.ratio_array)
+    stages = len(busy)
+    tau = recursion.cycle_time
+    epochs = np.concatenate([[0.0], np.cumsum(busy + recursion.switchovers)[:-1]])
+    times = np.append(np.column_stack([epochs, epochs + busy]).ravel(), tau)
+    latest = np.full((2 * stages, params.num_queues), -1)
+    latest[2 * np.arange(stages) + 1, recursion.polled] = np.arange(stages)
+    latest = np.maximum.accumulate(latest, axis=0)
+    wrapped = latest < 0
+    latest = np.where(wrapped, latest[-1], latest)
+    since = times[:-1, None] - times[2 * latest + 1] + tau * wrapped
+    levels = left[latest] + params.arrival_array * since
+    markers = [(kind, i) for i in range(stages) for kind in (POLL, DEPART)]
     return PECandidate(
         params=params,
         control=control,
         cycle_time=tau,
         times=times,
-        levels=_clamp_levels(levels),
-        markers=tuple(markers),
+        levels=_clamp_levels(np.vstack([levels, levels[0]])),
+        markers=(*markers, (POLL, 0)),
         busy_times=busy,
     )
 
@@ -294,9 +259,9 @@ class VisitRecursion:
     def visits(self, ratios) -> tuple[np.ndarray, ...]:
         """Per stage: polled level, level left, busy time, time to next poll.
 
-        Checks the ratios as ``ControlParams.validate_for`` and the orbit as
-        ``pe_from_params`` does: closure (as a solve residual), nonnegative
-        levels and the tour length.
+        Checks the ratios as ``ControlParams.validate_for`` does, and the
+        orbit: closure (as a solve residual), nonnegative levels and the tour
+        length.
         """
         r = np.asarray(ratios, dtype=float)
         check_ratios(r, self.polled, self.num_queues)
@@ -367,17 +332,13 @@ def polling_values_by_recursion(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Periodic equilibrium via the inter-visit linear recursion.
 
-    Independent of the fixed-point route: ``VisitRecursion`` gives the polled
-    level at every stage, and a queue's tour-start level is its level at its
-    first visit less the inflow before it.  Returns (per-stage polled levels,
-    tour-start vector).
+    Independent of the fixed-point route: these are the polling levels of
+    ``pe_from_params``'s orbit, which is built from ``VisitRecursion``.
+    Returns (per-stage polled levels, tour-start vector).
     """
-    recursion = VisitRecursion(params, control.repetitions)
-    values, _, busy, _ = recursion.visits(control.ratio_array)
-    epochs = np.concatenate([[0.0], np.cumsum(busy + recursion.switchovers)[:-1]])
-    first = np.unique(recursion.polled, return_index=True)[1]
-    start = values[first] - params.arrival_array * epochs[first]
-    return values, _clamp_levels(start)
+    pe = pe_from_params(params, control)
+    polled = np.asarray(control.augmented_table(params).stages)
+    return pe.polling_levels()[np.arange(pe.num_stages), polled], pe.levels[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,14 +354,7 @@ class FluidTrajectory:
 
     def value_at(self, t) -> np.ndarray:
         t = np.clip(np.asarray(t, dtype=float), self.times[0], self.times[-1])
-        right = np.searchsorted(self.times, t, side="right")
-        right = np.clip(right, 1, len(self.times) - 1)
-        left = right - 1
-        t0 = self.times[left]
-        t1 = self.times[right]
-        span = np.where(t1 > t0, t1 - t0, 1.0)
-        w = ((t - t0) / span)[..., None]
-        return (1.0 - w) * self.levels[left] + w * self.levels[right]
+        return _interpolate(self.times, self.levels, t)
 
     def cycle_start_levels(self) -> np.ndarray:
         """Level vectors at each tour-start polling epoch."""
@@ -415,7 +369,7 @@ def simulate_fluid(
     horizon: float,
     max_stages: int = 1_000_000,
 ) -> FluidTrajectory:
-    """Run the stage walk from ``initial_levels`` until ``horizon``.
+    """Apply the stage maps from ``initial_levels`` until ``horizon``.
 
     Every polling and departure epoch becomes a breakpoint; zero-duration
     stages leave coincident breakpoints rather than being dropped.  The walk
@@ -427,6 +381,9 @@ def simulate_fluid(
     if q.shape != (params.num_queues,):
         raise ValueError(f"initial levels must have shape ({params.num_queues},)")
     stages = len(control.ratios)
+    maps = [stage_map(params, i, r) for i, r in enumerate(control.ratios)]
+    polled = np.asarray(control.augmented_table(params).stages)
+    busy_per_level = control.ratio_array / params.drain_rates[polled]
     times = [0.0]
     levels = [q.copy()]
     markers: list[Marker] = [(POLL, 0)]
@@ -435,8 +392,8 @@ def simulate_fluid(
     stage = 0
     steps = 0
     while t < horizon:
-        ratio = control.ratios[stage]
-        t_depart, q_depart, t_next, q_next = _walk_stage(params, stage, ratio, t, q)
+        t_depart = t + busy_per_level[stage] * q[polled[stage]]
+        q_depart = maps[stage].matrix @ q
         if t_depart > horizon:
             # Horizon falls inside the busy period; all levels move linearly.
             frac = (horizon - t) / (t_depart - t)
@@ -448,6 +405,7 @@ def simulate_fluid(
         times.append(t_depart)
         levels.append(q_depart)
         markers.append((DEPART, stage))
+        t_next = t_depart + params.switchover_means[stage % params.num_stages]
         if t_next > horizon:
             times.append(horizon)
             levels.append(q_depart + params.arrival_array * (horizon - t_depart))
@@ -455,10 +413,10 @@ def simulate_fluid(
             t = horizon
             break
         t = t_next
-        q = q_next
+        q = q_depart + maps[stage].offset
         stage = (stage + 1) % stages
         times.append(t)
-        levels.append(q.copy())
+        levels.append(q)
         markers.append((POLL, stage))
         if stage == 0:
             if t == cycle_starts[-1]:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import optimize
 
 from .cost import (
     CostFunction,
@@ -198,6 +197,9 @@ def _search_single(
     budget: int | None,
     seed: int,
 ) -> RepetitionSearch:
+    # imported here, so that commands that never optimise do not pay for it
+    from scipy import optimize
+
     dim = params.num_stages * repetitions
     if budget is None:
         budget = 20 + 5 * dim

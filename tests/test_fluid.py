@@ -127,11 +127,25 @@ def test_three_routes_agree_on_random_instances():
 
         values, start = pc.polling_values_by_recursion(params, control)
         assert np.abs(start - fixed).max() < 1e-8 * scale
+        recursion = pc.VisitRecursion(params, control.repetitions)
+        solved = recursion.visits(control.ratio_array)[0]
+        assert np.abs(values - solved).max() < 1e-8 * scale
+
+
+def test_closed_form_orbit_matches_roll_forward():
+    """The breakpoints built from the visit recursion against the stage maps
+    rolled forward from the cycle map's fixed point, on AC2's population."""
+    gen = np.random.default_rng(202408)
+    for _ in range(1000):
+        params, control = random_instance(gen)
         pe = pc.pe_from_params(params, control)
-        table = control.augmented_table(params)
-        polled = np.asarray(table.stages)
-        own_levels = pe.polling_levels()[np.arange(len(table)), polled]
-        assert np.abs(own_levels - values).max() < 1e-8 * scale
+        start = pc.pe_fixed_point(params, control)
+        traj = pc.simulate_fluid(params, control, start, horizon=pe.cycle_time)
+        first = 2 * pe.num_stages
+        gap = np.abs(traj.levels[:first] - pe.levels[:first]).max()
+        assert gap <= 1e-12 * np.abs(pe.levels).max()
+        lag = np.abs(traj.times[:first] - pe.times[:first]).max()
+        assert lag <= 1e-12 * pe.cycle_time
 
 
 def test_contraction_rate_in_eigenbasis():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 import pollctl as pc
 from conftest import random_cyclic_params, random_instance, random_pwl_cost
@@ -231,14 +232,14 @@ def test_solve_with_custom_cost_reaches_linear_optimum(revisit_params, monkeypat
     slopes = np.array([1.0, 1.0, 8.0])
     custom = pc.CustomCost(lambda q: q @ slopes, growth_order=1.0)
     linear = pc.solve_rfcp(revisit_params, pc.linear_cost(slopes), (1,), budget=2)
-    minimize = pc.rfcp.optimize.minimize
+    minimize = optimize.minimize
     jacobians = []
 
     def recording(*args, **kwargs):
         jacobians.append(kwargs["jac"])
         return minimize(*args, **kwargs)
 
-    monkeypatch.setattr(pc.rfcp.optimize, "minimize", recording)
+    monkeypatch.setattr(optimize, "minimize", recording)
     solution = pc.solve_rfcp(revisit_params, custom, (1,), budget=2)
     assert jacobians == [False] * 3  # SciPy's finite differences
     assert solution.cost == pytest.approx(linear.cost, rel=1e-6)

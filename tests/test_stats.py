@@ -70,8 +70,9 @@ def test_geweke_score_flags_trends_not_noise():
     assert pc.geweke_z(np.ones(1000)) == 0.0
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, pollctl.cli; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_cli_import_leaves_scipy_module_unloaded(module):
+    code = f"import sys, pollctl.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
         [sys.executable, "-c", code],
