@@ -19,7 +19,7 @@ from .cost import (
     piecewise_linear_cost,
     polynomial_cost,
 )
-from .distributions import ScaledSystem, make_distribution
+from .distributions import KIND_OPTIONS, ScaledSystem, scaled_system
 from .model import ControlParams, SystemParameters, validate
 
 
@@ -59,23 +59,18 @@ def _positive_int(value: Any, path: str, minimum: int = 1) -> int:
     return value
 
 
-_DISTRIBUTION_OPTIONS = {
-    "deterministic": (),
-    "exponential": (),
-    "gamma": ("shape",),
-    "lognormal": ("cv",),
-    "uniform": ("width",),
-}
+#: every option of any distribution kind, each once
+_DISTRIBUTION_OPTIONS = tuple(dict.fromkeys(sum(KIND_OPTIONS.values(), ())))
 
 
 def _resolve_distribution(section: Any, path: str) -> dict[str, Any]:
-    _check_keys(section, path, required=("kind",), optional=("shape", "cv", "width"))
+    _check_keys(section, path, required=("kind",), optional=_DISTRIBUTION_OPTIONS)
     kind = section["kind"]
-    if kind not in _DISTRIBUTION_OPTIONS:
-        raise ConfigError(f"{path}.kind must be one of {sorted(_DISTRIBUTION_OPTIONS)}")
-    allowed = _DISTRIBUTION_OPTIONS[kind]
+    if kind not in KIND_OPTIONS:
+        raise ConfigError(f"{path}.kind must be one of {sorted(KIND_OPTIONS)}")
+    allowed = KIND_OPTIONS[kind]
     resolved: dict[str, Any] = {"kind": kind}
-    for key in ("shape", "cv", "width"):
+    for key in _DISTRIBUTION_OPTIONS:
         if key in section:
             if key not in allowed:
                 raise ConfigError(f"{path}.{key} does not apply to kind {kind!r}")
@@ -298,20 +293,10 @@ def _resolve_simulation(section: Any) -> dict[str, Any]:
 
 def scaled_from(resolved: dict[str, Any], params: SystemParameters) -> ScaledSystem:
     sim = resolved["simulation"]
-    service_spec = dict(sim["service_distribution"])
-    service_kind = service_spec.pop("kind")
-    switch_spec = dict(sim["switchover_distribution"])
-    switch_kind = switch_spec.pop("kind")
-    scale = sim["scale"]
-    service = tuple(
-        make_distribution(service_kind, 1.0 / mu, **service_spec)
-        for mu in params.service_rates
-    )
-    switchover = tuple(
-        make_distribution(switch_kind, scale * s, **switch_spec)
-        for s in params.switchover_means
-    )
-    return ScaledSystem(params, scale, service, switchover)
+    service = dict(sim["service_distribution"])
+    switchover = dict(sim["switchover_distribution"])
+    kinds = service.pop("kind"), switchover.pop("kind")
+    return scaled_system(params, sim["scale"], *kinds, service, switchover)
 
 
 def _resolve_sweep(section: Any) -> dict[str, Any]:

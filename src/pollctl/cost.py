@@ -5,12 +5,15 @@ constant, so for the built-in cost families every integral is computed in
 closed form, vectorised over arrays of linear pieces: linear and polynomial
 costs via antiderivatives, piecewise-linear costs as sums of threshold-
 activated linear terms.  Simulated paths are integrated a block of tours at a
-time: the block's step path is merged once by ``searchsorted`` position
-arithmetic, the cost is evaluated once on it, and the pieces are summed per
-tour.  A linear cost needs no step path at all: its integral is the total
-time the jobs spend in the queue.  Arbitrary cost callables fall back to
-adaptive Gauss-Legendre quadrature with a 1e-10 relative target, segment by
-segment.
+time.  ``block_path`` is the one merge of a queue's simulated jumps: it
+places every bound and jump by ``searchsorted`` position arithmetic, with no
+sort.  A separable cost integrates each queue on its own merged path; any
+other cost reads every queue's count on the union of their paths' epochs.
+Either way the cost is evaluated once per block and the pieces are summed
+per tour.  A linear cost needs no step path at all: its integral is the
+total time the jobs spend in the queue.  Fluid segments of arbitrary cost
+callables fall back to adaptive Gauss-Legendre quadrature with a 1e-10
+relative target, segment by segment.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ class CostFunction:
     #: smallest p with value(x) = O(1 + |x|^p); used to sanity-check moments
     growth_order: float = 1.0
     separable: bool = False
+    #: cost integrals ``tour_integrals`` computes per tour
+    integrals_per_tour: int = 1
 
     def value(self, levels):
         """Cost at one level vector (K,) or a batch of them (T, K)."""
@@ -38,6 +43,34 @@ class CostFunction:
     def segment_integral(self, start, end, duration: float) -> float:
         """Integral over one interval on which levels move linearly."""
         raise NotImplementedError
+
+    def tour_integrals(
+        self,
+        levels: np.ndarray,
+        ups: list[np.ndarray],
+        downs: list[np.ndarray],
+        bounds: np.ndarray,
+        scale: int,
+    ) -> np.ndarray:
+        """Integral of ``value(levels / scale)`` over each tour of a block.
+
+        ``levels`` (tours + 1, K) holds every queue's count at the tour
+        bounds, and ``ups`` and ``downs`` one epoch array per queue, as in
+        ``ScalarCost.tour_integrals``.  The cost is evaluated once, on every
+        queue's count over the deduplicated union of their paths' epochs: a
+        zero-width piece would change how the pieces are grouped for summing.
+        """
+        paths = [
+            block_path(levels[:, k], up, down, bounds)
+            for k, (up, down) in enumerate(zip(ups, downs))
+        ]
+        grid = np.unique(np.concatenate([times for times, _, _ in paths]))
+        # each queue's count on every piece: after every jump up to its start
+        counts = np.column_stack(
+            [path[t.searchsorted(grid[:-1], "right") - 1] for t, path, _ in paths]
+        )
+        pieces = self.value(counts / scale) * np.diff(grid)
+        return _tour_sums(pieces, grid.searchsorted(bounds))
 
 
 class ScalarCost:
@@ -73,8 +106,19 @@ class ScalarCost:
         Completions go to the tours in order, as many to each as ``levels``
         implies: one at a bound can close the earlier tour or open the later.
         """
-        durations, path, slots = _block_path(levels, ups, downs, bounds)
-        return np.add.reduceat(self.value(path[:-1] / scale) * durations, slots[:-1])
+        times, path, slots = block_path(levels, ups, downs, bounds)
+        pieces = self.value(path[:-1] / scale) * np.diff(times)
+        return np.add.reduceat(pieces, slots[:-1])
+
+
+def _tour_sums(pieces: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum of ``pieces[starts[j] : starts[j + 1]]`` for every ``j``; an empty
+    run sums to zero (``reduceat`` cannot sum one)."""
+    sums = np.zeros(starts.size - 1)
+    live = starts[:-1] < starts[1:]
+    if live.any():
+        sums[live] = np.add.reduceat(pieces, starts[:-1][live])
+    return sums
 
 
 def _tour_counts(
@@ -109,18 +153,19 @@ def _bound_slots(jumps: np.ndarray) -> np.ndarray:
     return slots
 
 
-def _block_path(
+def block_path(
     levels: np.ndarray, ups: np.ndarray, downs: np.ndarray, bounds: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merged step path of a block of tours (see ``tour_integrals``).
+    """Merged step path of one queue over a block of tours (see
+    ``ScalarCost.tour_integrals``).
 
-    Returns the duration of every piece, the job count on every piece plus
-    the count at the block's end, and the piece that opens each tour (its
-    last entry is the final slot).  Slots hold the bounds and the jumps in
-    time order, downs before ups at equal epochs and bound ``j`` before the
-    jumps of tour ``j``; each slot's position is counted by ``searchsorted``,
-    with no sort.  A path that misses a tour's start level, goes negative
-    or runs backwards in time raises ``RuntimeError``.
+    Returns the epoch of every slot, the job count from every slot on, and
+    the slot of each tour bound (its last entry is the final slot, the
+    block's end); every other slot is a jump.  Slots hold the bounds and the
+    jumps in time order, downs before ups at equal epochs and bound ``j``
+    before the jumps of tour ``j``; each slot's position is counted by
+    ``searchsorted``, with no sort.  A path that misses a tour's start level,
+    goes negative or runs backwards in time raises ``RuntimeError``.
     """
     up_counts, down_counts = _tour_counts(levels, ups, downs, bounds)
     jumps = up_counts + down_counts
@@ -140,7 +185,6 @@ def _block_path(
     steps[down_at] = -1
     steps[0] = levels[0]
     path = np.cumsum(steps)
-    durations = np.diff(times)
     missed = np.flatnonzero(path[slots] != levels)
     if missed.size:
         j = missed[0]
@@ -148,26 +192,9 @@ def _block_path(
             f"merged path holds {path[slots[j]]} jobs at tour bound {j}, "
             f"not the start level {levels[j]}"
         )
-    if path.min() < 0 or (durations < 0.0).any():
+    if path.min() < 0 or (np.diff(times) < 0.0).any():
         raise RuntimeError("merged path goes negative or back in time")
-    return durations, path, slots
-
-
-def step_path(
-    start: int, ups: np.ndarray, downs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jump epochs and job counts after each jump of a +1/-1 step path.
-
-    At equal epochs the -1 jumps (``downs``) come before the +1 jumps.
-    """
-    if downs.size == 0:
-        return ups, start + np.arange(1, ups.size + 1, dtype=np.int64)
-    times = np.concatenate([downs, ups])
-    deltas = np.concatenate(
-        [np.full(downs.size, -1, dtype=np.int64), np.ones(ups.size, dtype=np.int64)]
-    )
-    order = np.argsort(times, kind="stable")
-    return times[order], start + np.cumsum(deltas[order])
+    return times, path, slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,16 +219,10 @@ class LinearScalar(ScalarCost):
         up_counts, down_counts = _tour_counts(levels, ups, downs, bounds)
 
         def held(epochs, counts):
-            # time from each epoch to its tour's end, summed per tour with
-            # events (``reduceat`` cannot sum an empty run)
-            sums = np.zeros(counts.size)
-            busy = counts > 0
-            if busy.any():
-                # a block of one tour, as every tour at large scales, needs no repeat
-                ends = bounds[-1] if counts.size == 1 else np.repeat(bounds[1:], counts)
-                each = ends - epochs
-                sums[busy] = np.add.reduceat(each, (np.cumsum(counts) - counts)[busy])
-            return sums
+            # time from each epoch to its tour's end, summed per tour; a block
+            # of one tour, as every tour at large scales, needs no repeat
+            ends = bounds[-1] if counts.size == 1 else np.repeat(bounds[1:], counts)
+            return _tour_sums(ends - epochs, np.concatenate([[0], np.cumsum(counts)]))
 
         total = levels[:-1] * np.diff(bounds) + held(ups, up_counts)
         return self.slope * (total - held(downs, down_counts)) / scale
@@ -298,6 +319,10 @@ class SeparableCost(CostFunction):
     def growth_order(self) -> float:  # type: ignore[override]
         return max(c.growth_order for c in self.components)
 
+    @property
+    def integrals_per_tour(self) -> int:  # type: ignore[override]
+        return len(self.components)
+
     def value(self, levels):
         levels = np.asarray(levels, dtype=float)
         total = np.zeros(levels.shape[:-1])
@@ -315,6 +340,16 @@ class SeparableCost(CostFunction):
 
     def segment_integral(self, start, end, duration: float) -> float:
         return float(self.integrals(start, end, duration))
+
+    def tour_integrals(self, levels, ups, downs, bounds, scale) -> np.ndarray:
+        """Each queue integrated on its own merged path, summed over queues."""
+        return np.sum(
+            [
+                comp.tour_integrals(levels[:, k], ups[k], downs[k], bounds, scale)
+                for k, comp in enumerate(self.components)
+            ],
+            axis=0,
+        )
 
 
 def linear_cost(coefficients) -> SeparableCost:

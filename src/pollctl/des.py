@@ -16,11 +16,12 @@ tours are simulated until the block holds more than ``_Engine.BLOCK_EVENTS``
 arrivals and completions (or the run ends).  Then every queue's polling
 levels come from one ``searchsorted`` of its arrivals over the block's
 polling epochs minus its services in the stages before (checked against the
-levels used online), each queue's cost is integrated over the whole block in
-one vectorised pass, from the block's arrival epochs (one contiguous slice
-of the queue's clock) and completion epochs, and the block's tour records
-are built.  A non-separable cost keeps one joint merge per tour, and
-recorded paths are merged once per block.
+levels used online), the cost is integrated over the whole block by
+``CostFunction.tour_integrals``, from the block's arrival epochs (one
+contiguous slice of each queue's clock) and completion epochs, and the
+block's tour records are built.  A recorded path keeps the jumps of each
+queue's ``cost.block_path`` over the recorded tours, so every simulated path
+is merged in one place.
 
 Event-order convention at coincident epochs: service completions precede
 arrivals (the ``>=`` above), which precede switchover ends.  All sampled
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .cost import CostFunction, step_path
+from .cost import CostFunction, block_path
 from .distributions import Distribution, ScaledSystem
 from .fluid import PECandidate
 from .model import ControlParams, validate
@@ -292,7 +293,6 @@ class _Engine:
         table = control.augmented_table(params)
         self._scaled = scaled
         self._psi = psi
-        self._components = psi.components if psi is not None and psi.separable else None
 
         k_range = range(params.num_queues)
         self._clocks = [
@@ -385,9 +385,9 @@ class _Engine:
             chunk = min(chunk * 2, 1 << 22)
 
     def _flush(self) -> None:
-        """Rebuild the block's polling levels, integrate its costs in one pass
-        per queue, then finish its records; every clock's tour mark moves to
-        the block's end."""
+        """Rebuild the block's polling levels, integrate its costs in one
+        ``tour_integrals`` call, then finish its records; every clock's tour
+        mark moves to the block's end."""
         block, self._block, self._block_events = self._block, [], 0
         if not block:
             return
@@ -418,25 +418,28 @@ class _Engine:
                 "rebuilt polling levels disagree with the simulated ones"
             )
         bounds = epochs[tour_rows]
-        ups_before = ups_before[tour_rows]
-        downs_before = starts[0] + ups_before - starts
         recorded = [j for j, tour in enumerate(block) if tour.recorded]
         if recorded and self.recorder is not None:
-            # the recorded tours run on from the first one: one path per queue
+            # the recorded tours run on from the first one: the jump slots of
+            # each queue's merged path between their bounds
             i, j = recorded[0], recorded[-1] + 1
-            paths = [
-                step_path(start, u[a[i] : a[j]], d[b[i] : b[j]])
-                for start, u, d, a, b in zip(
-                    starts[i], ups, downs, ups_before.T, downs_before.T
-                )
-            ]
+            paths = []
+            for start, u, d in zip(starts.T, ups, downs):
+                times, path, slots = block_path(start, u, d, bounds)
+                jumps = np.delete(np.arange(slots[i], slots[j]), slots[i:j] - slots[i])
+                paths.append((times[jumps], path[jumps]))
             self.recorder.add(bounds[j], paths)
-        costs = self._block_costs(starts, ups, downs, bounds, ups_before, downs_before)
         scale = self._scaled.scale
+        if self._psi is None:
+            costs = np.full(len(block), math.nan)
+        else:
+            self.cost_passes += 1
+            self.cost_integrations += len(block) * self._psi.integrals_per_tour
+            costs = self._psi.tour_integrals(starts, ups, downs, bounds, scale)
         shape = (len(block), self._polled.size, len(self._clocks))
         polling = levels[:-1].reshape(shape)
         services = served.reshape(shape).sum(axis=1)
-        arrivals = np.diff(ups_before, axis=0)
+        arrivals = np.diff(ups_before[tour_rows], axis=0)
         for j, tour in enumerate(block):
             self._finished.append(
                 CycleRecord(
@@ -447,52 +450,6 @@ class _Engine:
                     **tour.fields,
                 )
             )
-
-    def _block_costs(
-        self, levels, ups, downs, bounds, ups_before, downs_before
-    ) -> np.ndarray:
-        """Each tour's cost integral in unscaled time."""
-        tours = bounds.size - 1
-        if self._psi is None:
-            return np.full(tours, math.nan)
-        self.cost_passes += 1
-        scale = self._scaled.scale
-        if self._components is not None:
-            self.cost_integrations += tours * len(self._components)
-            return np.sum(
-                [
-                    comp.tour_integrals(levels[:, k], ups[k], downs[k], bounds, scale)
-                    for k, comp in enumerate(self._components)
-                ],
-                axis=0,
-            )
-        # a non-separable cost keeps one joint merge per tour
-        self.cost_integrations += tours
-        costs = np.empty(tours)
-        for j in range(tours):
-            moves = [
-                (u[a[j] : a[j + 1]] - bounds[j], d[b[j] : b[j + 1]] - bounds[j])
-                for u, d, a, b in zip(ups, downs, ups_before.T, downs_before.T)
-            ]
-            costs[j] = self._joint_integral(levels[j], moves, bounds[j + 1] - bounds[j])
-        return costs
-
-    def _joint_integral(self, start: np.ndarray, moves, duration: float) -> float:
-        """One tour's integral of a non-separable cost; ``moves`` holds each
-        queue's (ups, downs) relative to the tour start."""
-        # a stable sort of every queue's downs-then-ups keeps downs first at
-        # equal epochs
-        times = np.concatenate([np.concatenate([d, u]) for u, d in moves])
-        columns = np.repeat(np.arange(start.size), [d.size + u.size for u, d in moves])
-        signs = [np.repeat([-1.0, 1.0], [d.size, u.size]) for u, d in moves]
-        jumps = np.concatenate(signs)
-        order = np.argsort(times, kind="stable")
-        steps = np.zeros((times.size + 1, start.size))
-        steps[1:][np.arange(order.size), columns[order]] = jumps[order]
-        path = start + np.cumsum(steps, axis=0)
-        bounds = np.concatenate([[0.0], times[order], [duration]])
-        scale = self._scaled.scale
-        return float(np.dot(self._psi.value(path / scale), np.diff(bounds)))
 
     # -- cycle driver ---------------------------------------------------------
 
@@ -635,15 +592,18 @@ def run(
 
     The system starts empty with the server about to poll stage 0.  With
     ``warmup_cycles=None`` at least 500 tours are discarded and warmup is
-    extended in steps of 250 (up to ``warmup_limit``) until the Geweke score
-    of the total queue length at tour starts drops below 3.  If it never
-    does, ``warmup_converged`` is False and a ``RuntimeWarning`` is issued.
+    extended in steps of 250 (up to ``warmup_limit``, which may not be below
+    500) until the Geweke score of the total queue length at tour starts drops
+    below 3.  If it never does, ``warmup_converged`` is False and a
+    ``RuntimeWarning`` is issued.
     """
     params = scaled.params
     validate(params)
     control.validate_for(params)
     if measured_cycles < 1:
         raise ValueError("measured_cycles must be positive")
+    if warmup_limit < 500:
+        raise ValueError("warmup_limit must be at least 500, the adaptive minimum")
 
     engine = _Engine(scaled, control, psi, seed)
     converged = True

@@ -9,7 +9,7 @@ they exist, are dimensionless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -81,6 +81,12 @@ _KINDS = {
     "gamma": Gamma,
     "lognormal": LogNormal,
     "uniform": Uniform,
+}
+
+#: the options each kind takes besides its mean: its dataclass fields
+KIND_OPTIONS = {
+    kind: tuple(f.name for f in fields(cls) if f.name != "mean")
+    for kind, cls in _KINDS.items()
 }
 
 

@@ -16,7 +16,6 @@ SERVICES = 1
 SWITCHOVERS = 2
 BINOMIALS = 3
 REPLICATIONS = 4
-WARMUP = 5
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:

@@ -7,7 +7,6 @@ import math
 import numpy as np
 
 import pollctl as pc
-from pollctl.cost import step_path
 
 
 def project_to_compact_by_bisection(
@@ -41,6 +40,47 @@ def recorded_path_cost(path, psi: pc.CostFunction, t0: float, t1: float) -> floa
     bounds = np.unique(np.concatenate([[t0, t1], jumps[(jumps > t0) & (jumps < t1)]]))
     steps = psi.value(path.sample(bounds[:-1])) * np.diff(bounds)
     return math.fsum(steps)
+
+
+def step_path(
+    start: int, ups: np.ndarray, downs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jump epochs and job counts after each jump of a +1/-1 step path, by one
+    stable sort: at equal epochs the -1 jumps (``downs``) come before the +1
+    jumps."""
+    times = np.concatenate([downs, ups])
+    deltas = np.concatenate(
+        [np.full(downs.size, -1, dtype=np.int64), np.ones(ups.size, dtype=np.int64)]
+    )
+    order = np.argsort(times, kind="stable")
+    return times[order], start + np.cumsum(deltas[order])
+
+
+def joint_tour_integrals(
+    psi: pc.CostFunction, levels: np.ndarray, ups, downs, bounds: np.ndarray, scale: int
+) -> np.ndarray:
+    """Integral of ``psi.value(levels / scale)`` over each tour of a block (see
+    ``CostFunction.tour_integrals``), one tour at a time: every queue's jumps
+    in the tour, relative to its start, merged by one stable sort of each
+    queue's downs then ups, and a dot product."""
+    up_before = np.array([u.searchsorted(bounds) for u in ups]).T
+    down_before = levels[0] + up_before - levels
+    costs = np.empty(bounds.size - 1)
+    for j in range(costs.size):
+        moves = [
+            (u[a[j] : a[j + 1]] - bounds[j], d[b[j] : b[j + 1]] - bounds[j])
+            for u, d, a, b in zip(ups, downs, up_before.T, down_before.T)
+        ]
+        times = np.concatenate([np.concatenate([d, u]) for u, d in moves])
+        columns = np.repeat(np.arange(len(moves)), [d.size + u.size for u, d in moves])
+        jumps = np.concatenate([np.repeat([-1, 1], [d.size, u.size]) for u, d in moves])
+        order = np.argsort(times, kind="stable")
+        steps = np.zeros((times.size + 1, len(moves)), dtype=np.int64)
+        steps[1:][np.arange(order.size), columns[order]] = jumps[order]
+        path = levels[j] + np.cumsum(steps, axis=0)
+        edges = np.concatenate([[0.0], times[order], [bounds[j + 1] - bounds[j]]])
+        costs[j] = np.dot(psi.value(path / scale), np.diff(edges))
+    return costs
 
 
 def window_integral(

@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import pollctl as pc
-from oracles import window_integral
-from pollctl.cost import (
-    LinearScalar,
-    PiecewiseLinearScalar,
-    PolynomialScalar,
-    step_path,
-)
+from oracles import joint_tour_integrals, step_path, window_integral
+from pollctl.cost import LinearScalar, PiecewiseLinearScalar, PolynomialScalar
 
 
 def quad_oracle(scalar, x0: float, x1: float, duration: float) -> float:
@@ -223,9 +218,27 @@ def random_block(gen: np.random.Generator, tours: int, events: int, scale: int):
         bounds = np.cumsum(gen.integers(0, 12, tours + 1)) / 4.0
     else:
         bounds = np.cumsum(gen.uniform(0.0, 8.0, tours + 1))
+    levels, ups, downs = queue_block(gen, bounds, events, scale, grid)
+    return levels, ups, downs, bounds
+
+
+def queue_block(
+    gen: np.random.Generator,
+    bounds: np.ndarray,
+    events: int,
+    scale: int,
+    grid: bool,
+    empty: int | None = None,
+):
+    """One queue's (levels, ups, downs) over the tours between ``bounds`` (see
+    ``random_block``); tour ``empty``, if given, holds no jumps."""
+    tours = bounds.size - 1
     level = scale * int(gen.integers(0, 4)) + int(gen.integers(0, 3))
     levels, ups, downs = [level], [], []
-    for j, count in enumerate(gen.multinomial(events, gen.dirichlet(np.ones(tours)))):
+    counts = gen.multinomial(events, gen.dirichlet(np.ones(tours)))
+    if empty is not None:
+        counts[empty] = 0
+    for j, count in enumerate(counts):
         lo, hi = bounds[j], bounds[j + 1]
         if grid:
             times = lo + gen.integers(0, 4.0 * (hi - lo) + 1, count) / 4.0
@@ -244,7 +257,7 @@ def random_block(gen: np.random.Generator, tours: int, events: int, scale: int):
                 downs.append(t)
                 level -= 1
         levels.append(level)
-    return np.array(levels), np.array(ups), np.array(downs), bounds
+    return np.array(levels), np.array(ups), np.array(downs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,6 +285,47 @@ def test_tour_integrals_match_the_per_tour_oracle(seed, tours, events, scale, na
             scalar, levels[j], tour_ups - lo, tour_downs - lo, hi - lo, scale
         )
         assert block[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+JOINT = pc.CustomCost(
+    lambda x: np.max(x, axis=-1) ** 2 + x[..., 0] * x[..., 1], growth_order=2.0
+)
+SEPARABLE = pc.piecewise_linear_cost(
+    [[0.0, 1.0, 3.0], [0.0, 2.0], [0.0, 1.0]], [[0.5, 1.0, 2.5], [1.0, 3.0], [2.0, 4.0]]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tours=st.integers(1, 6),
+    events=st.integers(0, 40),
+    scale=st.sampled_from([1, 7, 500]),
+)
+def test_joint_tour_integrals_match_the_per_tour_oracle(seed, tours, events, scale):
+    # three queues on a quarter grid, so epochs tie across queues and with the
+    # bounds, completions sit on the bound that closes their tour, and one
+    # queue has no jumps in one tour
+    gen = np.random.default_rng(seed)
+    bounds = np.cumsum(gen.integers(0, 12, tours + 1)) / 4.0
+    empty = int(gen.integers(0, tours))
+    queues = [
+        queue_block(gen, bounds, events, scale, True, empty if k == 0 else None)
+        for k in range(3)
+    ]
+    levels = np.column_stack([q[0] for q in queues])
+    ups, downs = [q[1] for q in queues], [q[2] for q in queues]
+    block = JOINT.tour_integrals(levels, ups, downs, bounds, scale)
+    expected = joint_tour_integrals(JOINT, levels, ups, downs, bounds, scale)
+    assert block.shape == (tours,)
+    np.testing.assert_allclose(block, expected, rtol=1e-12, atol=0.0)
+    custom = pc.CustomCost(SEPARABLE.value, SEPARABLE.growth_order)
+    np.testing.assert_allclose(
+        custom.tour_integrals(levels, ups, downs, bounds, scale),
+        SEPARABLE.tour_integrals(levels, ups, downs, bounds, scale),
+        rtol=1e-12,
+        atol=0.0,
+    )
 
 
 def test_block_path_rejects_paths_the_levels_contradict():

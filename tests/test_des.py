@@ -595,6 +595,20 @@ def test_unsettled_adaptive_warmup_is_reported(
     assert scores == [500, 750, 1000]
 
 
+def test_warmup_limit_below_the_adaptive_minimum_is_rejected(
+    symmetric_scaled, symmetric_params
+):
+    # adaptive warmup always runs 500 tours, so a lower limit cannot hold
+    with pytest.raises(ValueError, match="warmup_limit must be at least 500"):
+        pc.run(
+            symmetric_scaled,
+            exhaustive(symmetric_params),
+            measured_cycles=5,
+            seed=0,
+            warmup_limit=300,
+        )
+
+
 def test_settled_and_fixed_warmups_report_convergence(
     symmetric_scaled, symmetric_params, monkeypatch
 ):
