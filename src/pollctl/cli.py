@@ -38,7 +38,7 @@ from .config import (
     scaled_from,
     system_from,
 )
-from .des import long_run_cost, polling_epoch_stats, run
+from .des import long_run_cost, polling_epoch_stats, process_cpus, run
 from .fluid import (
     NoConvergence,
     cycle_map,
@@ -181,9 +181,9 @@ def _cmd_optimize(resolved: dict, out: Path, seed: int, phases: dict) -> list[st
     return ["optimize_result.json", "optimize_stages.csv"]
 
 
-def _run_replication(payload: tuple[dict, int, int]) -> dict[str, Any]:
+def _run_replication(payload: tuple[dict, int, int, int]) -> dict[str, Any]:
     """Worker: one simulation replication (top level for multiprocessing)."""
-    resolved, rep_seed, record_cycles = payload
+    resolved, rep_seed, record_cycles, cpus = payload
     params = system_from(resolved["system"])
     control = control_from(resolved["control"])
     psi = cost_from(resolved["cost"])
@@ -198,6 +198,7 @@ def _run_replication(payload: tuple[dict, int, int]) -> dict[str, Any]:
         measured_cycles=sim["measured_cycles"],
         seed=rep_seed,
         record_path_cycles=record_cycles,
+        cpus=cpus,
     )
     simulate_s = time.perf_counter() - clock
     pe = pe_from_params(params, control)
@@ -217,6 +218,8 @@ def _run_replication(payload: tuple[dict, int, int]) -> dict[str, Any]:
             "cost_integrations": result.cost_integrations,
             "cost_passes": result.cost_passes,
             "simulate_s": simulate_s,
+            "refills_ahead": result.refills_ahead,
+            "refill_wait_s": result.refill_wait_s,
         },
     }
     if psi is not None:
@@ -246,15 +249,19 @@ def _cmd_simulate(
     phases: dict,
 ) -> list[str]:
     sim = resolved["simulation"]
+    workers = _worker_count(threads, replications)
+    # the worker processes share the CPUs, and a replication draws its
+    # streams ahead on a thread only with a CPU of its own to spare
+    cpus = max(1, process_cpus() // workers)
     payloads = [
         (
             resolved,
             replication_seed(seed, j),
             sim["record_path_cycles"] if j == 0 else 0,
+            cpus,
         )
         for j in range(replications)
     ]
-    workers = _worker_count(threads, replications)
     with _phase(phases, "simulate"):
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:

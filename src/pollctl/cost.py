@@ -32,7 +32,6 @@ class CostFunction:
 
     #: smallest p with value(x) = O(1 + |x|^p); used to sanity-check moments
     growth_order: float = 1.0
-    separable: bool = False
     #: cost integrals ``tour_integrals`` computes per tour
     integrals_per_tour: int = 1
 
@@ -312,8 +311,6 @@ class SeparableCost(CostFunction):
     """Sum of independent per-queue scalar costs."""
 
     components: tuple[ScalarCost, ...]
-
-    separable = True
 
     @property
     def growth_order(self) -> float:  # type: ignore[override]

@@ -35,12 +35,29 @@ reproducible and individual sources can be varied without disturbing the
 rest.  Arrival epochs are cumulated in blocks aligned with their substream's
 draw index, so they depend on the seed alone, not on when the simulator
 asks for them.
+
+Each queue's arrival and service streams are therefore functions of the seed
+alone, and a stream may be drawn before it is needed.  With a CPU to spare, a
+queue whose tours are expected to hold ``AHEAD_REFILL`` arrivals or more
+keeps the next ``AHEAD_REFILL`` values of both its streams in flight on one
+worker thread per run, where NumPy fills and cumsums run without the
+interpreter lock; the simulator thread keeps the busy-period ``accumulate``,
+the first-passage comparison, the binomials and switchovers and ``_flush``.
+Other queues, and runs with a single CPU, draw their streams inline: at
+smaller scales the simulator makes many small NumPy calls, and handing the
+interpreter lock to the worker between them costs more than the overlap
+saves.  Either way every value keeps its bits.  The worker is started on the
+first refill sent to it and stopped when ``run`` returns or raises; an error
+in a refill the run reads is raised by ``run`` unchanged.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -69,28 +86,127 @@ def _first_passage(pending, t0: float, completions, shift: int) -> int:
     return lo + n if lo + n < completions.size else -1
 
 
+def process_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+class _RefillThread:
+    """One worker thread that draws an engine's random streams ahead.
+
+    Each stream keeps at most one refill in flight and reads it through
+    ``result``, which re-raises the refill's exception unchanged.  A refill
+    still queued behind other streams' refills when it is needed is drawn
+    on the calling thread instead, from the same arguments, so the caller
+    never waits on a queue.  The pool is started on the first ``submit``;
+    ``close`` cancels the refills still queued and waits for the running
+    one.  A refill left unread holds values the run never used, so its
+    exception is dropped with it, as an inline stream would never have drawn
+    them.
+    """
+
+    def __init__(self):
+        self._pool = None
+        #: refills read from the worker, and seconds spent waiting for them
+        self.refills = 0
+        self.wait_s = 0.0
+
+    def submit(self, fn, *args):
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="pollctl-refill")
+        return self._pool.submit(fn, *args), fn, args
+
+    def result(self, refill):
+        future, fn, args = refill
+        if future.cancel():
+            # still queued behind other streams' refills: made here instead
+            return fn(*args)
+        start = time.perf_counter()
+        value = future.result()
+        self.wait_s += time.perf_counter() - start
+        self.refills += 1
+        return value
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
+
+#: values in each refill of a stream drawn ahead; a queue's streams are drawn
+#: ahead once its tours are expected to hold as many arrivals
+AHEAD_REFILL = 32768
+
+
+def _drawn_ahead(scaled: ScaledSystem, control: ControlParams, cpus: int) -> list[bool]:
+    """Per queue, whether its streams are drawn ahead on a worker thread: with
+    a CPU to spare, once its tours are expected to hold a refill's worth of
+    arrivals, and so of services.  Switchovers fill the share ``1 - load`` of
+    a tour in equilibrium, whatever the ratios."""
+    params = scaled.params
+    if cpus < 2:
+        return [False] * params.num_queues
+    basic = params.num_stages
+    stages = len(control.ratio_array)
+    switching = sum(scaled.switchover[i % basic].mean for i in range(stages))
+    loads = sum(a / s for a, s in zip(params.arrival_rates, params.service_rates))
+    tour = switching / (1.0 - loads)
+    return [rate * tour >= AHEAD_REFILL for rate in params.arrival_rates]
+
+
+def _sample(dist: Distribution, gen: np.random.Generator, count: int) -> np.ndarray:
+    return np.asarray(dist.sample(gen, count), dtype=float)
+
+
 class _SampleBuffer:
     """Sequential i.i.d. draws with rollback of unused values.
 
     ``take`` may over-draw; ``rollback`` returns the tail to the stream so the
     next ``take`` sees exactly the same values.  Consumption therefore depends
     only on how many draws were actually used.
+
+    Without a ``worker``, refills are drawn inline, at least ``chunk`` at a
+    time.  With one, a short ``take`` reads the ``AHEAD_REFILL`` values in
+    flight on the worker, draws what they leave short inline and puts the
+    next refill in flight.  ``rollback`` drops the values used when they are
+    a refill's worth or more.  Block draws equal scalar draws for every
+    shipped kind, so no value depends on where refills fall.
     """
 
-    def __init__(self, dist: Distribution, gen: np.random.Generator, chunk: int = 1024):
+    def __init__(
+        self,
+        dist: Distribution,
+        gen: np.random.Generator,
+        chunk: int = 1024,
+        worker: _RefillThread | None = None,
+    ):
         self._dist = dist
         self._gen = gen
         self._chunk = chunk
+        self._worker = worker
+        self._next = None
         self._values = np.empty(0)
         self._ptr = 0
 
     def take(self, count: int) -> np.ndarray:
         short = self._ptr + count - self._values.size
         if short > 0:
-            block = np.asarray(
-                self._dist.sample(self._gen, max(short, self._chunk)), dtype=float
-            )
-            self._values = np.concatenate([self._values[self._ptr :], block])
+            parts = [self._values[self._ptr :]]
+            if self._worker is None:
+                parts.append(_sample(self._dist, self._gen, max(short, self._chunk)))
+            else:
+                if self._next is not None:
+                    parts.append(self._worker.result(self._next))
+                    short -= AHEAD_REFILL
+                if short > 0:
+                    parts.append(_sample(self._dist, self._gen, short))
+                self._next = self._worker.submit(
+                    _sample, self._dist, self._gen, AHEAD_REFILL
+                )
+            self._values = np.concatenate(parts)
             self._ptr = 0
         view = self._values[self._ptr : self._ptr + count]
         self._ptr += count
@@ -100,6 +216,26 @@ class _SampleBuffer:
         if not 0 <= count <= self._ptr:
             raise RuntimeError(f"cannot roll back {count} of {self._ptr} draws")
         self._ptr -= count
+        if self._ptr >= AHEAD_REFILL:
+            # the values used leave the buffer while it is idle; fewer are
+            # not worth the copy of the rest
+            self._values = self._values[self._ptr :].copy()
+            self._ptr = 0
+
+
+def _cumulate(rows: np.ndarray, gen: np.random.Generator, scale: float, head: float):
+    """Fill ``rows`` (blocks, BLOCK) with the arrival epochs after ``head``:
+    a row-wise cumsum of scaled exponential gaps, then the heads folded in
+    sequence.  Returns the last epoch."""
+    gen.standard_exponential(out=rows)
+    rows *= scale
+    np.cumsum(rows, axis=1, out=rows)
+    heads = np.empty(rows.shape[0] + 1)
+    heads[0] = head
+    heads[1:] = rows[:, -1]
+    np.cumsum(heads, out=heads)
+    rows += heads[:-1, None]
+    return float(heads[-1])
 
 
 class _ArrivalClock:
@@ -110,52 +246,73 @@ class _ArrivalClock:
     epochs consumed since the tour mark stay buffered, and ``take_tour``
     returns them as one view and moves the mark to the read pointer.  The
     simulator takes them once per block of tours, so the mark stays at the
-    first tour whose cost is not yet integrated.
+    first tour whose cost is not yet integrated.  With a ``worker``, a view
+    holds its epochs until the next request.
 
     Epochs are cumulated in blocks of ``BLOCK`` gaps that line up with the
     substream's draw index: an epoch is its block's head (the last epoch of
     the block before, 0 for the first) plus the cumsum of its block's gaps up
     to it.  Every epoch is therefore a function of the seed alone, whatever
-    the requests that trigger the refills.
+    the requests that trigger the refills.  Refills are inline, doubling up
+    to 256 blocks per pass.  With a ``worker``, the clock keeps the next
+    ``AHEAD_REFILL`` epochs in flight, cumulated on the worker straight into
+    the store; a request they leave short is topped up inline, and the next
+    refill sent.
     """
 
     BLOCK = 4096
 
-    def __init__(self, rate: float, gen: np.random.Generator):
+    def __init__(
+        self, rate: float, gen: np.random.Generator, worker: _RefillThread | None = None
+    ):
         self._scale = 1.0 / float(rate)
         self._gen = gen
+        self._worker = worker
+        self._next = None
         self._store = self._times = np.empty(0)
         self._mark = 0
         self._ptr = 0
         self._horizon = 0.0
 
+    def _rows(self, end: int, size: int) -> tuple[int, np.ndarray]:
+        """Room for ``size`` epochs after ``end``, as (blocks, BLOCK) rows,
+        and where ``end`` then lies.  When the store is full, the epochs from
+        the tour mark on move to a store a quarter larger than they and the
+        request, so the views handed out keep their epochs.  A clock drawing
+        ahead moves them to the front of its own store instead when they and
+        the request fit there: it needs a refill's worth of room at every
+        refill, and a new store each time holds old and new stores of about
+        1 MB at once (2-3 MB more peak RSS at scale 500)."""
+        if end + size > self._store.size:
+            kept = self._store[self._mark : end]
+            if self._worker is None or kept.size + size > self._store.size:
+                self._store = np.empty((kept.size + size) * 5 // 4)
+            self._store[: kept.size] = kept
+            self._ptr, self._mark, end = self._ptr - self._mark, 0, kept.size
+        return end, self._store[end : end + size].reshape(-1, self.BLOCK)
+
     def _ensure(self, t: float) -> None:
-        # one refill of whole blocks, doubling up to 256 per pass: a row-wise cumsum,
-        # then the heads folded in sequence.  A full store of the epochs from the
-        # tour mark on is replaced by one a quarter larger
         if self._horizon > t:
             return
         end = self._times.size
+        worker = self._worker
+        if self._next is not None:
+            self._horizon = worker.result(self._next)
+            self._next = None
+            end += AHEAD_REFILL
         blocks = 1
         while self._horizon <= t:
-            size = blocks * self.BLOCK
-            if end + size > self._store.size:
-                kept = self._store[self._mark : end]
-                self._store = np.empty((kept.size + size) * 5 // 4)
-                self._store[: kept.size] = kept
-                self._ptr, self._mark, end = self._ptr - self._mark, 0, kept.size
-            rows = self._store[end : end + size].reshape(blocks, self.BLOCK)
-            self._gen.standard_exponential(out=rows)
-            rows *= self._scale
-            np.cumsum(rows, axis=1, out=rows)
-            heads = np.empty(blocks + 1)
-            heads[0] = self._horizon
-            heads[1:] = rows[:, -1]
-            np.cumsum(heads, out=heads)
-            rows += heads[:-1, None]
-            self._horizon = float(heads[-1])
-            end += size
+            end, rows = self._rows(end, blocks * self.BLOCK)
+            self._horizon = _cumulate(rows, self._gen, self._scale, self._horizon)
+            end += rows.size
             blocks = min(blocks * 2, 256)
+        if worker is not None:
+            # the next refill, cumulated on the worker behind the last one; the
+            # store moves only while no refill is in flight
+            end, rows = self._rows(end, AHEAD_REFILL)
+            self._next = worker.submit(
+                _cumulate, rows, self._gen, self._scale, self._horizon
+            )
         self._times = self._store[:end]
 
     def peek_until(self, t: float) -> np.ndarray:
@@ -288,6 +445,7 @@ class _Engine:
         control: ControlParams,
         psi: CostFunction | None,
         seed: int,
+        cpus: int,
     ):
         params = scaled.params
         table = control.augmented_table(params)
@@ -295,12 +453,26 @@ class _Engine:
         self._psi = psi
 
         k_range = range(params.num_queues)
+        #: the worker that draws the streams of some queues ahead
+        self.refill_thread = _RefillThread()
+        workers = [
+            self.refill_thread if ahead else None
+            for ahead in _drawn_ahead(scaled, control, cpus)
+        ]
         self._clocks = [
-            _ArrivalClock(params.arrival_rates[k], rng.substream(seed, rng.ARRIVALS, k))
+            _ArrivalClock(
+                params.arrival_rates[k],
+                rng.substream(seed, rng.ARRIVALS, k),
+                worker=workers[k],
+            )
             for k in k_range
         ]
         self._services = [
-            _SampleBuffer(scaled.service[k], rng.substream(seed, rng.SERVICES, k))
+            _SampleBuffer(
+                scaled.service[k],
+                rng.substream(seed, rng.SERVICES, k),
+                worker=workers[k],
+            )
             for k in k_range
         ]
         self._loads = [
@@ -554,6 +726,10 @@ class SimulationResult:
     cost_integrations: int = 0
     #: blocks of tours whose costs were integrated together
     cost_passes: int = 0
+    #: refills of arrival and service streams drawn ahead on a worker thread
+    refills_ahead: int = 0
+    #: seconds the simulator waited for those refills
+    refill_wait_s: float = 0.0
 
     @cached_property
     def durations(self) -> np.ndarray:
@@ -587,6 +763,7 @@ def run(
     seed: int = 0,
     record_path_cycles: int = 0,
     warmup_limit: int = 2000,
+    cpus: int | None = None,
 ) -> SimulationResult:
     """Simulate ``measured_cycles`` server tours after warmup.
 
@@ -595,7 +772,9 @@ def run(
     extended in steps of 250 (up to ``warmup_limit``, which may not be below
     500) until the Geweke score of the total queue length at tour starts drops
     below 3.  If it never does, ``warmup_converged`` is False and a
-    ``RuntimeWarning`` is issued.
+    ``RuntimeWarning`` is issued.  ``cpus`` is the number of CPUs the run
+    may keep busy, by default ``process_cpus()``; with two or more, the
+    streams of queues with large tours are drawn ahead on a worker thread.
     """
     params = scaled.params
     validate(params)
@@ -605,40 +784,45 @@ def run(
     if warmup_limit < 500:
         raise ValueError("warmup_limit must be at least 500, the adaptive minimum")
 
-    engine = _Engine(scaled, control, psi, seed)
-    converged = True
-    if warmup_cycles is None:
-        totals: list[int] = []
-        target = 500
-        while True:
-            while engine.cycles_run < target:
-                totals.append(sum(engine.cycle()))
-            z = geweke_z(np.array(totals, dtype=float))
-            if abs(z) < 3.0:
-                break
-            if target >= warmup_limit:
-                converged = False
-                warnings.warn(
-                    f"adaptive warmup stopped at warmup_limit={warmup_limit} "
-                    f"cycles with Geweke |z| = {abs(z):.2f} >= 3; the measured "
-                    "cycles may still carry the empty initial state",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-            target = min(target + 250, warmup_limit)
-    else:
-        for _ in range(warmup_cycles):
-            engine.cycle()
-    warmup_used = engine.cycles_run
-    engine.take_records()
+    if cpus is None:
+        cpus = process_cpus()
+    engine = _Engine(scaled, control, psi, seed, cpus)
+    try:
+        converged = True
+        if warmup_cycles is None:
+            totals: list[int] = []
+            target = 500
+            while True:
+                while engine.cycles_run < target:
+                    totals.append(sum(engine.cycle()))
+                z = geweke_z(np.array(totals, dtype=float))
+                if abs(z) < 3.0:
+                    break
+                if target >= warmup_limit:
+                    converged = False
+                    warnings.warn(
+                        f"adaptive warmup stopped at warmup_limit={warmup_limit} "
+                        f"cycles with Geweke |z| = {abs(z):.2f} >= 3; the measured "
+                        "cycles may still carry the empty initial state",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    break
+                target = min(target + 250, warmup_limit)
+        else:
+            for _ in range(warmup_cycles):
+                engine.cycle()
+        warmup_used = engine.cycles_run
+        engine.take_records()
 
-    for m in range(measured_cycles):
-        engine.cycle(record_path=m < record_path_cycles)
-    records = engine.take_records()
-    path = None
-    if record_path_cycles > 0 and engine.recorder is not None:
-        path = engine.recorder.finalize(scaled.scale)
+        for m in range(measured_cycles):
+            engine.cycle(record_path=m < record_path_cycles)
+        records = engine.take_records()
+        path = None
+        if record_path_cycles > 0 and engine.recorder is not None:
+            path = engine.recorder.finalize(scaled.scale)
+    finally:
+        engine.refill_thread.close()
     return SimulationResult(
         scaled=scaled,
         control=control,
@@ -649,6 +833,8 @@ def run(
         warmup_converged=converged,
         cost_integrations=engine.cost_integrations,
         cost_passes=engine.cost_passes,
+        refills_ahead=engine.refill_thread.refills,
+        refill_wait_s=engine.refill_thread.wait_s,
     )
 
 

@@ -157,6 +157,51 @@ def test_simulate_reports_each_replications_run_time(tmp_path):
     assert "simulate_s" not in summary
 
 
+def test_simulate_reports_refills_ahead(tmp_path, monkeypatch):
+    # every stream sent ahead, or none; the worker then makes every refill
+    # it is sent
+    config = write_config(
+        tmp_path,
+        {
+            "simulation": {
+                "scale": 3000,
+                "warmup_cycles": 1,
+                "measured_cycles": 8,
+                "batches": 4,
+                "record_path_cycles": 2,
+            }
+        },
+    )
+    result = des._RefillThread.result
+
+    def from_worker(self, refill):
+        refill[0].result()
+        return result(self, refill)
+
+    monkeypatch.setattr(des._RefillThread, "result", from_worker)
+    trees, counters = {}, {}
+    for ahead in (True, False):
+        monkeypatch.setattr(
+            des, "_drawn_ahead", lambda scaled, control, cpus: [ahead] * 3
+        )
+        out = tmp_path / f"ahead-{ahead}"
+        args = ["simulate", "--config", str(config), "--out", str(out)]
+        assert main(args + ["--replications", "2"]) == 0
+        trees[ahead] = tree_bytes(out)
+        meta = json.loads((out / "run_meta.json").read_text("utf-8"))
+        counters[ahead] = meta["counters"]["replications"]
+    assert trees[True] == trees[False]
+    assert all(rep["refills_ahead"] > 0 for rep in counters[True])
+    assert all(rep["refill_wait_s"] >= 0.0 for rep in counters[True])
+    assert all(
+        rep["refills_ahead"] == 0 and rep["refill_wait_s"] == 0.0
+        for rep in counters[False]
+    )
+    assert "refill" not in (tmp_path / "ahead-True/simulation_summary.json").read_text(
+        "utf-8"
+    )
+
+
 def test_sweep_command_outputs(tmp_path):
     config = write_config(
         tmp_path,
@@ -376,6 +421,42 @@ def test_simulate_workers_never_exceed_replications_or_cpus(monkeypatch):
     assert cli._worker_count(threads=2, replications=100) == 2
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._worker_count(threads=8, replications=8) == 1
+
+
+def test_simulate_shares_the_cpus_among_its_workers(tmp_path, monkeypatch):
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    shares = []
+
+    def run(*args, cpus, **kwargs):
+        shares.append(cpus)
+        return des.run(*args, cpus=cpus, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "run", run)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli, "process_cpus", lambda: 8)
+    config = write_config(
+        tmp_path,
+        {"simulation": {"warmup_cycles": 2, "measured_cycles": 8, "batches": 4}},
+    )
+    args = ["simulate", "--config", str(config), "--replications", "8"]
+    for threads, share in ((1, 8), (2, 4), (3, 2), (8, 1), (64, 1)):
+        shares.clear()
+        out = tmp_path / f"threads-{threads}"
+        assert main(args + ["--threads", str(threads), "--out", str(out)]) == 0
+        assert shares == [share] * 8
 
 
 def test_simulate_with_one_worker_runs_in_process(tmp_path, monkeypatch):

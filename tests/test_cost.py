@@ -146,7 +146,7 @@ def test_polynomial_rejects_bad_coefficients():
 
 def test_linear_cost_vectorized_value():
     psi = pc.linear_cost([1.0, 2.0])
-    assert psi.separable
+    assert isinstance(psi, pc.SeparableCost)
     assert psi.value([3.0, 4.0]) == pytest.approx(11.0)
     batch = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
     np.testing.assert_allclose(psi.value(batch), [1.0, 2.0, 6.0])

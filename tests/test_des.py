@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import itertools
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -11,7 +15,7 @@ import pollctl as pc
 from oracles import arrival_epochs, recorded_path_cost, walk_first_hit
 from pollctl import cost as cost_module
 from pollctl import des
-from pollctl.distributions import Deterministic, Exponential
+from pollctl.distributions import Deterministic, Distribution, Exponential
 
 
 @pytest.fixture
@@ -182,6 +186,91 @@ def test_arrival_epochs_do_not_depend_on_the_requests():
     shared = min(tiny.size, jumps.size)
     assert shared > 40 * 4096
     assert tiny[:shared].tobytes() == jumps[:shared].tobytes()
+
+
+class WorkerOnly(des._RefillThread):
+    """Reads every refill from the worker thread: it waits for a refill still
+    queued instead of drawing it on the calling thread."""
+
+    def result(self, refill):
+        refill[0].result()
+        return super().result(refill)
+
+
+@pytest.mark.parametrize("worker_type", [WorkerOnly, des._RefillThread])
+def test_arrival_epochs_drawn_ahead_equal_the_seed_only_oracle(worker_type):
+    # requests of up to 24 000 epochs, tours taken every few of them, with a
+    # refill in flight from the first request on
+    rate = 40.0
+    worker = worker_type()
+    clock = des._ArrivalClock(rate, np.random.default_rng(11), worker)
+    requests = np.cumsum(np.tile([0.4, 3.0, 110.0, 0.1, 600.0], 12))
+    try:
+        consumed = np.concatenate(
+            [consume(clock, part) for part in np.split(requests, 20)]
+        )
+    finally:
+        worker.close()
+    assert clock._next is not None
+    if worker_type is WorkerOnly:
+        assert worker.refills > 5
+    expected = arrival_epochs(rate, np.random.default_rng(11), consumed.size + 1)
+    assert expected[-2] < requests[-1] <= expected[-1]
+    assert consumed.tobytes() == expected[:-1].tobytes()
+
+
+def test_arrival_epochs_drawn_ahead_do_not_depend_on_the_requests():
+    # the jumps above, and jumps of 1 500 to 9 000 epochs with tours taken
+    # between, drawn ahead on the worker: the epochs of tiny inline advances
+    rate, end = 50.0, 4000.0
+    tiny = consume(
+        des._ArrivalClock(rate, np.random.default_rng(5)),
+        np.arange(0.37, end, 0.37),
+        tour_every=97,
+    )
+    worker = WorkerOnly()
+    steps = np.random.default_rng(8).uniform(30.0, 180.0, 40)
+    try:
+        jumps = consume(
+            des._ArrivalClock(rate, np.random.default_rng(5), worker),
+            [1.0, 5000.0 / rate, end],
+        )
+        clock = des._ArrivalClock(rate, np.random.default_rng(5), worker)
+        mixed = np.concatenate(
+            [consume(clock, part) for part in np.split(np.cumsum(steps), 10)]
+        )
+    finally:
+        worker.close()
+    assert worker.refills >= 5
+    for ahead in (jumps, mixed):
+        shared = min(tiny.size, ahead.size)
+        assert shared > 40 * 4096
+        assert tiny[:shared].tobytes() == ahead[:shared].tobytes()
+
+
+def test_a_clock_drawing_ahead_reuses_its_store():
+    # 2 000 epochs per request and a tour every ten requests: every refill
+    # needs a refill's worth of room, which the clock makes at the front of
+    # its store once the store has grown, not in a new store
+    rate = 40.0
+    worker = WorkerOnly()
+    clock = des._ArrivalClock(rate, np.random.default_rng(3), worker)
+    stores, tours = [clock._store], []
+    try:
+        for step, t in enumerate(np.arange(1, 401) * 50.0):
+            clock.advance_to(t)
+            if step % 10 == 9:
+                tours.append(clock.take_tour().copy())
+            if clock._store is not stores[-1]:
+                stores.append(clock._store)
+    finally:
+        worker.close()
+    assert worker.refills >= 20
+    assert len(stores) <= 4
+    consumed = np.concatenate(tours)
+    expected = arrival_epochs(rate, np.random.default_rng(3), consumed.size + 1)
+    assert expected[-2] < 400 * 50.0 <= expected[-1]
+    assert consumed.tobytes() == expected[:-1].tobytes()
 
 
 # -- conservation and determinism --------------------------------------------------
@@ -513,6 +602,229 @@ def test_rolling_back_more_than_was_taken_is_a_runtime_error():
     buffer.rollback(2)
     with pytest.raises(RuntimeError, match="cannot roll back 2 of 1"):
         buffer.rollback(2)
+
+
+# -- refills drawn ahead on a worker thread -----------------------------------------
+
+
+def use_refills(monkeypatch, mode):
+    """Refills of the runs that follow, whatever the scale and the CPUs: all
+    inline, all ahead, or all ahead with every refill read from the worker."""
+    monkeypatch.setattr(
+        des,
+        "_drawn_ahead",
+        lambda scaled, control, cpus: [mode != "inline"] * scaled.params.num_queues,
+    )
+    if mode == "worker":
+        monkeypatch.setattr(des, "_RefillThread", WorkerOnly)
+
+
+def run_bytes(result):
+    """Every record field and the recorded path of ``result``, as bytes."""
+    parts = []
+    for r in result.records:
+        parts += [np.array([r.index, r.start_time, r.duration, r.cost]).tobytes()]
+        parts += [np.array(r.start_levels).tobytes()]
+        parts += [
+            np.asarray(v).tobytes()
+            for v in (
+                r.polling_levels,
+                r.busy_times,
+                r.switchover_times,
+                r.arrivals,
+                r.services,
+            )
+        ]
+    path = result.path
+    parts += [np.array([path.end_time]).tobytes(), path.start_levels.tobytes()]
+    parts += [a.tobytes() for a in path.times + path.values]
+    return b"".join(parts)
+
+
+SERVICE_KINDS = [
+    ("deterministic", {}),
+    ("exponential", {}),
+    ("gamma", {"shape": 0.5}),
+    ("lognormal", {"cv": 1.5}),
+    ("uniform", {"width": 0.5}),
+]
+
+
+@pytest.mark.parametrize("scale, tours", [(1, 200), (7, 40), (500, 3)])
+@pytest.mark.parametrize(
+    "kind, options", SERVICE_KINDS, ids=[kind for kind, _ in SERVICE_KINDS]
+)
+def test_refills_ahead_keep_every_bit(
+    revisit_params, monkeypatch, scale, tours, kind, options
+):
+    scaled = pc.scaled_system(
+        revisit_params, scale, service_kind=kind, service_options=options
+    )
+    for control in (exhaustive(revisit_params), BINOMIAL):
+        runs = {}
+        for mode in ("inline", "ahead", "worker"):
+            with monkeypatch.context() as patch:
+                use_refills(patch, mode)
+                runs[mode] = pc.run(
+                    scaled,
+                    control,
+                    COSTS["linear"],
+                    warmup_cycles=1,
+                    measured_cycles=tours,
+                    seed=3,
+                    record_path_cycles=2,
+                )
+        # every stream goes ahead, and the worker makes the refills
+        assert runs["inline"].refills_ahead == 0
+        assert runs["worker"].refills_ahead >= 6
+        expected = run_bytes(runs["inline"])
+        assert run_bytes(runs["ahead"]) == expected
+        assert run_bytes(runs["worker"]) == expected
+
+
+def test_refills_ahead_keep_every_bit_under_fast_thread_switches(
+    revisit_params, monkeypatch
+):
+    # the simulator and the worker hand the interpreter lock to each other
+    # every 10 µs, so a refill read before the worker has written it, or a
+    # generator drawn by both threads at once, would move bits
+    scaled = pc.scaled_system(revisit_params, 500)
+    runs = {}
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for mode in ("inline", "worker"):
+            with monkeypatch.context() as patch:
+                use_refills(patch, mode)
+                runs[mode] = pc.run(
+                    scaled,
+                    BINOMIAL,
+                    COSTS["linear"],
+                    warmup_cycles=0,
+                    measured_cycles=4,
+                    seed=9,
+                    record_path_cycles=2,
+                )
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs["worker"].refills_ahead >= 6
+    assert run_bytes(runs["worker"]) == run_bytes(runs["inline"])
+
+
+def test_streams_go_ahead_from_a_refill_per_tour_with_a_cpu_to_spare(revisit_params):
+    # a tour of the revisit system lasts 40 * scale in equilibrium, whatever
+    # the ratios, and holds 80 * scale arrivals per queue: a refill's worth
+    # from scale 410 on, and from 205 on with the table run twice per tour
+    twice = pc.ControlParams(2, BINOMIAL.ratios * 2)
+    for control, scale, cpus, ahead in [
+        (BINOMIAL, 409, 2, False),
+        (BINOMIAL, 410, 2, True),
+        (exhaustive(revisit_params), 410, 2, True),
+        (twice, 204, 2, False),
+        (twice, 205, 2, True),
+        (BINOMIAL, 500, 1, False),
+        (BINOMIAL, 500, 64, True),
+    ]:
+        scaled = pc.scaled_system(revisit_params, scale)
+        assert des._drawn_ahead(scaled, control, cpus) == [ahead] * 3
+    params = pc.SystemParameters((1.0, 3.0), (4.0, 6.0), (0, 1), (1.0, 1.0))
+    # tours of 8 * scale at load 3/4: queue 2 fills a refill from scale 1366
+    scaled = pc.scaled_system(params, 1366)
+    control = pc.ControlParams.exhaustive(params)
+    assert des._drawn_ahead(scaled, control, 2) == [False, True]
+
+
+def test_small_tours_start_no_refill_thread(revisit_params, monkeypatch):
+    def no_thread(*args):
+        raise AssertionError("a refill went to the worker")
+
+    monkeypatch.setattr(des._RefillThread, "submit", no_thread)
+    # scale 100 is the README's: 8 000 arrivals per queue and tour; scale
+    # 500 holds 40 000, but a run given one CPU keeps it to itself
+    for scale, tours, cpus in ((1, 300, 2), (7, 300, 2), (100, 20, 2), (500, 2, 1)):
+        result = pc.run(
+            pc.scaled_system(revisit_params, scale),
+            BINOMIAL,
+            COSTS["linear"],
+            warmup_cycles=0,
+            measured_cycles=tours,
+            seed=2,
+            cpus=cpus,
+        )
+        assert result.refills_ahead == 0 and result.refill_wait_s == 0.0
+
+
+class ThirdDrawFails(Exception):
+    pass
+
+
+class FailsOnThirdDraw(Distribution):
+    """Exponential draws, until the third call of ``sample`` raises; with
+    ``off_main``, the third call made off the main thread."""
+
+    def __init__(self, mean: float, off_main: bool = False):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "off_main", off_main)
+        object.__setattr__(self, "calls", itertools.count(1))
+
+    def sample(self, gen, size=None):
+        main = threading.current_thread() is threading.main_thread()
+        if not (self.off_main and main) and next(self.calls) == 3:
+            raise ThirdDrawFails("the third draw of the service stream")
+        return gen.exponential(self.mean, size)
+
+
+def failing_services(scaled, off_main=False):
+    # every queue's services share one distribution, so its third call fails
+    # whichever stream makes it
+    dist = FailsOnThirdDraw(scaled.service[0].mean, off_main)
+    return pc.ScaledSystem(
+        scaled.params, scaled.scale, (dist,) * len(scaled.service), scaled.switchover
+    )
+
+
+@pytest.mark.parametrize("mode", ["default", "inline", "ahead", "worker"])
+def test_no_refill_thread_outlives_a_run(revisit_params, monkeypatch, mode):
+    if mode == "default":
+        # scale 500 fills a refill per tour, so a spare CPU sends it ahead
+        affinity = getattr(os, "sched_getaffinity", None)
+        ahead = (len(affinity(0)) if affinity else os.cpu_count() or 1) > 1
+    else:
+        use_refills(monkeypatch, mode)
+        ahead = mode != "inline"
+    submitted = []
+    submit = des._RefillThread.submit
+
+    def counted(self, *args):
+        submitted.append(args[0])
+        return submit(self, *args)
+
+    monkeypatch.setattr(des._RefillThread, "submit", counted)
+    before = threading.active_count()
+    scaled = pc.scaled_system(revisit_params, 500)
+    pc.run(scaled, BINOMIAL, warmup_cycles=0, measured_cycles=3, seed=4)
+    assert threading.active_count() == before
+    assert bool(submitted) == ahead
+    submitted.clear()
+    with pytest.raises(ThirdDrawFails):
+        pc.run(
+            failing_services(scaled), BINOMIAL, warmup_cycles=0, measured_cycles=3
+        )
+    assert threading.active_count() == before
+    assert bool(submitted) == ahead
+
+
+@pytest.mark.parametrize(
+    "mode, off_main",
+    [("inline", False), ("ahead", False), ("ahead", True), ("worker", True)],
+)
+def test_refill_errors_reach_run_unchanged(revisit_params, monkeypatch, mode, off_main):
+    use_refills(monkeypatch, mode)
+    scaled = failing_services(pc.scaled_system(revisit_params, 500), off_main)
+    with pytest.raises(ThirdDrawFails) as raised:
+        pc.run(scaled, BINOMIAL, warmup_cycles=0, measured_cycles=3, seed=4)
+    assert type(raised.value) is ThirdDrawFails
+    assert str(raised.value) == "the third draw of the service stream"
 
 
 def test_different_seeds_decorrelate(symmetric_scaled, symmetric_params):
