@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -232,6 +231,15 @@ def _run_replication(payload: tuple[dict, int, int, int]) -> dict[str, Any]:
         fluid = pe.value_at(grid)
         payload_out["path"] = (grid, sampled, fluid)
     return payload_out
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The process pool ``simulate`` runs its replications on, imported on
+    first use: ``concurrent.futures`` loads ``multiprocessing`` with it, which
+    only a ``simulate`` with more than one worker needs."""
+    import concurrent.futures
+
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _worker_count(threads: int, replications: int) -> int:

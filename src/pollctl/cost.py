@@ -19,12 +19,17 @@ relative target, segment by segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL_NODES = (_GL_NODES + 1.0) / 2.0  # rescaled to [0, 1]
-_GL_WEIGHTS = _GL_WEIGHTS / 2.0
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 16-node Gauss-Legendre rule rescaled to [0, 1], built on first use
+    so that importing the module does not load ``numpy.polynomial``."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    return (nodes + 1.0) / 2.0, weights / 2.0
 
 
 class CostFunction:
@@ -388,9 +393,10 @@ class CustomCost(CostFunction):
         return float(out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
 
     def _quad(self, start, delta, a: float, b: float) -> float:
-        u = a + (b - a) * _GL_NODES
+        nodes, weights = _gauss_legendre()
+        u = a + (b - a) * nodes
         points = start[None, :] + u[:, None] * delta[None, :]
-        return (b - a) * float(np.dot(_GL_WEIGHTS, self.fn(points)))
+        return (b - a) * float(np.dot(weights, self.fn(points)))
 
     def segment_integral(self, start, end, duration: float) -> float:
         if duration == 0.0:

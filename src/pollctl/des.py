@@ -57,7 +57,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -116,6 +115,8 @@ class _RefillThread:
 
     def submit(self, fn, *args):
         if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
             self._pool = ThreadPoolExecutor(1, thread_name_prefix="pollctl-refill")
         return self._pool.submit(fn, *args), fn, args
 

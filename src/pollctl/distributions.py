@@ -38,8 +38,15 @@ class Deterministic(Distribution):
 
 @dataclass(frozen=True)
 class Exponential(Distribution):
+    """Exponential with given mean.  Standard exponentials scaled in place
+    equal ``gen.exponential(mean, size)`` bit for bit, and cost less."""
+
     def sample(self, gen: np.random.Generator, size: int | None = None):
-        return gen.exponential(self.mean, size)
+        if size is None:
+            return gen.standard_exponential() * self.mean
+        draws = gen.standard_exponential(size)
+        draws *= self.mean
+        return draws
 
 
 @dataclass(frozen=True)

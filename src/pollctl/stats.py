@@ -9,12 +9,15 @@ denominator sums.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import stdtrit
 
 
 def t_quantile(confidence: float, df: int) -> float:
     """Two-sided Student t quantile: the half-width factor of a
-    ``confidence`` interval on ``df`` degrees of freedom."""
+    ``confidence`` interval on ``df`` degrees of freedom.  SciPy is imported
+    on the first call, not with the module, as it takes most of a CLI
+    process's start-up."""
+    from scipy.special import stdtrit
+
     return float(stdtrit(df, 0.5 * (1.0 + confidence)))
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -484,3 +485,37 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "pe_summary.json").exists()
+
+
+#: the README's example config
+README_CONFIG = {
+    "system": {
+        "arrival_rates": [2.0, 2.0, 2.0],
+        "service_rates": [8.0, 8.0, 8.0],
+        "table": [1, 2, 3, 2, 3],
+        "switchover_means": [2.0, 2.0, 2.0, 2.0, 2.0],
+    },
+    "cost": {"kind": "linear", "coefficients": [1.0, 1.0, 8.0]},
+    "optimize": {"repetition_set": [1, 2], "budget": 16},
+    "simulation": {"scale": 100, "measured_cycles": 5000},
+    "sweep": {"parameter": "cost.coefficients.2", "values": [2, 4, 6, 8, 12]},
+}
+
+
+def test_start_up_loads_no_process_pool_and_pe_no_scipy(tmp_path):
+    config = tmp_path / "system.json"
+    config.write_text(json.dumps(README_CONFIG), "utf-8")
+    argv = ["pe", "--config", str(config), "--out", str(tmp_path / "pe")]
+    code = (
+        "import sys, pollctl.cli\n"
+        "pools = ('multiprocessing', 'concurrent.futures')\n"
+        "print([m for m in pools if m in sys.modules])\n"
+        f"status = pollctl.cli.main({argv!r})\n"
+        "print(status, [m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0 []"]

@@ -75,6 +75,19 @@ def test_block_draws_equal_scalar_draws(kind, options):
     assert np.array(blocked).tobytes() == np.array(scalar).tobytes()
 
 
+def test_exponential_draws_equal_numpys_exponential_bitwise():
+    for seed in range(5):
+        for mean in (1e-3, 0.125, 1.0, 2.5, 7.0e4):
+            dist = Exponential(mean)
+            drawn = dist.sample(np.random.default_rng(seed), 200_000)
+            expected = np.random.default_rng(seed).exponential(mean, 200_000)
+            assert drawn.tobytes() == expected.tobytes()
+            gen, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            scalar = [dist.sample(gen) for _ in range(50)]
+            assert all(type(v) is float for v in scalar)
+            assert scalar == [ref.exponential(mean) for _ in range(50)]
+
+
 def test_make_distribution_rejects_bad_requests():
     with pytest.raises(ValueError, match="unknown distribution"):
         pc.make_distribution("cauchy", 1.0)
@@ -602,6 +615,27 @@ def test_rolling_back_more_than_was_taken_is_a_runtime_error():
     buffer.rollback(2)
     with pytest.raises(RuntimeError, match="cannot roll back 2 of 1"):
         buffer.rollback(2)
+
+
+@pytest.mark.parametrize("worker_type", [None, WorkerOnly])
+def test_rollback_drops_a_refills_worth_of_used_values(worker_type):
+    dist = Exponential(1.0)
+    used = des.AHEAD_REFILL + 3
+    worker = worker_type() if worker_type else None
+    try:
+        buffer = des._SampleBuffer(dist, np.random.default_rng(4), worker=worker)
+        buffer.take(used + 7)
+        buffer.rollback(7)
+        # only the seven values rolled back are kept
+        assert buffer._ptr == 0
+        assert buffer._values.size == 7
+        later = np.concatenate([buffer.take(5), buffer.take(2 * des.AHEAD_REFILL)])
+    finally:
+        if worker is not None:
+            worker.close()
+    fresh = des._SampleBuffer(dist, np.random.default_rng(4))
+    fresh.take(used)
+    assert later.tobytes() == fresh.take(later.size).tobytes()
 
 
 # -- refills drawn ahead on a worker thread -----------------------------------------

@@ -70,7 +70,7 @@ def test_geweke_score_flags_trends_not_noise():
     assert pc.geweke_z(np.ones(1000)) == 0.0
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special"])
 def test_cli_import_leaves_scipy_module_unloaded(module):
     code = f"import sys, pollctl.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
