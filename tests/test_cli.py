@@ -519,3 +519,27 @@ def test_start_up_loads_no_process_pool_and_pe_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "0 []"]
+
+
+def test_simulate_with_a_cost_loads_no_scipy(tmp_path):
+    config = tmp_path / "system.json"
+    tiny = {
+        **README_CONFIG,
+        "simulation": {"scale": 1, "warmup_cycles": 10, "measured_cycles": 40, "batches": 4},
+    }
+    config.write_text(json.dumps(tiny), "utf-8")
+    out = tmp_path / "sim"
+    argv = ["simulate", "--config", str(config), "--out", str(out), "--threads", "1"]
+    code = (
+        "import sys, pollctl.cli\n"
+        f"status = pollctl.cli.main({argv!r})\n"
+        "print(status, [m for m in sys.modules if m.partition('.')[0] == 'scipy'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 []"]
+    summary = json.loads((out / "simulation_summary.json").read_text("utf-8"))
+    assert summary["replications"][0]["half_width"] > 0.0

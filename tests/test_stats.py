@@ -84,11 +84,49 @@ def test_cli_import_leaves_scipy_module_unloaded(module):
     assert out.stdout.strip() == "False"
 
 
-def test_t_quantile_equals_scipy_stats_bitwise():
+def test_t_quantile_agrees_with_scipy_stats():
     from scipy import stats
 
     gen = np.random.default_rng(3)
     for df in range(1, 400, 3):
         for confidence in [0.9, 0.95, 0.99, *gen.uniform(0.5, 0.999, 4)]:
             expected = stats.t.ppf(0.5 * (1.0 + confidence), df)
-            assert t_quantile(confidence, df) == expected
+            assert t_quantile(confidence, df) == pytest.approx(expected, rel=1e-12)
+    for df in [1_000, 5_000, 10_000, 100_000]:
+        for confidence in [0.5, 0.9, 0.95, 0.99, 0.999]:
+            expected = stats.t.ppf(0.5 * (1.0 + confidence), df)
+            assert t_quantile(confidence, df) == pytest.approx(expected, rel=1e-10)
+
+
+def test_t_quantile_matches_closed_forms_at_one_and_two_df():
+    for confidence in np.linspace(0.01, 0.999, 100):
+        cauchy = np.tan(0.5 * np.pi * confidence)
+        assert t_quantile(confidence, 1) == pytest.approx(cauchy, rel=1e-12)
+        two = confidence * np.sqrt(2.0 / (1.0 - confidence**2))
+        assert t_quantile(confidence, 2) == pytest.approx(two, rel=1e-12)
+    # Written in the tail 1 - confidence, the same forms keep their digits
+    # near confidence 1, where the tail must be summed without cancellation.
+    for confidence in 1.0 - np.logspace(-9, -3, 13):
+        tail = 1.0 - confidence
+        cauchy = 1.0 / np.tan(0.5 * np.pi * tail)
+        assert t_quantile(confidence, 1) == pytest.approx(cauchy, rel=1e-14)
+        two = confidence * np.sqrt(2.0 / (tail * (2.0 - tail)))
+        assert t_quantile(confidence, 2) == pytest.approx(two, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "confidence, df, match",
+    [
+        (0.95, 2.5, "integer"),
+        (0.95, 3.0, "integer"),
+        (0.95, 0, "at least 1"),
+        (0.95, -4, "at least 1"),
+        (0.0, 10, "confidence"),
+        (1.0, 10, "confidence"),
+        (1.5, 10, "confidence"),
+        (float("nan"), 10, "confidence"),
+    ],
+)
+def test_t_quantile_rejects_bad_input(confidence, df, match):
+    with pytest.raises(ValueError, match=match):
+        t_quantile(confidence, df)
