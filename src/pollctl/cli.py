@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -134,7 +135,17 @@ def _cmd_pe(resolved: dict, out: Path, seed: int, phases: dict) -> list[str]:
     return ["pe_breakpoints.csv", "pe_summary.json"]
 
 
-def _cmd_optimize(resolved: dict, out: Path, seed: int, phases: dict) -> list[str]:
+def _search_counters(solution) -> list[dict[str, Any]]:
+    """Where every start of every search ended, for ``run_meta.json``."""
+    return [
+        {"repetitions": s.repetitions, "starts": [asdict(o) for o in s.starts]}
+        for s in solution.searches
+    ]
+
+
+def _cmd_optimize(
+    resolved: dict, out: Path, seed: int, counters: dict[str, Any], phases: dict
+) -> list[str]:
     with _phase(phases, "load"):
         params = system_from(resolved["system"])
         psi = cost_from(resolved["cost"])
@@ -153,6 +164,7 @@ def _cmd_optimize(resolved: dict, out: Path, seed: int, phases: dict) -> list[st
             bound = None
         pe = pe_from_params(params, solution.control)
 
+    counters["searches"] = _search_counters(solution)
     result = {
         "repetitions": solution.repetitions,
         "ratios": list(solution.ratios),
@@ -344,7 +356,9 @@ def _cmd_simulate(
     return outputs
 
 
-def _cmd_sweep(resolved: dict, out: Path, seed: int, phases: dict) -> list[str]:
+def _cmd_sweep(
+    resolved: dict, out: Path, seed: int, counters: dict[str, Any], phases: dict
+) -> list[str]:
     sweep = resolved["sweep"]
     if sweep is None:
         raise ConfigError("sweep requires a sweep section")
@@ -354,6 +368,7 @@ def _cmd_sweep(resolved: dict, out: Path, seed: int, phases: dict) -> list[str]:
         summary_rows = []
         stage_rows = []
         records = []
+        counters["values"] = []
         for value in sweep["values"]:
             variant = rewrite_config(resolved, sweep["parameter"], value)
             params = system_from(variant["system"])
@@ -367,6 +382,9 @@ def _cmd_sweep(resolved: dict, out: Path, seed: int, phases: dict) -> list[str]:
                 seed=seed,
             )
             pe = pe_from_params(params, solution.control)
+            counters["values"].append(
+                {"value": value, "searches": _search_counters(solution)}
+            )
             summary_rows.append(
                 [value, solution.repetitions, solution.cost, solution.evaluations]
             )
@@ -440,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pe":
             outputs = _cmd_pe(resolved, out, args.seed, phases)
         elif args.command == "optimize":
-            outputs = _cmd_optimize(resolved, out, args.seed, phases)
+            outputs = _cmd_optimize(resolved, out, args.seed, counters, phases)
         elif args.command == "simulate":
             if args.replications < 1:
                 raise ConfigError("--replications must be positive")
@@ -456,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
                 phases,
             )
         else:
-            outputs = _cmd_sweep(resolved, out, args.seed, phases)
+            outputs = _cmd_sweep(resolved, out, args.seed, counters, phases)
         manifest = {
             "command": args.command,
             "seed": args.seed,

@@ -3,11 +3,12 @@
 The decision variables are the repetition count of the visit table and one
 thinning ratio per augmented stage.  Equilibrium cost is evaluated exactly
 through the fluid periodic orbit, so the optimisation is a low-dimensional
-smooth program over [0, 1] ratios with per-queue sums at least one (the
-compact subset; restricting to it loses no equilibrium cost and makes the
-minimum attained).  SLSQP solves it from several seeded starts, with the
-exact adjoint gradient of the visit recursion for separable costs and
-finite differences otherwise.
+program over [0, 1] ratios with per-queue sums at least one (the compact
+subset; restricting to it loses no equilibrium cost and makes the minimum
+attained).  A spectral projected gradient method solves it from several
+seeded starts, on the Euclidean projection onto that set, with the exact
+adjoint gradient of the visit recursion for separable costs and forward
+differences otherwise.  It needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -64,24 +65,34 @@ def control_cost(
 def project_to_compact(
     params: SystemParameters, repetitions: int, ratios: np.ndarray
 ) -> np.ndarray:
-    """Clip to [0, 1], then project onto the ratios with per-queue sums >= 1.
+    """Euclidean projection onto the ratios in [0, 1] with per-queue sums >= 1.
 
     Queues partition the stages, so the projection separates into one capped
-    simplex per queue (Wang & Lu, arXiv:1503.01002): shift the queue's visits
-    up uniformly, each capped at 1, until their sum reaches one.  Once they
-    are clipped to [0, 1] with a sum below one, the shift ``(1 - sum) /
-    visits`` leaves every visit at most 1, so no cap binds and the shift is
-    exact.  Visits of a queue whose floating-point sum still falls short move
-    up by one ulp until it does not.
+    simplex per queue (Wang & Lu, arXiv:1503.01002): ``clip(y + t, 0, 1)``
+    of the queue's visits ``y``, with the least shift ``t >= 0`` whose sum
+    reaches one.  The sum is piecewise linear in ``t`` with kinks at ``-y``
+    and ``1 - y``, so ``t`` interpolates between the two sorted kinks around
+    one.  The positive visits of a queue whose floating-point sum still falls
+    short move up by one ulp until it does not.
     """
     stages = np.asarray(augment(params.table, repetitions).stages)
-    r = np.clip(np.asarray(ratios, dtype=float), 0.0, 1.0)
-    sums = np.bincount(stages, r, params.num_queues)
-    shift = np.maximum(1.0 - sums, 0.0) / np.bincount(stages)
-    r = np.minimum(r + shift[stages], 1.0)
+    y = np.asarray(ratios, dtype=float)
+    r = np.clip(y, 0.0, 1.0)
+    for k in np.flatnonzero(np.bincount(stages, r, params.num_queues) < 1.0):
+        # measured from the largest visit, which reaches 1 at shift 1, with
+        # the visits more than 1 below it, which stay at 0, raised to -1
+        at = stages == k
+        v = np.maximum(y[at] - y[at].max(), -1.0)
+        kinks = np.sort(np.concatenate([-v, 1.0 - v]))
+        sums = np.clip(v + kinks[:, None], 0.0, 1.0).sum(axis=1)
+        j = np.searchsorted(sums, 1.0)
+        i = j - 1
+        t = kinks[i] + (kinks[j] - kinks[i]) * (1.0 - sums[i]) / (sums[j] - sums[i])
+        r[at] = np.clip(v + t, 0.0, 1.0)
     short = np.bincount(stages, r, params.num_queues) < 1.0
     while short.any():
-        r[short[stages]] = np.nextafter(r[short[stages]], 1.0)
+        lift = short[stages] & (r > 0.0)
+        r[lift] = np.nextafter(r[lift], 1.0)
         short = np.bincount(stages, r, params.num_queues) < 1.0
     return r
 
@@ -155,13 +166,25 @@ def relaxation_bound_cyclic(
     return total / tau
 
 
+#: the search's nonmonotone memory, Armijo constant, Barzilai-Borwein step
+#: bounds, projected-step tolerance (above the noise of forward differences),
+#: iterations per start and forward-difference step; steps and tolerance are
+#: for the cost divided by its value at the start
+_MEMORY = 10
+_ARMIJO = 1e-4
+_STEP_MIN, _STEP_MAX = 1e-10, 1e10
+_TOLERANCE = 1e-7
+_ITERATIONS = 200
+_DIFFERENCE = np.sqrt(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class StartOutcome:
     """Where one start of the search ended."""
 
-    cost: float  # equilibrium cost of the projected end point
-    evaluations: int  # orbit solves SLSQP made, without the final evaluation
-    success: bool  # SLSQP's own convergence flag
+    cost: float  # equilibrium cost of the cheapest iterate
+    evaluations: int  # orbit solves of the start, dim + 1 per difference gradient
+    success: bool  # the projected gradient step fell below tolerance
 
 
 @dataclass(frozen=True)
@@ -190,6 +213,62 @@ class RFCPSolution:
         return ControlParams(self.repetitions, self.ratios)
 
 
+def _forward_differences(cost, r: np.ndarray) -> tuple[float, np.ndarray]:
+    """``cost(r)`` and its gradient by forward differences, ``r.size + 1``
+    evaluations; a step that would leave [0, 1] is taken backwards."""
+    value = cost(r)
+    moved = r + np.diag(np.where(r + _DIFFERENCE <= 1.0, _DIFFERENCE, -_DIFFERENCE))
+    return value, np.array([cost(m) - value for m in moved]) / (np.diag(moved) - r)
+
+
+def _spectral_projected_gradient(objective, project, x: np.ndarray):
+    """Nonmonotone spectral projected gradient (Birgin, Martinez & Raydan,
+    SIAM J. Optim. 10(4), 2000, SPG2) from the feasible point ``x``.
+
+    Each iteration steps along ``project(x - step * gradient) - x`` with the
+    Barzilai-Borwein ``step``, backtracking until the cost clears the Armijo
+    condition against the last ``_MEMORY`` costs.  A rejected trial moves to
+    where the tangents at both ends meet (a kink of a threshold cost), or
+    halfway when that is not nearer.  Steps and tolerance see the cost in
+    units of its value at ``x``, so scaling the cost changes no iterate.
+    Returns the cheapest iterate, its cost, and whether ``project(x -
+    gradient / unit) - x``, with ``unit`` that value, fell below tolerance.
+    """
+    cost, gradient = objective(x)
+    unit = abs(cost) or 1.0
+    best, best_cost, recent = x, cost, [cost]
+    step = 1.0 / max(np.abs(project(x - gradient / unit) - x).max(), 1.0 / _STEP_MAX)
+    for _ in range(_ITERATIONS):
+        if np.abs(project(x - gradient / unit) - x).max() <= _TOLERANCE:
+            return best, best_cost, True
+        ceiling = max(recent[-_MEMORY:])
+        direction = project(x - step / unit * gradient) - x
+        slope = gradient @ direction
+        alpha = 1.0
+        while True:
+            trial = x + alpha * direction
+            if np.array_equal(trial, x):  # no step left that moves
+                return best, best_cost, False
+            trial_cost, trial_gradient = objective(trial)
+            if trial_cost <= ceiling + _ARMIJO * alpha * slope:
+                break
+            far = trial_gradient @ direction
+            meet = (
+                (trial_cost - cost - far * alpha) / (slope - far) if far > slope else 0
+            )
+            alpha = meet if 0.0 < meet <= 0.5 * alpha else 0.5 * alpha
+        moved = trial - x
+        curvature = moved @ (trial_gradient - gradient)
+        step = _STEP_MAX
+        if curvature > 0.0:
+            step = np.clip(unit * (moved @ moved) / curvature, _STEP_MIN, _STEP_MAX)
+        x, cost, gradient = trial, trial_cost, trial_gradient
+        recent.append(cost)
+        if cost < best_cost:
+            best, best_cost = x, cost
+    return best, best_cost, False
+
+
 def _search_single(
     params: SystemParameters,
     psi: CostFunction,
@@ -197,51 +276,29 @@ def _search_single(
     budget: int | None,
     seed: int,
 ) -> RepetitionSearch:
-    # imported here, so that commands that never optimise do not pay for it
-    from scipy import optimize
-
     dim = params.num_stages * repetitions
     if budget is None:
         budget = 20 + 5 * dim
-    stages = np.asarray(augment(params.table, repetitions).stages)
     gen = np.random.default_rng((seed, repetitions))
+    project = partial(project_to_compact, params, repetitions)
     cost_of, with_gradient = _cost_of_ratios(params, repetitions, psi)
-    fun = with_gradient or cost_of
+    fun = with_gradient or partial(_forward_differences, cost_of)
+    solves = 1 if with_gradient else dim + 1  # orbits per cost and gradient
     evaluations = 0
 
     def objective(x: np.ndarray):
         nonlocal evaluations
-        evaluations += 1
-        # SLSQP may step slightly past the sum constraints; no queue may starve
-        return fun(project_to_compact(params, repetitions, x))
+        evaluations += solves
+        return fun(x)
 
-    sums = optimize.LinearConstraint(
-        np.equal.outer(np.arange(params.num_queues), stages).astype(float), lb=1.0
-    )
     starts = [np.ones(dim)]
-    starts += [
-        project_to_compact(params, repetitions, gen.uniform(size=dim))
-        for _ in range(budget)
-    ]
+    starts += [project(gen.uniform(size=dim)) for _ in range(budget)]
     outcomes = []
     incumbent, incumbent_cost = starts[0], np.inf
     for x0 in starts:
         before = evaluations
-        result = optimize.minimize(
-            objective,
-            x0,
-            method="SLSQP",
-            jac=with_gradient is not None,
-            bounds=[(0.0, 1.0)] * dim,
-            constraints=sums,
-            # converge to round-off, so equal optima of two repetition counts tie
-            options={"ftol": 1e-12},
-        )
-        spent = evaluations - before
-        finalist = project_to_compact(params, repetitions, result.x)
-        evaluations += 1
-        cost = cost_of(finalist)
-        outcomes.append(StartOutcome(float(cost), spent, bool(result.success)))
+        finalist, cost, success = _spectral_projected_gradient(objective, project, x0)
+        outcomes.append(StartOutcome(float(cost), evaluations - before, success))
         if cost < incumbent_cost:
             incumbent, incumbent_cost = finalist, cost
 
@@ -264,14 +321,15 @@ def solve_rfcp(
 ) -> RFCPSolution:
     """Minimise equilibrium cost over repetition counts and stage ratios.
 
-    For each repetition count the search runs SLSQP from the all-ones policy
-    plus ``budget`` seeded random feasible starts, on the projection of each
-    iterate onto the compact subset, and keeps the best projected end point.
-    Separable costs supply their exact gradient; other costs use finite
+    For each repetition count the search runs the spectral projected gradient
+    method from the all-ones policy plus ``budget`` seeded random starts,
+    projected onto the compact subset, and keeps the cheapest iterate of all.
+    Separable costs supply their exact gradient; other costs use forward
     differences.  Reported costs are exact equilibrium evaluations, and
-    ``evaluations`` counts orbit solves, with or without a gradient.  Ties
-    between repetition counts go to the smaller one.  Results are
-    deterministic for fixed inputs.
+    ``evaluations`` counts orbit solves: one per cost with its exact
+    gradient, one per ratio plus one per difference gradient.  Ties between
+    repetition counts go to the smaller one.  Results are deterministic for
+    fixed inputs.
     """
     validate(params)
     reps = sorted({int(v) for v in repetition_set})

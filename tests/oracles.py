@@ -12,24 +12,80 @@ import pollctl as pc
 def project_to_compact_by_bisection(
     params: pc.SystemParameters, repetitions: int, ratios
 ) -> np.ndarray:
-    """Clip to [0, 1], then for any queue still short of total one, shift its
-    visits up uniformly (saturating at 1) by the smallest shift, found by 80
-    bisection steps, whose floating-point sum reaches one."""
+    """Euclidean projection onto the ratios in [0, 1] with per-queue sums >= 1:
+    per queue, ``clip(y + t, 0, 1)`` with the least shift ``t >= 0`` of the
+    unclipped visits ``y`` whose floating-point sum reaches one, found by 80
+    bisection steps."""
     table = pc.augment(params.table, repetitions)
-    r = np.clip(np.asarray(ratios, dtype=float), 0.0, 1.0)
+    y = np.asarray(ratios, dtype=float)
+    r = np.clip(y, 0.0, 1.0)
     for k in range(params.num_queues):
         idx = np.asarray(table.visit_stages(k))
         if r[idx].sum() >= 1.0:
             continue
-        lo, hi = 0.0, 1.0
+        lo, hi = 0.0, 1.0 - y[idx].min()
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if np.clip(r[idx] + mid, 0.0, 1.0).sum() >= 1.0:
+            if np.clip(y[idx] + mid, 0.0, 1.0).sum() >= 1.0:
                 hi = mid
             else:
                 lo = mid
-        r[idx] = np.clip(r[idx] + hi, 0.0, 1.0)
+        r[idx] = np.clip(y[idx] + hi, 0.0, 1.0)
     return r
+
+
+def slsqp_search_cost(
+    params: pc.SystemParameters,
+    psi: pc.CostFunction,
+    repetitions: int,
+    budget: int,
+    seed: int,
+) -> float:
+    """Cheapest equilibrium cost that SciPy's SLSQP reaches from the starts of
+    ``solve_rfcp``: all ones plus ``budget`` seeded random points.
+
+    Bounds [0, 1] and a linear constraint per queue keep ratio sums at least
+    one; each iterate is projected onto that set before its evaluation, and
+    each end point once more.  Separable costs give SLSQP their adjoint
+    gradient, other costs SciPy's finite differences.
+    """
+    from scipy import optimize
+
+    dim = params.num_stages * repetitions
+    stages = np.asarray(pc.augment(params.table, repetitions).stages)
+    gen = np.random.default_rng((seed, repetitions))
+
+    def project(x):
+        return pc.project_to_compact(params, repetitions, x)
+
+    def cost(x):
+        return pc.control_cost(params, pc.ControlParams(repetitions, tuple(x)), psi)
+
+    separable = isinstance(psi, pc.SeparableCost)
+    if separable:
+        with_gradient = pc.VisitRecursion(params, repetitions).cost_and_gradient
+
+    def objective(x):
+        x = project(x)
+        return with_gradient(x, psi) if separable else cost(x)
+
+    sums = optimize.LinearConstraint(
+        np.equal.outer(np.arange(params.num_queues), stages).astype(float), lb=1.0
+    )
+    starts = [np.ones(dim)] + [project(gen.uniform(size=dim)) for _ in range(budget)]
+    best = np.inf
+    for x0 in starts:
+        result = optimize.minimize(
+            objective,
+            x0,
+            method="SLSQP",
+            jac=separable,
+            bounds=[(0.0, 1.0)] * dim,
+            constraints=sums,
+            options={"ftol": 1e-12},
+        )
+        best = min(best, cost(project(result.x)))
+    return best
 
 
 def recorded_path_cost(path, psi: pc.CostFunction, t0: float, t1: float) -> float:

@@ -85,6 +85,43 @@ def test_optimize_command_outputs(tmp_path):
     assert [r[1] for r in rows[1:]] == ["1", "2"]
 
 
+def test_optimize_and_sweep_report_every_start(tmp_path):
+    config = write_config(
+        tmp_path,
+        {
+            "system": README_CONFIG["system"],
+            "cost": README_CONFIG["cost"],
+            "optimize": {"repetition_set": [1, 2], "budget": 1},
+            "sweep": {"parameter": "cost.coefficients.2", "values": [2, 8]},
+        },
+    )
+    runs = {}
+    for command in ("optimize", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        runs[command] = json.loads((out / "run_meta.json").read_text("utf-8"))
+        # the data artefacts carry no per-start records
+        assert all(b"success" not in data for data in tree_bytes(out).values())
+
+    result = json.loads((tmp_path / "optimize" / "optimize_result.json").read_text())
+    searches = runs["optimize"]["counters"]["searches"]
+    assert [s["repetitions"] for s in searches] == [1, 2]
+    for search, summary in zip(searches, result["searches"]):
+        starts = search["starts"]
+        assert len(starts) == 1 + 1
+        assert sorted(starts[0]) == ["cost", "evaluations", "success"]
+        assert sum(start["evaluations"] for start in starts) == summary["evaluations"]
+        assert min(start["cost"] for start in starts) == summary["cost"]
+        assert all(isinstance(start["success"], bool) for start in starts)
+
+    rows = read_csv(tmp_path / "sweep" / "sweep_summary.csv")
+    values = runs["sweep"]["counters"]["values"]
+    assert [v["value"] for v in values] == [2, 8]
+    for value, row in zip(values, rows[1:]):
+        spent = sum(s["evaluations"] for search in value["searches"] for s in search["starts"])
+        assert spent == int(row[3])
+
+
 def test_simulate_command_outputs(tmp_path):
     config = write_config(
         tmp_path,
@@ -521,15 +558,20 @@ def test_start_up_loads_no_process_pool_and_pe_no_scipy(tmp_path):
     assert proc.stdout.splitlines() == ["[]", "0 []"]
 
 
-def test_simulate_with_a_cost_loads_no_scipy(tmp_path):
+@pytest.mark.parametrize("command", ["simulate", "optimize", "sweep"])
+def test_simulate_with_a_cost_loads_no_scipy(tmp_path, command):
     config = tmp_path / "system.json"
     tiny = {
         **README_CONFIG,
+        "optimize": {"repetition_set": [1, 2], "budget": 1},
         "simulation": {"scale": 1, "warmup_cycles": 10, "measured_cycles": 40, "batches": 4},
+        "sweep": {"parameter": "cost.coefficients.2", "values": [2, 8]},
     }
     config.write_text(json.dumps(tiny), "utf-8")
-    out = tmp_path / "sim"
-    argv = ["simulate", "--config", str(config), "--out", str(out), "--threads", "1"]
+    out = tmp_path / command
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--threads", "1"]
     code = (
         "import sys, pollctl.cli\n"
         f"status = pollctl.cli.main({argv!r})\n"
@@ -541,5 +583,6 @@ def test_simulate_with_a_cost_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["0 []"]
-    summary = json.loads((out / "simulation_summary.json").read_text("utf-8"))
-    assert summary["replications"][0]["half_width"] > 0.0
+    if command == "simulate":
+        summary = json.loads((out / "simulation_summary.json").read_text("utf-8"))
+        assert summary["replications"][0]["half_width"] > 0.0
