@@ -143,6 +143,18 @@ def _search_counters(solution) -> list[dict[str, Any]]:
     ]
 
 
+def _optimality_checks(params, psi, repetition_set, solution) -> dict[str, Any]:
+    """Whether the exhaustive shortcut settles the search, and the relaxation
+    lower bound at the winning repetition count (``None`` where it does not
+    apply)."""
+    shortcut = exhaustive_shortcut(params, psi, repetition_set)
+    try:
+        bound = relaxation_bound_cyclic(params, solution.repetitions, psi)
+    except ValueError:
+        bound = None
+    return {"shortcut_applies": shortcut is not None, "relaxation_bound": bound}
+
+
 def _cmd_optimize(
     resolved: dict, out: Path, seed: int, counters: dict[str, Any], phases: dict
 ) -> list[str]:
@@ -157,14 +169,11 @@ def _cmd_optimize(
         solution = solve_rfcp(
             params, psi, repetition_set, budget=settings["budget"], seed=seed
         )
-        shortcut = exhaustive_shortcut(params, psi, repetition_set)
-        try:
-            bound = relaxation_bound_cyclic(params, solution.repetitions, psi)
-        except ValueError:
-            bound = None
+        checks = _optimality_checks(params, psi, repetition_set, solution)
         pe = pe_from_params(params, solution.control)
 
     counters["searches"] = _search_counters(solution)
+    counters.update(checks)
     result = {
         "repetitions": solution.repetitions,
         "ratios": list(solution.ratios),
@@ -179,8 +188,7 @@ def _cmd_optimize(
             }
             for s in solution.searches
         ],
-        "shortcut_applies": shortcut is not None,
-        "relaxation_bound": bound,
+        **checks,
     }
     with _phase(phases, "write"):
         _write_json(out / "optimize_result.json", result)
@@ -374,16 +382,17 @@ def _cmd_sweep(
             params = system_from(variant["system"])
             psi = cost_from(variant["cost"])
             settings = variant["optimize"]
+            repetition_set = tuple(settings["repetition_set"])
             solution = solve_rfcp(
-                params,
-                psi,
-                tuple(settings["repetition_set"]),
-                budget=settings["budget"],
-                seed=seed,
+                params, psi, repetition_set, budget=settings["budget"], seed=seed
             )
             pe = pe_from_params(params, solution.control)
             counters["values"].append(
-                {"value": value, "searches": _search_counters(solution)}
+                {
+                    "value": value,
+                    "searches": _search_counters(solution),
+                    **_optimality_checks(params, psi, repetition_set, solution),
+                }
             )
             summary_rows.append(
                 [value, solution.repetitions, solution.cost, solution.evaluations]

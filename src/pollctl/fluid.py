@@ -231,39 +231,53 @@ class VisitRecursion:
     def __init__(self, params: SystemParameters, repetitions: int) -> None:
         self.cycle_time = cycle_length(params, repetitions)
         self.num_queues = params.num_queues
-        table = augment(params.table, repetitions)
-        self.polled = np.asarray(table.stages)
-        stages = len(self.polled)
+        polled = augment(params.table, repetitions).stages
+        self.polled = np.asarray(polled)
+        stages = len(polled)
         self.arrivals = params.arrival_array[self.polled]
         self.drain = params.drain_rates[self.polled]
         self.switchovers = np.asarray(params.switchover_means * repetitions)
-        self.successor = np.arange(stages)
-        visits = [np.asarray(table.visit_stages(k)) for k in range(self.num_queues)]
+        visits = [
+            [i for i, q in enumerate(polled) if q == k] for k in range(self.num_queues)
+        ]
+        successor = list(range(stages))
         for idx in visits:
-            self.successor[idx] = np.roll(idx, -1)
+            for i, nxt in zip(idx, idx[1:] + idx[:1]):
+                successor[i] = nxt
+        self.successor = np.asarray(successor)
         self.base = np.eye(stages)
-        self.coupling = np.zeros((stages, stages))
+        # Columns and entries past the last stage stand for the next tour's
+        # stages, so that stage i and the stages up to its queue's next visit
+        # are the slice [i, end); the two halves of the columns fold together.
+        coupling = np.zeros((stages, 2 * stages))
+        drain = np.concatenate([self.drain, self.drain])
+        switchovers = np.concatenate([self.switchovers, self.switchovers])
         self.rhs = np.zeros(stages)
-        for here, nxt in enumerate(self.successor):
-            between = (here + np.arange(1, (nxt - here) % stages or stages)) % stages
-            lam = self.arrivals[here]
-            self.base[nxt, here] -= 1.0
-            self.coupling[nxt, here] += 1.0
-            self.coupling[nxt, between] -= lam / self.drain[between]
-            self.rhs[nxt] = lam * self.switchovers[np.append(here, between)].sum()
-        # Queue k's sawtooth pieces, per visit a drain then a refill, sit in
-        # pieces[bounds[k]:bounds[k + 1]] of the stacked (drain, refill) arrays.
-        self._pieces = np.concatenate([np.concatenate([i, i + stages]) for i in visits])
-        self._bounds = np.cumsum([0] + [2 * len(i) for i in visits])
+        for i, nxt in enumerate(successor):
+            end = i + ((nxt - i) % stages or stages)
+            lam = self.arrivals[i]
+            self.base[nxt, i] -= 1.0
+            coupling[nxt, i] = 1.0
+            coupling[nxt, i + 1 : end] -= lam / drain[i + 1 : end]
+            self.rhs[nxt] = lam * switchovers[i:end].sum()
+        self.coupling = coupling[:, :stages] + coupling[:, stages:]
+        self._rates = 1.0 / self.drain + 1.0 / self.arrivals
+        # Piece i < stages drains stage i and piece stages + i refills after
+        # it; _gather picks each piece's start level, end level and duration
+        # from the concatenated orbit, queue k's pieces in _slices[k].
+        pieces = np.asarray(
+            [i + shift for idx in visits for shift in (0, stages) for i in idx]
+        )
+        ends = np.concatenate([np.arange(stages, 2 * stages), self.successor])
+        self._gather = np.array([pieces, ends[pieces], pieces + 2 * stages])
+        self._unpiece = np.argsort(pieces).reshape(2, -1)
+        self._slices, start = [], 0
+        for idx in visits:
+            self._slices.append(slice(start, start + 2 * len(idx)))
+            start += 2 * len(idx)
 
-    def visits(self, ratios) -> tuple[np.ndarray, ...]:
-        """Per stage: polled level, level left, busy time, time to next poll.
-
-        Checks the ratios as ``ControlParams.validate_for`` does, and the
-        orbit: closure (as a solve residual), nonnegative levels and the tour
-        length.
-        """
-        r = np.asarray(ratios, dtype=float)
+    def _solve(self, r: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """``A(r)`` and the orbit of ``visits``."""
         check_ratios(r, self.polled, self.num_queues)
         matrix = self.base + self.coupling * r
         levels = np.linalg.solve(matrix, self.rhs)
@@ -276,7 +290,17 @@ class VisitRecursion:
         tour = busy.sum() + self.switchovers.sum()
         if abs(tour - self.cycle_time) > 1e-9 * max(1.0, self.cycle_time):
             raise InfeasibleParameters("tour duration disagrees with switchover budget")
-        return levels, left, busy, (levels[self.successor] - left) / self.arrivals
+        refill = (levels[self.successor] - left) / self.arrivals
+        return matrix, (levels, left, busy, refill)
+
+    def visits(self, ratios) -> tuple[np.ndarray, ...]:
+        """Per stage: polled level, level left, busy time, time to next poll.
+
+        Checks the ratios as ``ControlParams.validate_for`` does, and the
+        orbit: closure (as a solve residual), nonnegative levels and the tour
+        length.
+        """
+        return self._solve(np.asarray(ratios, dtype=float))[1]
 
     def average_cost(self, ratios, psi) -> float:
         """Time-average orbit cost under a ``SeparableCost`` ``psi``.
@@ -284,7 +308,7 @@ class VisitRecursion:
         Each queue's level is a sawtooth: per visit a linear drain to the
         level left, then a linear refill until its next polling.
         """
-        return self._integrate(self.visits(ratios), psi)
+        return self._integrate(self._pieces(self.visits(ratios)), psi)
 
     def cost_and_gradient(self, ratios, psi) -> tuple[float, np.ndarray]:
         """``average_cost`` and its gradient in the ratios.
@@ -296,33 +320,29 @@ class VisitRecursion:
         on ``r`` through ``A(r) v = b`` costs one adjoint solve.
         """
         r = np.asarray(ratios, dtype=float)
-        orbit = self.visits(r)
-        levels, left, _, _ = orbit
-        stacked = np.concatenate([levels, left])[self._pieces]
-        values = np.empty(stacked.size)
-        values[self._pieces] = np.concatenate(
-            [
-                comp.value(stacked[a:b])
-                for comp, a, b in zip(psi.components, self._bounds, self._bounds[1:])
-            ]
-        )
-        at_poll, at_left = np.split(values, 2)
-        rates = 1.0 / self.drain + 1.0 / self.arrivals
+        matrix, orbit = self._solve(r)
+        levels = orbit[0]
+        pieces = self._pieces(orbit)
+        starts = pieces[0]
+        at_poll, at_left = np.concatenate(
+            [comp.value(starts[s]) for comp, s in zip(psi.components, self._slices)]
+        )[self._unpiece]
         # v_i starts stage i's drain and ends its predecessor visit's refill
         # (same queue, same lam); l_i = (1 - r_i) v_i
-        by_levels = rates * (at_poll - (1.0 - r) * at_left)
-        adjoint = np.linalg.solve((self.base + self.coupling * r).T, by_levels)
-        gradient = rates * at_left * levels - (adjoint @ self.coupling) * levels
-        return self._integrate(orbit, psi), gradient / self.cycle_time
+        by_levels = self._rates * (at_poll - (1.0 - r) * at_left)
+        adjoint = np.linalg.solve(matrix.T, by_levels)
+        gradient = self._rates * at_left * levels - (adjoint @ self.coupling) * levels
+        return self._integrate(pieces, psi), gradient / self.cycle_time
 
-    def _integrate(self, orbit, psi) -> float:
-        levels, left, busy, refill = orbit
-        x0 = np.concatenate([levels, left])[self._pieces]
-        x1 = np.concatenate([left, levels[self.successor]])[self._pieces]
-        dt = np.concatenate([busy, refill])[self._pieces]
+    def _pieces(self, orbit) -> np.ndarray:
+        """Start level, end level and duration of every sawtooth piece."""
+        return np.concatenate(orbit)[self._gather]
+
+    def _integrate(self, pieces: np.ndarray, psi) -> float:
+        x0, x1, dt = pieces
         total = sum(
-            float(comp.integrals(x0[a:b], x1[a:b], dt[a:b]).sum())
-            for comp, a, b in zip(psi.components, self._bounds, self._bounds[1:])
+            float(comp.integrals(x0[s], x1[s], dt[s]).sum())
+            for comp, s in zip(psi.components, self._slices)
         )
         return total / self.cycle_time
 

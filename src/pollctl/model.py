@@ -189,8 +189,9 @@ def check_ratios(ratios: np.ndarray, stages: np.ndarray, num_queues: int) -> Non
         )
     if not (ratios.min() >= 0.0 and ratios.max() <= 1.0):  # NaN fails too
         raise InvalidControl("ratios must lie in [0, 1]")
-    starved = np.flatnonzero(np.bincount(stages, ratios, num_queues) <= 0.0)
-    if starved.size:
+    sums = np.bincount(stages, ratios, num_queues)
+    if not sums.min() > 0.0:
+        starved = np.flatnonzero(sums <= 0.0)
         raise InvalidControl(f"queues with zero total ratio: {starved.tolist()}")
 
 

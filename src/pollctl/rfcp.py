@@ -75,26 +75,39 @@ def project_to_compact(
     one.  The positive visits of a queue whose floating-point sum still falls
     short move up by one ulp until it does not.
     """
+    return _compact_projection(params, repetitions)(ratios)
+
+
+def _compact_projection(params: SystemParameters, repetitions: int):
+    """``project_to_compact`` for one augmented table, with the table's stage
+    array and per-queue visit indices built once."""
     stages = np.asarray(augment(params.table, repetitions).stages)
-    y = np.asarray(ratios, dtype=float)
-    r = np.clip(y, 0.0, 1.0)
-    for k in np.flatnonzero(np.bincount(stages, r, params.num_queues) < 1.0):
-        # measured from the largest visit, which reaches 1 at shift 1, with
-        # the visits more than 1 below it, which stay at 0, raised to -1
-        at = stages == k
-        v = np.maximum(y[at] - y[at].max(), -1.0)
-        kinks = np.sort(np.concatenate([-v, 1.0 - v]))
-        sums = np.clip(v + kinks[:, None], 0.0, 1.0).sum(axis=1)
-        j = np.searchsorted(sums, 1.0)
-        i = j - 1
-        t = kinks[i] + (kinks[j] - kinks[i]) * (1.0 - sums[i]) / (sums[j] - sums[i])
-        r[at] = np.clip(v + t, 0.0, 1.0)
-    short = np.bincount(stages, r, params.num_queues) < 1.0
-    while short.any():
-        lift = short[stages] & (r > 0.0)
-        r[lift] = np.nextafter(r[lift], 1.0)
-        short = np.bincount(stages, r, params.num_queues) < 1.0
-    return r
+    queues = params.num_queues
+    visits = [np.flatnonzero(stages == k) for k in range(queues)]
+
+    def project(ratios) -> np.ndarray:
+        y = np.asarray(ratios, dtype=float)
+        r = np.clip(y, 0.0, 1.0)
+        for k in np.flatnonzero(np.bincount(stages, r, queues) < 1.0):
+            # measured from the largest visit, which reaches 1 at shift 1, with
+            # the visits more than 1 below it, which stay at 0, raised to -1
+            at = visits[k]
+            own = y[at]
+            v = np.maximum(own - own.max(), -1.0)
+            kinks = np.sort(np.concatenate([-v, 1.0 - v]))
+            sums = np.clip(v + kinks[:, None], 0.0, 1.0).sum(axis=1)
+            j = np.searchsorted(sums, 1.0)
+            i = j - 1
+            t = kinks[i] + (kinks[j] - kinks[i]) * (1.0 - sums[i]) / (sums[j] - sums[i])
+            r[at] = np.clip(v + t, 0.0, 1.0)
+        short = np.bincount(stages, r, queues) < 1.0
+        while short.any():
+            lift = short[stages] & (r > 0.0)
+            r[lift] = np.nextafter(r[lift], 1.0)
+            short = np.bincount(stages, r, queues) < 1.0
+        return r
+
+    return project
 
 
 def exhaustive_shortcut(
@@ -237,9 +250,10 @@ def _spectral_projected_gradient(objective, project, x: np.ndarray):
     cost, gradient = objective(x)
     unit = abs(cost) or 1.0
     best, best_cost, recent = x, cost, [cost]
-    step = 1.0 / max(np.abs(project(x - gradient / unit) - x).max(), 1.0 / _STEP_MAX)
+    gap = np.abs(project(x - gradient / unit) - x).max()
+    step = 1.0 / max(gap, 1.0 / _STEP_MAX)
     for _ in range(_ITERATIONS):
-        if np.abs(project(x - gradient / unit) - x).max() <= _TOLERANCE:
+        if gap <= _TOLERANCE:
             return best, best_cost, True
         ceiling = max(recent[-_MEMORY:])
         direction = project(x - step / unit * gradient) - x
@@ -247,7 +261,7 @@ def _spectral_projected_gradient(objective, project, x: np.ndarray):
         alpha = 1.0
         while True:
             trial = x + alpha * direction
-            if np.array_equal(trial, x):  # no step left that moves
+            if (trial == x).all():  # no step left that moves
                 return best, best_cost, False
             trial_cost, trial_gradient = objective(trial)
             if trial_cost <= ceiling + _ARMIJO * alpha * slope:
@@ -261,11 +275,12 @@ def _spectral_projected_gradient(objective, project, x: np.ndarray):
         curvature = moved @ (trial_gradient - gradient)
         step = _STEP_MAX
         if curvature > 0.0:
-            step = np.clip(unit * (moved @ moved) / curvature, _STEP_MIN, _STEP_MAX)
+            step = min(max(unit * (moved @ moved) / curvature, _STEP_MIN), _STEP_MAX)
         x, cost, gradient = trial, trial_cost, trial_gradient
         recent.append(cost)
         if cost < best_cost:
             best, best_cost = x, cost
+        gap = np.abs(project(x - gradient / unit) - x).max()
     return best, best_cost, False
 
 
@@ -280,7 +295,7 @@ def _search_single(
     if budget is None:
         budget = 20 + 5 * dim
     gen = np.random.default_rng((seed, repetitions))
-    project = partial(project_to_compact, params, repetitions)
+    project = _compact_projection(params, repetitions)
     cost_of, with_gradient = _cost_of_ratios(params, repetitions, psi)
     fun = with_gradient or partial(_forward_differences, cost_of)
     solves = 1 if with_gradient else dim + 1  # orbits per cost and gradient

@@ -7,6 +7,8 @@ import math
 import numpy as np
 
 import pollctl as pc
+from pollctl.fluid import _clamp_levels
+from pollctl.model import check_ratios
 
 
 def project_to_compact_by_bisection(
@@ -32,6 +34,112 @@ def project_to_compact_by_bisection(
                 lo = mid
         r[idx] = np.clip(y[idx] + hi, 0.0, 1.0)
     return r
+
+
+def project_to_compact_by_masks(
+    params: pc.SystemParameters, repetitions: int, ratios
+) -> np.ndarray:
+    """``pc.project_to_compact`` as first written, with the table and each
+    queue's visit mask rebuilt on every call."""
+    stages = np.asarray(pc.augment(params.table, repetitions).stages)
+    y = np.asarray(ratios, dtype=float)
+    r = np.clip(y, 0.0, 1.0)
+    for k in np.flatnonzero(np.bincount(stages, r, params.num_queues) < 1.0):
+        at = stages == k
+        v = np.maximum(y[at] - y[at].max(), -1.0)
+        kinks = np.sort(np.concatenate([-v, 1.0 - v]))
+        sums = np.clip(v + kinks[:, None], 0.0, 1.0).sum(axis=1)
+        j = np.searchsorted(sums, 1.0)
+        i = j - 1
+        t = kinks[i] + (kinks[j] - kinks[i]) * (1.0 - sums[i]) / (sums[j] - sums[i])
+        r[at] = np.clip(v + t, 0.0, 1.0)
+    short = np.bincount(stages, r, params.num_queues) < 1.0
+    while short.any():
+        lift = short[stages] & (r > 0.0)
+        r[lift] = np.nextafter(r[lift], 1.0)
+        short = np.bincount(stages, r, params.num_queues) < 1.0
+    return r
+
+
+class LoopVisitRecursion:
+    """``pc.VisitRecursion`` as first written: ``A(r)`` built one stage at a
+    time, rebuilt for the adjoint solve, and the sawtooth pieces gathered
+    anew for the cost values, the integrals and the gradient."""
+
+    def __init__(self, params: pc.SystemParameters, repetitions: int) -> None:
+        self.cycle_time = pc.cycle_length(params, repetitions)
+        self.num_queues = params.num_queues
+        table = pc.augment(params.table, repetitions)
+        self.polled = np.asarray(table.stages)
+        stages = len(self.polled)
+        self.arrivals = params.arrival_array[self.polled]
+        self.drain = params.drain_rates[self.polled]
+        self.switchovers = np.asarray(params.switchover_means * repetitions)
+        self.successor = np.arange(stages)
+        visits = [np.asarray(table.visit_stages(k)) for k in range(self.num_queues)]
+        for idx in visits:
+            self.successor[idx] = np.roll(idx, -1)
+        self.base = np.eye(stages)
+        self.coupling = np.zeros((stages, stages))
+        self.rhs = np.zeros(stages)
+        for here, nxt in enumerate(self.successor):
+            between = (here + np.arange(1, (nxt - here) % stages or stages)) % stages
+            lam = self.arrivals[here]
+            self.base[nxt, here] -= 1.0
+            self.coupling[nxt, here] += 1.0
+            self.coupling[nxt, between] -= lam / self.drain[between]
+            self.rhs[nxt] = lam * self.switchovers[np.append(here, between)].sum()
+        self._pieces = np.concatenate([np.concatenate([i, i + stages]) for i in visits])
+        self._bounds = np.cumsum([0] + [2 * len(i) for i in visits])
+
+    def visits(self, ratios) -> tuple[np.ndarray, ...]:
+        r = np.asarray(ratios, dtype=float)
+        check_ratios(r, self.polled, self.num_queues)
+        matrix = self.base + self.coupling * r
+        levels = np.linalg.solve(matrix, self.rhs)
+        residual = np.abs(matrix @ levels - self.rhs).max()
+        if not residual <= 1e-9 * max(1.0, np.abs(levels).max()):
+            raise pc.InfeasibleParameters("periodic orbit failed to close on itself")
+        levels = _clamp_levels(levels)
+        left = (1.0 - r) * levels
+        busy = r * levels / self.drain
+        tour = busy.sum() + self.switchovers.sum()
+        if abs(tour - self.cycle_time) > 1e-9 * max(1.0, self.cycle_time):
+            raise pc.InfeasibleParameters("tour duration disagrees with switchovers")
+        return levels, left, busy, (levels[self.successor] - left) / self.arrivals
+
+    def average_cost(self, ratios, psi) -> float:
+        return self._integrate(self.visits(ratios), psi)
+
+    def cost_and_gradient(self, ratios, psi) -> tuple[float, np.ndarray]:
+        r = np.asarray(ratios, dtype=float)
+        orbit = self.visits(r)
+        levels, left, _, _ = orbit
+        stacked = np.concatenate([levels, left])[self._pieces]
+        values = np.empty(stacked.size)
+        values[self._pieces] = np.concatenate(
+            [
+                comp.value(stacked[a:b])
+                for comp, a, b in zip(psi.components, self._bounds, self._bounds[1:])
+            ]
+        )
+        at_poll, at_left = np.split(values, 2)
+        rates = 1.0 / self.drain + 1.0 / self.arrivals
+        by_levels = rates * (at_poll - (1.0 - r) * at_left)
+        adjoint = np.linalg.solve((self.base + self.coupling * r).T, by_levels)
+        gradient = rates * at_left * levels - (adjoint @ self.coupling) * levels
+        return self._integrate(orbit, psi), gradient / self.cycle_time
+
+    def _integrate(self, orbit, psi) -> float:
+        levels, left, busy, refill = orbit
+        x0 = np.concatenate([levels, left])[self._pieces]
+        x1 = np.concatenate([left, levels[self.successor]])[self._pieces]
+        dt = np.concatenate([busy, refill])[self._pieces]
+        total = sum(
+            float(comp.integrals(x0[a:b], x1[a:b], dt[a:b]).sum())
+            for comp, a, b in zip(psi.components, self._bounds, self._bounds[1:])
+        )
+        return total / self.cycle_time
 
 
 def slsqp_search_cost(

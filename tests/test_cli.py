@@ -122,6 +122,42 @@ def test_optimize_and_sweep_report_every_start(tmp_path):
         assert spent == int(row[3])
 
 
+
+def test_optimize_and_sweep_report_shortcut_and_bound(tmp_path):
+    # the cyclic default system settles by the shortcut and has a bound; the
+    # revisit system has neither, and both say so in run_meta.json
+    revisit = {"system": README_CONFIG["system"], "cost": README_CONFIG["cost"]}
+    cases = {"cyclic": {}, "revisit": revisit}
+    expected = {"cyclic": (True, pytest.approx(3.0)), "revisit": (False, None)}
+    for name, extra in cases.items():
+        sweep = {"parameter": "cost.coefficients.1", "values": [1.0, 2.0]}
+        settings = {**extra, "optimize": {"budget": 0}, "sweep": sweep}
+        config = write_config(tmp_path, settings, name=f"{name}.json")
+        metas = {}
+        for command in ("optimize", "sweep"):
+            out = tmp_path / f"{name}-{command}"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+            metas[command] = json.loads((out / "run_meta.json").read_text("utf-8"))
+        result = json.loads(
+            (tmp_path / f"{name}-optimize" / "optimize_result.json").read_text("utf-8")
+        )
+        counters = metas["optimize"]["counters"]
+        shortcut, bound = expected[name]
+        assert counters["shortcut_applies"] is result["shortcut_applies"] is shortcut
+        assert counters["relaxation_bound"] == result["relaxation_bound"] == bound
+        values = metas["sweep"]["counters"]["values"]
+        assert [v["value"] for v in values] == [1.0, 2.0]
+        assert [v["shortcut_applies"] for v in values] == [shortcut] * 2
+        bounds = [v["relaxation_bound"] for v in values]
+        if bound is None:
+            assert bounds == [None, None]
+        else:  # a dearer queue 2 raises the bound
+            assert bounds[0] == counters["relaxation_bound"] < bounds[1]
+        # the counters stay out of the sweep's data files
+        data = tree_bytes(tmp_path / f"{name}-sweep").values()
+        assert all(b"shortcut_applies" not in d for d in data)
+
+
 def test_simulate_command_outputs(tmp_path):
     config = write_config(
         tmp_path,

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 import pollctl as pc
 from conftest import random_cyclic_params, random_instance, random_pwl_cost
-from oracles import project_to_compact_by_bisection, slsqp_search_cost
+from oracles import (
+    LoopVisitRecursion,
+    project_to_compact_by_bisection,
+    project_to_compact_by_masks,
+    slsqp_search_cost,
+)
 from pollctl import rfcp
 from pollctl.config import cost_from, load_config, system_from
 
@@ -106,6 +111,57 @@ def test_projection_matches_bisection_on_random_tables(seed, spread):
     assert np.all(sums >= 1.0)
     again = pc.project_to_compact(params, control.repetitions, out)
     assert again.tobytes() == out.tobytes()
+
+
+def test_evaluation_kernels_keep_every_bit_of_the_loop_oracles():
+    # the search's cost, gradient and projection against the versions that
+    # rebuild A(r), regather the pieces and rebuild the table on every call;
+    # tables of up to 10 stages over 2-4 queues, so that the stages between
+    # two visits of a queue reach 9, past the 8 that NumPy sums one at a time
+    gen = np.random.default_rng(2018)
+    longest = 0
+    for _ in range(40):
+        queues = int(gen.integers(2, 5))
+        table = [int(q) for q in gen.permutation(queues)]
+        for q in gen.integers(0, queues, int(gen.integers(1, 7))):
+            table.insert(int(gen.integers(0, len(table) + 1)), int(q))
+        lam = gen.uniform(0.2, 1.2, queues)
+        mu = lam / (gen.uniform(0.35, 0.9) * gen.dirichlet(np.ones(queues)))
+        s = gen.uniform(0.1, 1.5, len(table))
+        params = pc.SystemParameters(tuple(lam), tuple(mu), tuple(table), tuple(s))
+        reps = int(gen.integers(1, 4))
+        fast, oracle = pc.VisitRecursion(params, reps), LoopVisitRecursion(params, reps)
+        for name in ("base", "coupling", "rhs", "successor"):
+            assert getattr(fast, name).tobytes() == getattr(oracle, name).tobytes()
+        stages = oracle.successor.size
+        spans = (oracle.successor - np.arange(stages)) % stages
+        longest = max(longest, int(np.where(spans == 0, stages, spans).max()))
+        thresholds = [[0.0, *sorted(gen.uniform(0.05, 3.0, 2))] for _ in range(queues)]
+        costs = (
+            pc.linear_cost(gen.uniform(0.2, 3.0, queues)),
+            pc.polynomial_cost(gen.uniform(0.0, 1.0, (queues, 3))),
+            pc.piecewise_linear_cost(
+                thresholds, np.cumsum(gen.uniform(0.2, 2.0, (queues, 3)), axis=1)
+            ),
+        )
+        dim = len(table) * reps
+        for _ in range(3):
+            ratios = gen.uniform(0.05, 1.0, dim)
+            ratios[gen.random(dim) < 0.2] = 1.0
+            ratios = pc.project_to_compact(params, reps, ratios)
+            for psi in costs:
+                cost, gradient = fast.cost_and_gradient(ratios, psi)
+                expected, expected_gradient = oracle.cost_and_gradient(ratios, psi)
+                assert cost == expected
+                assert gradient.tobytes() == expected_gradient.tobytes()
+                average = fast.average_cost(ratios, psi)
+                assert average == oracle.average_cost(ratios, psi)
+            raw = gen.uniform(-2.0, 3.0, dim)
+            raw[gen.random(dim) < 0.4] *= 0.05  # push some queues short of one
+            projected = pc.project_to_compact(params, reps, raw)
+            expected = project_to_compact_by_masks(params, reps, raw)
+            assert projected.tobytes() == expected.tobytes()
+    assert longest >= 9
 
 
 # -- closed-form shortcut --------------------------------------------------------
