@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -135,45 +134,46 @@ def _cmd_pe(resolved: dict, out: Path, seed: int, phases: dict) -> list[str]:
     return ["pe_breakpoints.csv", "pe_summary.json"]
 
 
-def _search_counters(solution) -> list[dict[str, Any]]:
-    """Where every start of every search ended, for ``run_meta.json``."""
-    return [
-        {"repetitions": s.repetitions, "starts": [asdict(o) for o in s.starts]}
-        for s in solution.searches
-    ]
+def _optimize(resolved: dict, seed: int):
+    """Optimise the control of one resolved configuration with a cost.
 
-
-def _optimality_checks(params, psi, repetition_set, solution) -> dict[str, Any]:
-    """Whether the exhaustive shortcut settles the search, and the relaxation
+    Returns the system, the solution, the winning policy's equilibrium and
+    the ``run_meta.json`` counters: where every start of every search ended,
+    whether the exhaustive shortcut settles the search, and the relaxation
     lower bound at the winning repetition count (``None`` where it does not
-    apply)."""
+    apply).
+    """
+    params = system_from(resolved["system"])
+    psi = cost_from(resolved["cost"])
+    settings = resolved["optimize"]
+    repetition_set = tuple(settings["repetition_set"])
+    solution = solve_rfcp(
+        params, psi, repetition_set, budget=settings["budget"], seed=seed
+    )
     shortcut = exhaustive_shortcut(params, psi, repetition_set)
     try:
         bound = relaxation_bound_cyclic(params, solution.repetitions, psi)
     except ValueError:
         bound = None
-    return {"shortcut_applies": shortcut is not None, "relaxation_bound": bound}
+    counters = {
+        "searches": [
+            {"repetitions": s.repetitions, "starts": [asdict(o) for o in s.starts]}
+            for s in solution.searches
+        ],
+        "shortcut_applies": shortcut is not None,
+        "relaxation_bound": bound,
+    }
+    return params, solution, pe_from_params(params, solution.control), counters
 
 
 def _cmd_optimize(
     resolved: dict, out: Path, seed: int, counters: dict[str, Any], phases: dict
 ) -> list[str]:
-    with _phase(phases, "load"):
-        params = system_from(resolved["system"])
-        psi = cost_from(resolved["cost"])
-        if psi is None:
-            raise ConfigError("optimize requires a cost section")
-        settings = resolved["optimize"]
-        repetition_set = tuple(settings["repetition_set"])
+    if resolved["cost"] is None:
+        raise ConfigError("optimize requires a cost section")
     with _phase(phases, "solve"):
-        solution = solve_rfcp(
-            params, psi, repetition_set, budget=settings["budget"], seed=seed
-        )
-        checks = _optimality_checks(params, psi, repetition_set, solution)
-        pe = pe_from_params(params, solution.control)
-
-    counters["searches"] = _search_counters(solution)
-    counters.update(checks)
+        params, solution, pe, found = _optimize(resolved, seed)
+    counters.update(found)
     result = {
         "repetitions": solution.repetitions,
         "ratios": list(solution.ratios),
@@ -188,7 +188,8 @@ def _cmd_optimize(
             }
             for s in solution.searches
         ],
-        **checks,
+        "shortcut_applies": found["shortcut_applies"],
+        "relaxation_bound": found["relaxation_bound"],
     }
     with _phase(phases, "write"):
         _write_json(out / "optimize_result.json", result)
@@ -263,8 +264,9 @@ def ProcessPoolExecutor(max_workers: int):
 
 
 def _worker_count(threads: int, replications: int) -> int:
-    """Worker processes for ``simulate``: no more than replications or CPUs."""
-    return min(threads, replications, os.cpu_count() or 1)
+    """Worker processes for ``simulate``: no more than replications or the
+    CPUs the process may run on."""
+    return min(threads, replications, process_cpus())
 
 
 def _cmd_simulate(
@@ -379,21 +381,8 @@ def _cmd_sweep(
         counters["values"] = []
         for value in sweep["values"]:
             variant = rewrite_config(resolved, sweep["parameter"], value)
-            params = system_from(variant["system"])
-            psi = cost_from(variant["cost"])
-            settings = variant["optimize"]
-            repetition_set = tuple(settings["repetition_set"])
-            solution = solve_rfcp(
-                params, psi, repetition_set, budget=settings["budget"], seed=seed
-            )
-            pe = pe_from_params(params, solution.control)
-            counters["values"].append(
-                {
-                    "value": value,
-                    "searches": _search_counters(solution),
-                    **_optimality_checks(params, psi, repetition_set, solution),
-                }
-            )
+            params, solution, pe, found = _optimize(variant, seed)
+            counters["values"].append({"value": value, **found})
             summary_rows.append(
                 [value, solution.repetitions, solution.cost, solution.evaluations]
             )

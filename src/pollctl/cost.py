@@ -11,9 +11,11 @@ sort.  A separable cost integrates each queue on its own merged path; any
 other cost reads every queue's count on the union of their paths' epochs.
 Either way the cost is evaluated once per block and the pieces are summed
 per tour.  A linear cost needs no step path at all: its integral is the
-total time the jobs spend in the queue.  Fluid segments of arbitrary cost
-callables fall back to adaptive Gauss-Legendre quadrature with a 1e-10
-relative target, segment by segment.
+total time the jobs spend in the queue.  Fluid paths are integrated through
+one method of every cost, ``integrals(start, end, dt)`` over arrays of linear
+pieces; a ``CustomCost`` of an arbitrary callable loops adaptive
+Gauss-Legendre quadrature with a 1e-10 relative target over the pieces, such
+as the breakpoint orbit of ``VisitRecursion.orbit``.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ class CostFunction:
         """Cost at one level vector (K,) or a batch of them (T, K)."""
         raise NotImplementedError
 
-    def segment_integral(self, start, end, duration: float) -> float:
-        """Integral over one interval on which levels move linearly."""
+    def integrals(self, start, end, dt) -> np.ndarray:
+        """Integrals over pieces on which levels move linearly from ``start``
+        to ``end`` (..., K) in time ``dt`` (...)."""
         raise NotImplementedError
 
     def tour_integrals(
@@ -88,9 +91,6 @@ class ScalarCost:
     def integrals(self, x0, x1, dt) -> np.ndarray:
         """Integrals over pieces moving linearly from x0 to x1 in time dt."""
         raise NotImplementedError
-
-    def segment_integral(self, x0: float, x1: float, duration: float) -> float:
-        return float(self.integrals(x0, x1, duration))
 
     def tour_integrals(
         self,
@@ -340,9 +340,6 @@ class SeparableCost(CostFunction):
             for k, comp in enumerate(self.components)
         )
 
-    def segment_integral(self, start, end, duration: float) -> float:
-        return float(self.integrals(start, end, duration))
-
     def tour_integrals(self, levels, ups, downs, bounds, scale) -> np.ndarray:
         """Each queue integrated on its own merged path, summed over queues."""
         return np.sum(
@@ -379,14 +376,15 @@ def polynomial_cost(coefficients) -> SeparableCost:
 class CustomCost(CostFunction):
     """Wrap an arbitrary vectorized callable ``fn((..., K)) -> (...)``.
 
-    Segment integrals use adaptive 16-node Gauss-Legendre quadrature, split
-    recursively until the halved estimate moves by less than ``rel_tol``.
+    Piece integrals use adaptive 16-node Gauss-Legendre quadrature, split
+    recursively until the halved estimate moves by less than ``REL_TOL``.
     """
 
-    def __init__(self, fn, growth_order: float, rel_tol: float = 1e-10) -> None:
+    REL_TOL = 1e-10
+
+    def __init__(self, fn, growth_order: float) -> None:
         self.fn = fn
         self.growth_order = float(growth_order)
-        self.rel_tol = float(rel_tol)
 
     def value(self, levels):
         out = self.fn(np.asarray(levels, dtype=float))
@@ -398,38 +396,38 @@ class CustomCost(CostFunction):
         points = start[None, :] + u[:, None] * delta[None, :]
         return (b - a) * float(np.dot(weights, self.fn(points)))
 
-    def segment_integral(self, start, end, duration: float) -> float:
-        if duration == 0.0:
-            return 0.0
-        start = np.asarray(start, dtype=float)
-        delta = np.asarray(end, dtype=float) - start
+    def _unit_integral(self, start, delta) -> float:
+        """Integral of ``fn(start + u * delta)`` over ``u`` in [0, 1]."""
 
         def refine(a: float, b: float, whole: float, depth: int) -> float:
             mid = 0.5 * (a + b)
             left = self._quad(start, delta, a, mid)
             right = self._quad(start, delta, mid, b)
-            if depth >= 30 or abs(left + right - whole) <= self.rel_tol * max(
+            if depth >= 30 or abs(left + right - whole) <= self.REL_TOL * max(
                 abs(left + right), 1e-300
             ):
                 return left + right
             return refine(a, mid, left, depth + 1) + refine(mid, b, right, depth + 1)
 
-        whole = self._quad(start, delta, 0.0, 1.0)
-        return duration * refine(0.0, 1.0, whole, 0)
+        return refine(0.0, 1.0, self._quad(start, delta, 0.0, 1.0), 0)
 
-
-def _segment_integrals(times: np.ndarray, levels: np.ndarray, psi: CostFunction):
-    """Cost integral over each segment of a piecewise-linear path."""
-    dt = np.diff(times)
-    if isinstance(psi, SeparableCost):
-        return psi.integrals(levels[:-1], levels[1:], dt)
-    pieces = zip(levels[:-1], levels[1:], dt)
-    return np.asarray([psi.segment_integral(*p) if p[2] > 0.0 else 0.0 for p in pieces])
+    def integrals(self, start, end, dt) -> np.ndarray:
+        """Integrals over linear pieces, levels (..., K), durations (...): one
+        quadrature per piece, and 0 for a piece of zero duration."""
+        dt = np.asarray(dt, dtype=float)
+        start = np.asarray(start, dtype=float)
+        deltas = np.asarray(end, dtype=float) - start
+        out = np.zeros(dt.shape)
+        for j in np.ndindex(dt.shape):
+            if dt[j] > 0.0:
+                out[j] = dt[j] * self._unit_integral(start[j], deltas[j])
+        return out
 
 
 def pe_average_cost(pe, psi: CostFunction) -> float:
     """Time-average cost over one tour of a periodic equilibrium."""
-    return float(_segment_integrals(pe.times, pe.levels, psi).sum()) / pe.cycle_time
+    pieces = psi.integrals(pe.levels[:-1], pe.levels[1:], np.diff(pe.times))
+    return float(pieces.sum()) / pe.cycle_time
 
 
 def trajectory_running_cost(traj, psi: CostFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -439,7 +437,7 @@ def trajectory_running_cost(traj, psi: CostFunction) -> tuple[np.ndarray, np.nda
     the limit of the running average.
     """
     times = traj.times
-    pieces = _segment_integrals(times, traj.levels, psi)
+    pieces = psi.integrals(traj.levels[:-1], traj.levels[1:], np.diff(times))
     cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
     averages = np.full_like(cumulative, float(psi.value(traj.levels[0])))
     positive = times > 0.0

@@ -67,7 +67,7 @@ from . import rng
 from .cost import CostFunction, block_path
 from .distributions import Distribution, ScaledSystem
 from .fluid import PECandidate
-from .model import ControlParams, validate
+from .model import ControlParams, cycle_length, validate
 from .stats import batch_means, geweke_z, ratio_ci
 
 
@@ -145,16 +145,12 @@ AHEAD_REFILL = 32768
 def _drawn_ahead(scaled: ScaledSystem, control: ControlParams, cpus: int) -> list[bool]:
     """Per queue, whether its streams are drawn ahead on a worker thread: with
     a CPU to spare, once its tours are expected to hold a refill's worth of
-    arrivals, and so of services.  Switchovers fill the share ``1 - load`` of
-    a tour in equilibrium, whatever the ratios."""
+    arrivals, and so of services.  At scale ``n`` a tour lasts ``n`` fluid
+    tour lengths in equilibrium, whatever the ratios."""
     params = scaled.params
     if cpus < 2:
         return [False] * params.num_queues
-    basic = params.num_stages
-    stages = len(control.ratio_array)
-    switching = sum(scaled.switchover[i % basic].mean for i in range(stages))
-    loads = sum(a / s for a, s in zip(params.arrival_rates, params.service_rates))
-    tour = switching / (1.0 - loads)
+    tour = scaled.scale * cycle_length(params, control.repetitions)
     return [rate * tour >= AHEAD_REFILL for rate in params.arrival_rates]
 
 
@@ -169,7 +165,7 @@ class _SampleBuffer:
     next ``take`` sees exactly the same values.  Consumption therefore depends
     only on how many draws were actually used.
 
-    Without a ``worker``, refills are drawn inline, at least ``chunk`` at a
+    Without a ``worker``, refills are drawn inline, at least ``CHUNK`` at a
     time.  With one, a short ``take`` reads the ``AHEAD_REFILL`` values in
     flight on the worker, draws what they leave short inline and puts the
     next refill in flight.  ``rollback`` drops the values used when they are
@@ -177,16 +173,16 @@ class _SampleBuffer:
     shipped kind, so no value depends on where refills fall.
     """
 
+    CHUNK = 1024
+
     def __init__(
         self,
         dist: Distribution,
         gen: np.random.Generator,
-        chunk: int = 1024,
         worker: _RefillThread | None = None,
     ):
         self._dist = dist
         self._gen = gen
-        self._chunk = chunk
         self._worker = worker
         self._next = None
         self._values = np.empty(0)
@@ -197,7 +193,7 @@ class _SampleBuffer:
         if short > 0:
             parts = [self._values[self._ptr :]]
             if self._worker is None:
-                parts.append(_sample(self._dist, self._gen, max(short, self._chunk)))
+                parts.append(_sample(self._dist, self._gen, max(short, self.CHUNK)))
             else:
                 if self._next is not None:
                     parts.append(self._worker.result(self._next))

@@ -35,6 +35,8 @@ class NoConvergence(RuntimeError):
 # Queue levels this far below zero are treated as rounding noise and clamped;
 # anything lower indicates a real bug in the dynamics.
 _NEGATIVE_CLAMP = 1e-12
+# Stage events ``simulate_fluid`` walks at most before it gives up.
+_MAX_STAGES = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,9 +152,6 @@ class PECandidate:
         """Level vectors at each stage's polling epoch, shape (stages, K)."""
         return self.levels[0:-1:2]
 
-    def departure_levels(self) -> np.ndarray:
-        return self.levels[1::2]
-
     def value_at(self, t) -> np.ndarray:
         """Orbit levels at time(s) ``t``, extended periodically."""
         t = np.mod(np.asarray(t, dtype=float), self.cycle_time)
@@ -168,54 +167,8 @@ class PECandidate:
 
 
 def pe_from_params(params: SystemParameters, control: ControlParams) -> PECandidate:
-    """Breakpoint orbit of the periodic equilibrium, in closed form.
-
-    ``VisitRecursion`` gives every stage's level left and busy time, and so
-    every polling and departure epoch.  Between its visits a queue refills
-    linearly, so its level at a breakpoint is the level left at its latest
-    departure plus the inflow since; before its first departure in the tour
-    that is its last departure of the previous tour.  Every level is thus a
-    sum of nonnegative terms, and a visit that empties its queue leaves 0.
-    """
-    recursion = VisitRecursion(params, control.repetitions)
-    _, left, busy, _ = recursion.visits(control.ratio_array)
-    stages = len(busy)
-    tau = recursion.cycle_time
-    epochs = np.concatenate([[0.0], np.cumsum(busy + recursion.switchovers)[:-1]])
-    times = np.append(np.column_stack([epochs, epochs + busy]).ravel(), tau)
-    latest = np.full((2 * stages, params.num_queues), -1)
-    latest[2 * np.arange(stages) + 1, recursion.polled] = np.arange(stages)
-    latest = np.maximum.accumulate(latest, axis=0)
-    wrapped = latest < 0
-    latest = np.where(wrapped, latest[-1], latest)
-    since = times[:-1, None] - times[2 * latest + 1] + tau * wrapped
-    levels = left[latest] + params.arrival_array * since
-    markers = [(kind, i) for i in range(stages) for kind in (POLL, DEPART)]
-    return PECandidate(
-        params=params,
-        control=control,
-        cycle_time=tau,
-        times=times,
-        levels=_clamp_levels(np.vstack([levels, levels[0]])),
-        markers=(*markers, (POLL, 0)),
-        busy_times=busy,
-    )
-
-
-def ratios_from_pe(pe: PECandidate) -> np.ndarray:
-    """Served share of the polled queue at each stage of the orbit.
-
-    Stages that poll an empty queue serve nothing; their ratio is reported
-    as 0 by convention.
-    """
-    table = pe.control.augmented_table(pe.params)
-    polled = np.asarray(table.stages)
-    at_poll = pe.polling_levels()[np.arange(pe.num_stages), polled]
-    at_depart = pe.departure_levels()[np.arange(pe.num_stages), polled]
-    ratios = np.zeros(pe.num_stages)
-    positive = at_poll > 0.0
-    ratios[positive] = (at_poll[positive] - at_depart[positive]) / at_poll[positive]
-    return ratios
+    """Breakpoint orbit of the periodic equilibrium (see ``VisitRecursion.orbit``)."""
+    return VisitRecursion(params, control.repetitions).orbit(control)
 
 
 class VisitRecursion:
@@ -226,9 +179,14 @@ class VisitRecursion:
     ``v_n = (1 - r_l) v_l + lam (s_l + sum_m (s_m + r_m v_m / d_m))`` over the
     stages ``m`` strictly in between.  This is ``A(r) v = b`` in the polled
     levels, with ``A(r) = base + coupling * r`` and ``b`` free of the ratios.
+    One recursion serves every ratio vector of its table: ``orbit`` builds the
+    breakpoint orbit, which a ``CustomCost`` integrates by quadrature, and
+    ``average_cost`` and ``cost_and_gradient`` integrate a separable cost in
+    closed form.
     """
 
     def __init__(self, params: SystemParameters, repetitions: int) -> None:
+        self.params = params
         self.cycle_time = cycle_length(params, repetitions)
         self.num_queues = params.num_queues
         polled = augment(params.table, repetitions).stages
@@ -301,6 +259,40 @@ class VisitRecursion:
         length.
         """
         return self._solve(np.asarray(ratios, dtype=float))[1]
+
+    def orbit(self, control: ControlParams) -> PECandidate:
+        """Breakpoint orbit of the periodic equilibrium, in closed form.
+
+        ``visits`` gives every stage's level left and busy time, and so every
+        polling and departure epoch.  Between its visits a queue refills
+        linearly, so its level at a breakpoint is the level left at its latest
+        departure plus the inflow since; before its first departure in the
+        tour that is its last departure of the previous tour.  Every level is
+        thus a sum of nonnegative terms, and a visit that empties its queue
+        leaves 0.
+        """
+        _, left, busy, _ = self.visits(control.ratio_array)
+        stages = len(busy)
+        tau = self.cycle_time
+        epochs = np.concatenate([[0.0], np.cumsum(busy + self.switchovers)[:-1]])
+        times = np.append(np.column_stack([epochs, epochs + busy]).ravel(), tau)
+        latest = np.full((2 * stages, self.num_queues), -1)
+        latest[2 * np.arange(stages) + 1, self.polled] = np.arange(stages)
+        latest = np.maximum.accumulate(latest, axis=0)
+        wrapped = latest < 0
+        latest = np.where(wrapped, latest[-1], latest)
+        since = times[:-1, None] - times[2 * latest + 1] + tau * wrapped
+        levels = left[latest] + self.params.arrival_array * since
+        markers = [(kind, i) for i in range(stages) for kind in (POLL, DEPART)]
+        return PECandidate(
+            params=self.params,
+            control=control,
+            cycle_time=tau,
+            times=times,
+            levels=_clamp_levels(np.vstack([levels, levels[0]])),
+            markers=(*markers, (POLL, 0)),
+            busy_times=busy,
+        )
 
     def average_cost(self, ratios, psi) -> float:
         """Time-average orbit cost under a ``SeparableCost`` ``psi``.
@@ -387,13 +379,12 @@ def simulate_fluid(
     control: ControlParams,
     initial_levels,
     horizon: float,
-    max_stages: int = 1_000_000,
 ) -> FluidTrajectory:
     """Apply the stage maps from ``initial_levels`` until ``horizon``.
 
     Every polling and departure epoch becomes a breakpoint; zero-duration
     stages leave coincident breakpoints rather than being dropped.  The walk
-    refuses to cross ``max_stages`` events, which guards against the
+    refuses to cross ``_MAX_STAGES`` events, which guards against the
     accumulation of infinitesimally short cycles when all switchovers vanish.
     """
     control.validate_for(params)
@@ -445,8 +436,8 @@ def simulate_fluid(
                 )
             cycle_starts.append(t)
         steps += 1
-        if steps > max_stages:
-            raise RuntimeError(f"exceeded {max_stages} stages before the horizon")
+        if steps > _MAX_STAGES:
+            raise RuntimeError(f"exceeded {_MAX_STAGES} stages before the horizon")
     return FluidTrajectory(
         params=params,
         control=control,
@@ -468,17 +459,14 @@ def visit_busy_shares(pe: PECandidate, queue: int) -> np.ndarray:
     return busy / total
 
 
-def convergence_distance(
-    trajectory: FluidTrajectory, pe: PECandidate, window: float | None = None
-) -> np.ndarray:
+def convergence_distance(trajectory: FluidTrajectory, pe: PECandidate) -> np.ndarray:
     """Sup-norm distance between the path and the orbit, per started tour.
 
-    Entry m compares the trajectory over ``[u_m, u_m + window]`` against the
-    periodic orbit started in phase at ``u_m``; both are piecewise linear, so
-    the supremum is attained on the union of their breakpoints.
+    Entry m compares the trajectory over the tour ``[u_m, u_m + tau]`` against
+    the periodic orbit started in phase at ``u_m``; both are piecewise linear,
+    so the supremum is attained on the union of their breakpoints.
     """
-    if window is None:
-        window = pe.cycle_time
+    window = pe.cycle_time
     end = trajectory.times[-1]
     distances = []
     offsets = np.unique(np.concatenate([pe.times, [0.0]]))

@@ -228,11 +228,3 @@ class ControlParams:
         """Per-queue sums of ratios over the queue's visit stages."""
         stages = np.asarray(self.augmented_table(params).stages)
         return np.bincount(stages, self.ratio_array, params.num_queues)
-
-    def in_compact_set(self, params: SystemParameters, atol: float = 1e-9) -> bool:
-        """True when every per-queue ratio sum is at least 1.
-
-        Restricting the search to this compact subset loses no generality for
-        equilibrium cost and guarantees an optimum is attained.
-        """
-        return bool(np.all(self.queue_ratio_sums(params) >= 1.0 - atol))

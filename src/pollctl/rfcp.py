@@ -26,7 +26,7 @@ from .cost import (
     SeparableCost,
     pe_average_cost,
 )
-from .fluid import VisitRecursion, pe_from_params
+from .fluid import VisitRecursion
 from .model import (
     ControlParams,
     InvalidControl,
@@ -41,16 +41,16 @@ def _cost_of_ratios(params: SystemParameters, repetitions: int, psi: CostFunctio
     """Equilibrium cost as a function of the ratios, and the same function
     returning its gradient too, if there is one: closed form and adjoint
     gradient for separable costs, quadrature along the breakpoint orbit and
-    no gradient otherwise."""
+    no gradient otherwise.  Both come from one ``VisitRecursion``."""
+    recursion = VisitRecursion(params, repetitions)
     if isinstance(psi, SeparableCost):
-        recursion = VisitRecursion(params, repetitions)
         return (
             partial(recursion.average_cost, psi=psi),
             partial(recursion.cost_and_gradient, psi=psi),
         )
 
     def cost(r):
-        return pe_average_cost(pe_from_params(params, ControlParams(repetitions, r)), psi)
+        return pe_average_cost(recursion.orbit(ControlParams(repetitions, r)), psi)
 
     return cost, None
 

@@ -125,17 +125,6 @@ def batch_means(samples: np.ndarray, batches: int = 20) -> np.ndarray:
     return trimmed.mean(axis=1)
 
 
-def mean_ci(
-    samples: np.ndarray, batches: int = 20, confidence: float = 0.95
-) -> tuple[float, float]:
-    """(point estimate, half-width) for the mean via batch means."""
-    means = batch_means(samples, batches)
-    estimate = float(means.mean())
-    scale = float(means.std(ddof=1)) / np.sqrt(means.size)
-    quantile = t_quantile(confidence, means.size - 1)
-    return estimate, float(quantile * scale)
-
-
 def ratio_ci(
     numerators: np.ndarray,
     denominators: np.ndarray,
@@ -158,19 +147,17 @@ def ratio_ci(
     return estimate, float(quantile * scale)
 
 
-def geweke_z(
-    samples: np.ndarray, head_fraction: float = 0.1, tail_fraction: float = 0.5
-) -> float:
+def geweke_z(samples: np.ndarray) -> float:
     """Geweke convergence score: standardised gap between the mean of the
-    first ``head_fraction`` and the last ``tail_fraction`` of the series.
+    first tenth and the last half of the series, each at least 8 samples.
 
     Variances are estimated per segment from non-overlapping batches, which
     absorbs short-range autocorrelation.  |z| beyond about 3 suggests the
     series has not settled.
     """
     samples = np.asarray(samples, dtype=float)
-    head = samples[: max(int(samples.size * head_fraction), 8)]
-    tail = samples[-max(int(samples.size * tail_fraction), 8) :]
+    head = samples[: max(int(samples.size * 0.1), 8)]
+    tail = samples[-max(int(samples.size * 0.5), 8) :]
 
     def _segment(seg: np.ndarray) -> tuple[float, float]:
         parts = max(min(seg.size // 4, 16), 2)

@@ -489,11 +489,13 @@ def test_simulate_reports_cost_passes(tmp_path):
 
 
 def test_simulate_workers_never_exceed_replications_or_cpus(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "process_cpus", lambda: 4)
     assert cli._worker_count(threads=64, replications=3) == 3
     assert cli._worker_count(threads=64, replications=100) == 4
     assert cli._worker_count(threads=2, replications=100) == 2
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    # the CPUs the process may run on, not the machine's
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "process_cpus", lambda: 1)
     assert cli._worker_count(threads=8, replications=8) == 1
 
 
@@ -519,7 +521,6 @@ def test_simulate_shares_the_cpus_among_its_workers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(cli, "run", run)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(cli, "process_cpus", lambda: 8)
     config = write_config(
         tmp_path,

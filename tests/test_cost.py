@@ -32,7 +32,7 @@ def quad_oracle(scalar, x0: float, x1: float, duration: float) -> float:
 def test_linear_scalar_trapezoid():
     lin = LinearScalar(2.5)
     assert lin.value(3.0) == 7.5
-    assert lin.segment_integral(1.0, 3.0, 2.0) == pytest.approx(10.0, abs=1e-15)
+    assert lin.integrals(1.0, 3.0, 2.0) == pytest.approx(10.0, abs=1e-15)
 
 
 def test_piecewise_linear_branches_and_right_continuity():
@@ -80,14 +80,14 @@ def test_piecewise_segment_integral_matches_quadrature():
         (0.0, 1.0, 1.0),   # lands exactly on a threshold
     ]
     for x0, x1, duration in cases:
-        exact = pwl.segment_integral(x0, x1, duration)
+        exact = pwl.integrals(x0, x1, duration)
         if x0 == x1:
             assert exact == pytest.approx(pwl.value(x0) * duration, rel=1e-12)
         else:
             assert exact == pytest.approx(
                 quad_oracle(pwl, x0, x1, duration), rel=1e-10
             )
-    assert pwl.segment_integral(0.2, 7.5, 0.0) == 0.0
+    assert pwl.integrals(0.2, 7.5, 0.0) == 0.0
 
 
 def test_polynomial_scalar_value_and_integral():
@@ -95,9 +95,9 @@ def test_polynomial_scalar_value_and_integral():
     assert poly.value(3.0) == pytest.approx(19.0)
     assert poly.growth_order == 2.0
     # mean of 1 + 2 x^2 over x in [1, 4] is 1 + 2 * (64 - 1) / 9 = 15
-    assert poly.segment_integral(1.0, 4.0, 2.0) == pytest.approx(30.0, rel=1e-12)
-    assert poly.segment_integral(2.0, 2.0, 3.0) == pytest.approx(27.0, rel=1e-12)
-    assert poly.segment_integral(1.0, 4.0, 2.0) == pytest.approx(
+    assert poly.integrals(1.0, 4.0, 2.0) == pytest.approx(30.0, rel=1e-12)
+    assert poly.integrals(2.0, 2.0, 3.0) == pytest.approx(27.0, rel=1e-12)
+    assert poly.integrals(1.0, 4.0, 2.0) == pytest.approx(
         quad_oracle(poly, 1.0, 4.0, 2.0), rel=1e-10
     )
 
@@ -115,7 +115,7 @@ def test_integrals_vectorise_over_pieces():
         batch = scalar.integrals(x0, x1, dt)
         assert batch.shape == x0.shape
         for j in range(len(x0)):
-            one = scalar.segment_integral(x0[j], x1[j], dt[j])
+            one = scalar.integrals(x0[j], x1[j], dt[j])
             assert batch[j] == pytest.approx(one, rel=1e-14, abs=0.0)
             if dt[j] == 0.0:
                 assert batch[j] == 0.0
@@ -351,17 +351,25 @@ def test_custom_cost_matches_separable_on_segments():
         [[0.0, 1.0, 2.5], [0.0, 3.0]], [[0.5, 1.0, 2.0], [1.0, 4.0]]
     )
     gen = np.random.default_rng(11)
-    for _ in range(20):
-        start = gen.uniform(0.0, 5.0, 2)
-        end = gen.uniform(0.0, 5.0, 2)
-        duration = float(gen.uniform(0.1, 3.0))
-        for psi, rel in ((smooth, 1e-9), (kinked, 2e-6)):
-            a = psi.segment_integral(start, end, duration)
-            b = pc.CustomCost(psi.value, psi.growth_order).segment_integral(
-                start, end, duration
-            )
+    pieces = [
+        (gen.uniform(0.0, 5.0, 2), gen.uniform(0.0, 5.0, 2), gen.uniform(0.1, 3.0))
+        for _ in range(20)
+    ]
+    pieces.append((pieces[0][0], pieces[0][1], 0.0))
+    start, end, duration = (np.array(column) for column in zip(*pieces))
+    for psi, rel in ((smooth, 1e-9), (kinked, 2e-6)):
+        custom = pc.CustomCost(psi.value, psi.growth_order)
+        # the 20 segments and a zero-duration piece in one call
+        batch = custom.integrals(start, end, duration)
+        assert batch.shape == duration.shape
+        assert batch[-1] == 0.0
+        for j in range(duration.size):
+            one = custom.integrals(start[j], end[j], duration[j])
+            assert batch[j] == one
             # kinks defeat the quadrature's error estimate, hence the looser bar
-            assert b == pytest.approx(a, rel=rel, abs=1e-12)
+            assert one == pytest.approx(
+                psi.integrals(start[j], end[j], duration[j]), rel=rel, abs=1e-12
+            )
 
 
 def test_custom_cost_joint_function():
@@ -370,7 +378,7 @@ def test_custom_cost_joint_function():
 
     custom = pc.CustomCost(worst_queue, growth_order=1.0)
     # max(2 - 2t, 2t) on the unit interval integrates to 3/2 per unit time
-    assert custom.segment_integral([2.0, 0.0], [0.0, 2.0], 3.0) == pytest.approx(
+    assert custom.integrals([2.0, 0.0], [0.0, 2.0], 3.0) == pytest.approx(
         4.5, rel=1e-9
     )
     assert custom.value([1.0, 5.0]) == 5.0
@@ -403,7 +411,7 @@ def test_segment_loop_and_vectorised_path_agree(revisit_params):
     psi = pc.piecewise_linear_cost(
         [[0.0, 2.0], [0.0, 1.0, 5.0], [0.0]], [[1.0, 3.0], [0.5, 1.0, 4.0], [2.0]]
     )
-    # CustomCost stays on the per-segment quadrature loop
+    # CustomCost integrates piece by piece by quadrature
     custom = pc.CustomCost(psi.value, growth_order=1.0)
     assert pc.pe_average_cost(pe, custom) == pytest.approx(
         pc.pe_average_cost(pe, psi), rel=1e-8
@@ -461,8 +469,8 @@ def test_segment_integral_time_additivity(seed, x0, x1, split):
     pwl = PiecewiseLinearScalar(thresholds, slopes)
     duration = 2.0
     mid = x0 + split * (x1 - x0)
-    whole = pwl.segment_integral(x0, x1, duration)
-    parts = pwl.segment_integral(x0, mid, split * duration) + pwl.segment_integral(
+    whole = pwl.integrals(x0, x1, duration)
+    parts = pwl.integrals(x0, mid, split * duration) + pwl.integrals(
         mid, x1, (1.0 - split) * duration
     )
     assert parts == pytest.approx(whole, rel=1e-9, abs=1e-12)

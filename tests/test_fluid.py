@@ -94,16 +94,6 @@ def test_pe_interpolation_and_flow_balance(symmetric_pe):
     assert np.abs(pe.flow_balance_residual()).max() < 1e-10
 
 
-def test_ratios_recovered_from_orbit(symmetric_params, revisit_params):
-    for params, ratios in (
-        (symmetric_params, (1.0, 0.6)),
-        (revisit_params, (0.9, 0.3, 1.0, 0.8, 0.4)),
-    ):
-        ctrl = pc.ControlParams(1, ratios)
-        pe = pc.pe_from_params(params, ctrl)
-        np.testing.assert_allclose(pc.ratios_from_pe(pe), ratios, atol=1e-9)
-
-
 # -- consistency of the three equilibrium routes ------------------------------
 
 

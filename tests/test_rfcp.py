@@ -16,7 +16,7 @@ from oracles import (
     project_to_compact_by_masks,
     slsqp_search_cost,
 )
-from pollctl import rfcp
+from pollctl import fluid
 from pollctl.config import cost_from, load_config, system_from
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
@@ -321,12 +321,13 @@ def test_solve_with_custom_cost_reaches_linear_optimum(revisit_params, monkeypat
     custom = pc.CustomCost(lambda q: q @ slopes, growth_order=1.0)
     linear = pc.solve_rfcp(revisit_params, pc.linear_cost(slopes), (1,), budget=2)
     orbits = []
+    orbit = pc.VisitRecursion.orbit
 
-    def recording(*args):
-        orbits.append(args)
-        return pc.pe_from_params(*args)
+    def recording(self, control):
+        orbits.append(control)
+        return orbit(self, control)
 
-    monkeypatch.setattr(rfcp, "pe_from_params", recording)
+    monkeypatch.setattr(pc.VisitRecursion, "orbit", recording)
     solution = pc.solve_rfcp(revisit_params, custom, (1,), budget=2)
     # forward differences: every gradient costs one orbit per ratio plus one
     assert solution.evaluations == len(orbits)
@@ -335,6 +336,31 @@ def test_solve_with_custom_cost_reaches_linear_optimum(revisit_params, monkeypat
     assert solution.cost == pytest.approx(
         pc.control_cost(revisit_params, solution.control, custom), rel=1e-12
     )
+
+
+def test_custom_cost_search_builds_one_recursion_per_table(revisit_params, monkeypatch):
+    custom = pc.CustomCost(lambda q: q @ np.array([1.0, 1.0, 8.0]), growth_order=1.0)
+    builds = []
+    init, orbit = fluid.VisitRecursion.__init__, fluid.VisitRecursion.orbit
+
+    def counting(self, params, repetitions):
+        builds.append(repetitions)
+        init(self, params, repetitions)
+
+    monkeypatch.setattr(fluid.VisitRecursion, "__init__", counting)
+    reused = pc.solve_rfcp(revisit_params, custom, (1, 2), budget=1)
+    assert builds == [1, 2]
+
+    def rebuilt(self, control):
+        return orbit(fluid.VisitRecursion(self.params, control.repetitions), control)
+
+    # a recursion built afresh for every orbit gives the same search
+    builds.clear()
+    monkeypatch.setattr(fluid.VisitRecursion, "orbit", rebuilt)
+    fresh = pc.solve_rfcp(revisit_params, custom, (1, 2), budget=1)
+    assert len(builds) == 2 + fresh.evaluations
+    assert (fresh.cost, fresh.evaluations) == (reused.cost, reused.evaluations)
+    assert fresh.ratios == reused.ratios
 
 
 def scaled_costs(scale: float) -> dict[str, pc.CostFunction]:
