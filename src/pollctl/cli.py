@@ -240,6 +240,7 @@ def _run_replication(payload: tuple[dict, int, int, int]) -> dict[str, Any]:
             "simulate_s": simulate_s,
             "refills_ahead": result.refills_ahead,
             "refill_wait_s": result.refill_wait_s,
+            "drawn_inline": result.drawn_inline,
         },
     }
     if psi is not None:

@@ -37,14 +37,21 @@ draw index, so they depend on the seed alone, not on when the simulator
 asks for them.
 
 Each queue's arrival and service streams are therefore functions of the seed
-alone, and a stream may be drawn before it is needed.  With a CPU to spare, a
-queue whose tours are expected to hold ``AHEAD_REFILL`` arrivals or more
-keeps the next ``AHEAD_REFILL`` values of both its streams in flight on one
-worker thread per run, where NumPy fills and cumsums run without the
-interpreter lock; the simulator thread keeps the busy-period ``accumulate``,
-the first-passage comparison, the binomials and switchovers and ``_flush``.
-Other queues, and runs with a single CPU, draw their streams inline: at
-smaller scales the simulator makes many small NumPy calls, and handing the
+alone, and a stream may be drawn before it is needed.  Each queue's two
+streams, and its completion epochs in the open block, live in reused
+``_Store`` arrays: values are drawn, cumulated and accumulated straight into
+them, a read is a view, and a full store moves its live values to its front,
+or to an array a quarter larger than they and the request when they do not
+fit there (an arrival clock drawing inline always moves, so that the views
+it handed out keep their epochs).  With a CPU to spare, a queue whose
+tours are expected to hold ``AHEAD_GATE`` arrivals or more keeps the next
+``AHEAD_REFILL`` values of both its streams in flight on one worker thread per
+run, written into the store's free tail, where NumPy fills and cumsums run
+without the interpreter lock; the simulator thread keeps the busy-period
+``accumulate``, the first-passage comparison, the binomials and switchovers
+and ``_flush``, and moves a store only while no refill is in flight.  Other
+queues, and runs with a single CPU, draw their streams inline: at smaller
+scales the simulator makes many small NumPy calls, and handing the
 interpreter lock to the worker between them costs more than the overlap
 saves.  Either way every value keeps its bits.  The worker is started on the
 first refill sent to it and stopped when ``run`` returns or raises; an error
@@ -112,6 +119,9 @@ class _RefillThread:
         #: refills read from the worker, and seconds spent waiting for them
         self.refills = 0
         self.wait_s = 0.0
+        #: values of the streams drawn ahead that the calling thread drew
+        #: itself: top-ups of short requests and refills still queued
+        self.drawn_inline = 0
 
     def submit(self, fn, *args):
         if self._pool is None:
@@ -124,6 +134,7 @@ class _RefillThread:
         future, fn, args = refill
         if future.cancel():
             # still queued behind other streams' refills: made here instead
+            self.drawn_inline += AHEAD_REFILL
             return fn(*args)
         start = time.perf_counter()
         value = future.result()
@@ -137,40 +148,70 @@ class _RefillThread:
             self._pool = None
 
 
-#: values in each refill of a stream drawn ahead; a queue's streams are drawn
-#: ahead once its tours are expected to hold as many arrivals
+#: values in each refill of a stream drawn ahead
 AHEAD_REFILL = 32768
+#: arrivals a queue's tours are expected to hold before its streams are drawn
+#: ahead: on the README system the worker loses below 3 200 arrivals per tour
+#: and wins from 6 400 on
+AHEAD_GATE = 4096
 
 
 def _drawn_ahead(scaled: ScaledSystem, control: ControlParams, cpus: int) -> list[bool]:
     """Per queue, whether its streams are drawn ahead on a worker thread: with
-    a CPU to spare, once its tours are expected to hold a refill's worth of
-    arrivals, and so of services.  At scale ``n`` a tour lasts ``n`` fluid
-    tour lengths in equilibrium, whatever the ratios."""
+    a CPU to spare, once its tours are expected to hold ``AHEAD_GATE``
+    arrivals, and so as many services.  At scale ``n`` a tour lasts ``n``
+    fluid tour lengths in equilibrium, whatever the ratios."""
     params = scaled.params
     if cpus < 2:
         return [False] * params.num_queues
     tour = scaled.scale * cycle_length(params, control.repetitions)
-    return [rate * tour >= AHEAD_REFILL for rate in params.arrival_rates]
+    return [rate * tour >= AHEAD_GATE for rate in params.arrival_rates]
 
 
-def _sample(dist: Distribution, gen: np.random.Generator, count: int) -> np.ndarray:
-    return np.asarray(dist.sample(gen, count), dtype=float)
+class _Store:
+    """Values of one stream in a reused array: the live ones are
+    ``_store[_start:_end]``, and the owner counts its own positions from
+    ``_start``.
+
+    ``_room(size)`` hands out the ``size`` slots after ``_end``, which the
+    owner fills before it moves ``_end`` past them.  When they do not fit,
+    the live values move to the front of the array, or, when they and the
+    request do not fit there either or ``fresh`` is set, to a new array a
+    quarter larger than they and the request; ``fresh`` keeps every view
+    handed out intact.  Either way ``_start`` becomes 0.  An owner makes room
+    only while no refill is being written into the array on another thread.
+    """
+
+    def __init__(self):
+        self._store = np.empty(0)
+        self._start = self._end = 0
+
+    def _room(self, size: int, fresh: bool = False) -> np.ndarray:
+        if self._end + size > self._store.size:
+            live = self._store[self._start : self._end]
+            if fresh or live.size + size > self._store.size:
+                self._store = np.empty((live.size + size) * 5 // 4)
+            self._store[: live.size] = live
+            self._start, self._end = 0, live.size
+        return self._store[self._end : self._end + size]
 
 
-class _SampleBuffer:
+class _SampleBuffer(_Store):
     """Sequential i.i.d. draws with rollback of unused values.
 
-    ``take`` may over-draw; ``rollback`` returns the tail to the stream so the
-    next ``take`` sees exactly the same values.  Consumption therefore depends
-    only on how many draws were actually used.
+    ``take`` may over-draw; it returns a view of the store, and ``rollback``
+    moves the read pointer back so the next ``take`` sees exactly the same
+    values.  Consumption therefore depends only on how many draws were
+    actually used.  The live values are the unread ones and those of the
+    takes since the last refill: a refill drops the values read before it,
+    and a rollback drops them once they are a refill's worth.
 
     Without a ``worker``, refills are drawn inline, at least ``CHUNK`` at a
     time.  With one, a short ``take`` reads the ``AHEAD_REFILL`` values in
     flight on the worker, draws what they leave short inline and puts the
-    next refill in flight.  ``rollback`` drops the values used when they are
-    a refill's worth or more.  Block draws equal scalar draws for every
-    shipped kind, so no value depends on where refills fall.
+    next refill in flight.  Every refill is drawn straight into the store by
+    ``Distribution.fill``.  Block draws equal scalar draws for every shipped
+    kind, so no value depends on where refills fall.
     """
 
     CHUNK = 1024
@@ -181,42 +222,48 @@ class _SampleBuffer:
         gen: np.random.Generator,
         worker: _RefillThread | None = None,
     ):
+        super().__init__()
         self._dist = dist
         self._gen = gen
         self._worker = worker
         self._next = None
-        self._values = np.empty(0)
         self._ptr = 0
 
+    def _draw(self, size: int) -> None:
+        self._dist.fill(self._gen, self._room(size))
+        self._end += size
+
     def take(self, count: int) -> np.ndarray:
-        short = self._ptr + count - self._values.size
+        ptr = self._start + self._ptr
+        short = ptr + count - self._end
         if short > 0:
-            parts = [self._values[self._ptr :]]
-            if self._worker is None:
-                parts.append(_sample(self._dist, self._gen, max(short, self.CHUNK)))
+            self._start, self._ptr = ptr, 0
+            worker = self._worker
+            if worker is None:
+                self._draw(max(short, self.CHUNK))
             else:
                 if self._next is not None:
-                    parts.append(self._worker.result(self._next))
+                    worker.result(self._next)
+                    self._next = None
+                    self._end += AHEAD_REFILL
                     short -= AHEAD_REFILL
                 if short > 0:
-                    parts.append(_sample(self._dist, self._gen, short))
-                self._next = self._worker.submit(
-                    _sample, self._dist, self._gen, AHEAD_REFILL
+                    self._draw(short)
+                    worker.drawn_inline += short
+                # the store moves only while no refill is in flight
+                self._next = worker.submit(
+                    self._dist.fill, self._gen, self._room(AHEAD_REFILL)
                 )
-            self._values = np.concatenate(parts)
-            self._ptr = 0
-        view = self._values[self._ptr : self._ptr + count]
+            ptr = self._start
         self._ptr += count
-        return view
+        return self._store[ptr : ptr + count]
 
     def rollback(self, count: int) -> None:
         if not 0 <= count <= self._ptr:
             raise RuntimeError(f"cannot roll back {count} of {self._ptr} draws")
         self._ptr -= count
         if self._ptr >= AHEAD_REFILL:
-            # the values used leave the buffer while it is idle; fewer are
-            # not worth the copy of the rest
-            self._values = self._values[self._ptr :].copy()
+            self._start += self._ptr
             self._ptr = 0
 
 
@@ -235,26 +282,28 @@ def _cumulate(rows: np.ndarray, gen: np.random.Generator, scale: float, head: fl
     return float(heads[-1])
 
 
-class _ArrivalClock:
+class _ArrivalClock(_Store):
     """Poisson arrival epochs for one queue, consumed in time order.
 
     ``peek_until(t)`` returns the pending epochs strictly before ``t`` without
     advancing; ``advance_to(t)`` consumes them and returns their count.  The
-    epochs consumed since the tour mark stay buffered, and ``take_tour``
-    returns them as one view and moves the mark to the read pointer.  The
-    simulator takes them once per block of tours, so the mark stays at the
-    first tour whose cost is not yet integrated.  With a ``worker``, a view
-    holds its epochs until the next request.
+    live epochs start at the tour mark: those consumed since it stay in the
+    store, and ``take_tour`` returns them as one view and moves the mark to
+    the read pointer.  The simulator takes them once per block of tours, so
+    the mark stays at the first tour whose cost is not yet integrated.
 
     Epochs are cumulated in blocks of ``BLOCK`` gaps that line up with the
     substream's draw index: an epoch is its block's head (the last epoch of
     the block before, 0 for the first) plus the cumsum of its block's gaps up
     to it.  Every epoch is therefore a function of the seed alone, whatever
     the requests that trigger the refills.  Refills are inline, doubling up
-    to 256 blocks per pass.  With a ``worker``, the clock keeps the next
-    ``AHEAD_REFILL`` epochs in flight, cumulated on the worker straight into
-    the store; a request they leave short is topped up inline, and the next
-    refill sent.
+    to 256 blocks per pass, into a new store whenever the store is full, so
+    the views handed out keep their epochs.  With a ``worker``, the clock
+    keeps the next ``AHEAD_REFILL`` epochs in flight, cumulated on the worker
+    straight into the store; a request they leave short is topped up inline,
+    and the next refill sent.  It needs a refill's worth of room at every
+    refill, so it reuses its store, and a view holds its epochs until the
+    next request.
     """
 
     BLOCK = 4096
@@ -262,55 +311,43 @@ class _ArrivalClock:
     def __init__(
         self, rate: float, gen: np.random.Generator, worker: _RefillThread | None = None
     ):
+        super().__init__()
         self._scale = 1.0 / float(rate)
         self._gen = gen
         self._worker = worker
         self._next = None
-        self._store = self._times = np.empty(0)
-        self._mark = 0
+        self._times = self._store
         self._ptr = 0
         self._horizon = 0.0
 
-    def _rows(self, end: int, size: int) -> tuple[int, np.ndarray]:
-        """Room for ``size`` epochs after ``end``, as (blocks, BLOCK) rows,
-        and where ``end`` then lies.  When the store is full, the epochs from
-        the tour mark on move to a store a quarter larger than they and the
-        request, so the views handed out keep their epochs.  A clock drawing
-        ahead moves them to the front of its own store instead when they and
-        the request fit there: it needs a refill's worth of room at every
-        refill, and a new store each time holds old and new stores of about
-        1 MB at once (2-3 MB more peak RSS at scale 500)."""
-        if end + size > self._store.size:
-            kept = self._store[self._mark : end]
-            if self._worker is None or kept.size + size > self._store.size:
-                self._store = np.empty((kept.size + size) * 5 // 4)
-            self._store[: kept.size] = kept
-            self._ptr, self._mark, end = self._ptr - self._mark, 0, kept.size
-        return end, self._store[end : end + size].reshape(-1, self.BLOCK)
+    def _rows(self, size: int) -> np.ndarray:
+        """Room for ``size`` epochs, as (blocks, BLOCK) rows."""
+        room = self._room(size, fresh=self._worker is None)
+        return room.reshape(-1, self.BLOCK)
 
     def _ensure(self, t: float) -> None:
         if self._horizon > t:
             return
-        end = self._times.size
         worker = self._worker
         if self._next is not None:
             self._horizon = worker.result(self._next)
             self._next = None
-            end += AHEAD_REFILL
+            self._end += AHEAD_REFILL
         blocks = 1
         while self._horizon <= t:
-            end, rows = self._rows(end, blocks * self.BLOCK)
+            rows = self._rows(blocks * self.BLOCK)
             self._horizon = _cumulate(rows, self._gen, self._scale, self._horizon)
-            end += rows.size
+            self._end += rows.size
+            if worker is not None:
+                worker.drawn_inline += rows.size
             blocks = min(blocks * 2, 256)
         if worker is not None:
             # the next refill, cumulated on the worker behind the last one; the
             # store moves only while no refill is in flight
-            end, rows = self._rows(end, AHEAD_REFILL)
             self._next = worker.submit(
-                _cumulate, rows, self._gen, self._scale, self._horizon
+                _cumulate, self._rows(AHEAD_REFILL), self._gen, self._scale, self._horizon
             )
-        self._times = self._store[:end]
+        self._times = self._store[self._start : self._end]
 
     def peek_until(self, t: float) -> np.ndarray:
         self._ensure(t)
@@ -322,7 +359,10 @@ class _ArrivalClock:
         return self._ptr - ptr
 
     def take_tour(self) -> np.ndarray:
-        view, self._mark = self._times[self._mark : self._ptr], self._ptr
+        ptr = self._ptr
+        view, self._times = self._times[:ptr], self._times[ptr:]
+        self._start += ptr
+        self._ptr = 0
         return view
 
 
@@ -499,11 +539,12 @@ class _Engine:
         self.cost_integrations = 0
         self.cost_passes = 0
         # the block: tours whose records wait for their costs, the absolute
-        # completion epochs of its visits (one list per queue), and per stage
-        # its polling epoch, the polled queue's level then and its services
+        # completion epochs of its visits (one store per queue, reused by
+        # every block), and per stage its polling epoch, the polled queue's
+        # level then and its services
         self._block: list[_Tour] = []
         self._block_events = 0
-        self._downs: list[list[np.ndarray]] = [[] for _ in k_range]
+        self._downs = [_Store() for _ in k_range]
         self._epochs: list[float] = []
         self._found: list[int] = []
         self._served: list[int] = []
@@ -511,21 +552,23 @@ class _Engine:
 
     # -- window machinery ---------------------------------------------------
 
-    def _busy_period(
-        self, queue: int, drop: int, t0: float
-    ) -> tuple[float, int, np.ndarray]:
+    def _busy_period(self, queue: int, drop: int, t0: float) -> tuple[float, int]:
         """Serve ``queue`` from ``t0`` until its count first falls by ``drop``.
 
-        Returns (duration, services used, completion epochs relative to
-        ``t0``).  Works chunk-wise on drawn services, rolling back unused
-        ones.  With ``done`` services in earlier chunks and ``A(c)`` arrivals
-        before ``c``, the count has fallen by ``done + j + 1 - A(c_j)`` at
-        completion ``j``.  Rising at most one per completion, that walk first
-        reaches ``drop`` where pending arrival ``done + j + 1 - drop`` (0-based)
-        is at or after ``c_j`` or does not exist: ``>=`` puts completions first.
+        Returns (duration, services used), and appends the absolute
+        completion epochs to the queue's store of the block.  Works chunk-wise
+        on drawn services, rolling back unused ones; each chunk's completions
+        relative to ``t0`` are accumulated straight into the store.  With
+        ``done`` services in earlier chunks and ``A(c)`` arrivals before
+        ``c``, the count has fallen by ``done + j + 1 - A(c_j)`` at completion
+        ``j``.  Rising at most one per completion, that walk first reaches
+        ``drop`` where pending arrival ``done + j + 1 - drop`` (0-based) is at
+        or after ``c_j`` or does not exist: ``>=`` puts completions first.
         """
         clock = self._clocks[queue]
         buffer = self._services[queue]
+        downs = self._downs[queue]
+        first = downs._end
         load = self._loads[queue]
         # mean plus four standard deviations of an M/M/1 busy period's services
         expected = drop / (1.0 - load)
@@ -533,22 +576,22 @@ class _Engine:
         chunk = max(32, int(expected + 4.0 * spread) + 8)
         done = 0
         tail = 0.0
-        parts: list[np.ndarray] = []
         while True:
             draws = buffer.take(chunk)
-            completions = np.add.accumulate(draws)
+            completions = np.add.accumulate(draws, out=downs._room(draws.size))
             if tail:
                 completions += tail
             pending = clock.peek_until(t0 + completions[-1])
             hit = _first_passage(pending, t0, completions, drop - done - 1)
             if hit >= 0:
                 buffer.rollback(draws.size - hit - 1)
-                parts.append(completions[: hit + 1])
-                joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
-                return float(completions[hit]), done + hit + 1, joined
+                duration = float(completions[hit])
+                downs._end += hit + 1
+                downs._store[first : downs._end] += t0
+                return duration, done + hit + 1
             done += draws.size
+            downs._end += draws.size
             tail = float(completions[-1])
-            parts.append(completions)
             if done > 100_000_000:
                 raise RuntimeError("busy period failed to terminate")
             chunk = min(chunk * 2, 1 << 22)
@@ -568,10 +611,10 @@ class _Engine:
         served[stages, polled] = self._served
         self._epochs, self._found, self._served = [], [], []
         ups = [clock.take_tour() for clock in self._clocks]
-        downs = []
-        for parts in self._downs:
-            downs.append(np.concatenate(parts) if parts else np.empty(0))
-            parts.clear()
+        # views of the reused stores: nothing below keeps one
+        downs = [store._store[: store._end] for store in self._downs]
+        for store in self._downs:
+            store._end = 0
         # every queue's level at every polling epoch and at the block's end:
         # arrivals before it (one at the epoch comes after it, as in
         # ``advance_to``) minus services in the stages before it
@@ -654,9 +697,7 @@ class _Engine:
             else:
                 cleared = int(binomials.binomial(level, ratio))
             if cleared > 0:
-                duration, done, completions = self._busy_period(queue, cleared, t)
-                completions += t
-                self._downs[queue].append(completions)
+                duration, done = self._busy_period(queue, cleared, t)
                 t += duration
                 left = level + clock.advance_to(t) - done
                 if left != level - cleared:
@@ -727,6 +768,8 @@ class SimulationResult:
     refills_ahead: int = 0
     #: seconds the simulator waited for those refills
     refill_wait_s: float = 0.0
+    #: values of the streams drawn ahead that the simulator drew itself
+    drawn_inline: int = 0
 
     @cached_property
     def durations(self) -> np.ndarray:
@@ -832,6 +875,7 @@ def run(
         cost_passes=engine.cost_passes,
         refills_ahead=engine.refill_thread.refills,
         refill_wait_s=engine.refill_thread.wait_s,
+        drawn_inline=engine.refill_thread.drawn_inline,
     )
 
 

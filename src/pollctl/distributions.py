@@ -25,6 +25,11 @@ class Distribution:
     def sample(self, gen: np.random.Generator, size: int | None = None):
         raise NotImplementedError
 
+    def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        """Draw ``out.size`` values into ``out``, equal to
+        ``sample(gen, out.size)``."""
+        out[:] = self.sample(gen, out.size)
+
 
 @dataclass(frozen=True)
 class Deterministic(Distribution):
@@ -44,9 +49,13 @@ class Exponential(Distribution):
     def sample(self, gen: np.random.Generator, size: int | None = None):
         if size is None:
             return gen.standard_exponential() * self.mean
-        draws = gen.standard_exponential(size)
-        draws *= self.mean
+        draws = np.empty(size)
+        self.fill(gen, draws)
         return draws
+
+    def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        gen.standard_exponential(out=out)
+        out *= self.mean
 
 
 @dataclass(frozen=True)

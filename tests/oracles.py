@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 import pollctl as pc
+from pollctl import des
 from pollctl.fluid import _clamp_levels
 from pollctl.model import check_ratios
 
@@ -300,3 +301,91 @@ def arrival_epochs(rate: float, gen: np.random.Generator, count: int) -> np.ndar
         epochs.append(head + np.cumsum(row))
         head = float(epochs[-1][-1])
     return np.concatenate(epochs)[:count]
+
+
+class SampleBuffer:
+    """``des._SampleBuffer`` as first written: every short ``take`` joins the
+    unread values and the new draws into a new array by ``np.concatenate``,
+    and a ``rollback`` copies the unread values out once a refill's worth
+    has been used."""
+
+    CHUNK = 1024
+
+    def __init__(self, dist, gen: np.random.Generator, worker=None):
+        self._dist = dist
+        self._gen = gen
+        self._worker = worker
+        self._next = None
+        self._values = np.empty(0)
+        self._ptr = 0
+
+    @staticmethod
+    def _sample(dist, gen: np.random.Generator, count: int) -> np.ndarray:
+        return np.asarray(dist.sample(gen, count), dtype=float)
+
+    def take(self, count: int) -> np.ndarray:
+        short = self._ptr + count - self._values.size
+        if short > 0:
+            parts = [self._values[self._ptr :]]
+            if self._worker is None:
+                parts.append(self._sample(self._dist, self._gen, max(short, self.CHUNK)))
+            else:
+                if self._next is not None:
+                    parts.append(self._worker.result(self._next))
+                    short -= des.AHEAD_REFILL
+                if short > 0:
+                    parts.append(self._sample(self._dist, self._gen, short))
+                self._next = self._worker.submit(
+                    self._sample, self._dist, self._gen, des.AHEAD_REFILL
+                )
+            self._values = np.concatenate(parts)
+            self._ptr = 0
+        view = self._values[self._ptr : self._ptr + count]
+        self._ptr += count
+        return view
+
+    def rollback(self, count: int) -> None:
+        if not 0 <= count <= self._ptr:
+            raise RuntimeError(f"cannot roll back {count} of {self._ptr} draws")
+        self._ptr -= count
+        if self._ptr >= des.AHEAD_REFILL:
+            self._values = self._values[self._ptr :].copy()
+            self._ptr = 0
+
+
+def busy_period(engine, queue: int, drop: int, t0: float) -> tuple[float, int]:
+    """``des._Engine._busy_period`` as first written: each chunk's completions
+    in a new array, the chunks of a busy period joined by ``np.concatenate``
+    and shifted to absolute epochs.  The joined array is copied to the end of
+    the queue's completion store, so a block's store holds what ``_flush``
+    once joined from these arrays."""
+    clock = engine._clocks[queue]
+    buffer = engine._services[queue]
+    load = engine._loads[queue]
+    expected = drop / (1.0 - load)
+    spread = math.sqrt(expected * load / (1.0 - load) ** 2 + 1.0)
+    chunk = max(32, int(expected + 4.0 * spread) + 8)
+    done = 0
+    tail = 0.0
+    parts = []
+    while True:
+        draws = buffer.take(chunk)
+        completions = np.add.accumulate(draws)
+        if tail:
+            completions += tail
+        pending = clock.peek_until(t0 + completions[-1])
+        hit = des._first_passage(pending, t0, completions, drop - done - 1)
+        if hit >= 0:
+            buffer.rollback(draws.size - hit - 1)
+            parts.append(completions[: hit + 1])
+            joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            duration = float(completions[hit])
+            joined += t0
+            store = engine._downs[queue]
+            store._room(joined.size)[:] = joined
+            store._end += joined.size
+            return duration, done + hit + 1
+        done += draws.size
+        tail = float(completions[-1])
+        parts.append(completions)
+        chunk = min(chunk * 2, 1 << 22)

@@ -267,13 +267,16 @@ def test_simulate_reports_refills_ahead(tmp_path, monkeypatch):
     assert trees[True] == trees[False]
     assert all(rep["refills_ahead"] > 0 for rep in counters[True])
     assert all(rep["refill_wait_s"] >= 0.0 for rep in counters[True])
+    # each stream's first request is drawn before any refill is in flight
+    assert all(rep["drawn_inline"] > 0 for rep in counters[True])
     assert all(
-        rep["refills_ahead"] == 0 and rep["refill_wait_s"] == 0.0
+        rep["refills_ahead"] == 0
+        and rep["refill_wait_s"] == 0.0
+        and rep["drawn_inline"] == 0
         for rep in counters[False]
     )
-    assert "refill" not in (tmp_path / "ahead-True/simulation_summary.json").read_text(
-        "utf-8"
-    )
+    summary = (tmp_path / "ahead-True/simulation_summary.json").read_text("utf-8")
+    assert "refill" not in summary and "drawn_inline" not in summary
 
 
 def test_sweep_command_outputs(tmp_path):

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pollctl as pc
+import oracles
 from oracles import arrival_epochs, recorded_path_cost, walk_first_hit
 from pollctl import cost as cost_module
 from pollctl import des
-from pollctl.distributions import Deterministic, Distribution, Exponential
+from pollctl.distributions import Deterministic, Distribution, Exponential, Gamma
 
 
 @pytest.fixture
@@ -628,14 +629,47 @@ def test_rollback_drops_a_refills_worth_of_used_values(worker_type):
         buffer.rollback(7)
         # only the seven values rolled back are kept
         assert buffer._ptr == 0
-        assert buffer._values.size == 7
-        later = np.concatenate([buffer.take(5), buffer.take(2 * des.AHEAD_REFILL)])
+        assert buffer._end - buffer._start == 7
+        later = np.concatenate([buffer.take(5).copy(), buffer.take(2 * des.AHEAD_REFILL)])
     finally:
         if worker is not None:
             worker.close()
     fresh = des._SampleBuffer(dist, np.random.default_rng(4))
     fresh.take(used)
     assert later.tobytes() == fresh.take(later.size).tobytes()
+
+
+@pytest.mark.parametrize("worker_type", [None, des._RefillThread, WorkerOnly])
+@pytest.mark.parametrize(
+    "dist, oracle",
+    [
+        (Exponential(0.3), lambda gen, size: gen.exponential(0.3, size)),
+        (Gamma(0.3, shape=0.5), lambda gen, size: gen.gamma(0.5, 0.6, size)),
+    ],
+    ids=["exponential", "gamma"],
+)
+def test_services_equal_the_seed_only_oracle(worker_type, dist, oracle):
+    # takes of 1 to 60 000 values, each rolled back by up to all of it: the
+    # reads cross refill boundaries, fill the store and move it to the front
+    rng = np.random.default_rng(12)
+    worker = worker_type() if worker_type else None
+    buffer = des._SampleBuffer(dist, np.random.default_rng(6), worker=worker)
+    used = []
+    try:
+        for size in rng.integers(1, 60_000, 150) // rng.choice([1, 10, 1000], 150):
+            values = buffer.take(int(size) + 1)
+            keep = int(rng.integers(0, values.size + 1))
+            used.append(values[:keep].copy())
+            buffer.rollback(values.size - keep)
+    finally:
+        if worker is not None:
+            worker.close()
+    if worker_type is WorkerOnly:
+        assert worker.refills > 10
+    consumed = np.concatenate(used)
+    assert consumed.size > 8 * des.AHEAD_REFILL
+    expected = oracle(np.random.default_rng(6), consumed.size)
+    assert consumed.tobytes() == expected.tobytes()
 
 
 # -- refills drawn ahead on a worker thread -----------------------------------------
@@ -745,25 +779,105 @@ def test_refills_ahead_keep_every_bit_under_fast_thread_switches(
     assert run_bytes(runs["worker"]) == run_bytes(runs["inline"])
 
 
-def test_streams_go_ahead_from_a_refill_per_tour_with_a_cpu_to_spare(revisit_params):
+def capture_downs(monkeypatch, psi):
+    """Copies of the completion epochs each block hands ``psi``, per queue."""
+    blocks = []
+    integrals = psi.tour_integrals
+
+    def captured(self, levels, ups, downs, bounds, scale):
+        blocks.append([d.copy() for d in downs])
+        return integrals(levels, ups, downs, bounds, scale)
+
+    monkeypatch.setattr(type(psi), "tour_integrals", captured)
+    return blocks
+
+
+@pytest.mark.parametrize("mode", ["inline", "worker"])
+def test_block_store_completions_equal_the_per_busy_period_arrays(
+    revisit_params, monkeypatch, mode
+):
+    # scale 500 lies past the gate: tours of 40 000 arrivals per queue, busy
+    # periods of up to tens of thousands of services in one or more chunks
+    scaled = pc.scaled_system(revisit_params, 500)
+    runs, downs = {}, {}
+    for version in ("stores", "oracle"):
+        with monkeypatch.context() as patch:
+            use_refills(patch, mode)
+            if version == "oracle":
+                patch.setattr(des, "_SampleBuffer", oracles.SampleBuffer)
+                patch.setattr(des._Engine, "_busy_period", oracles.busy_period)
+            downs[version] = capture_downs(patch, COSTS["linear"])
+            runs[version] = pc.run(
+                scaled,
+                exhaustive(revisit_params),
+                COSTS["linear"],
+                warmup_cycles=0,
+                measured_cycles=10,
+                seed=5,
+                record_path_cycles=2,
+            )
+    assert len(downs["stores"]) == len(downs["oracle"]) == 10
+    for block, expected in zip(downs["stores"], downs["oracle"]):
+        assert [d.tobytes() for d in block] == [d.tobytes() for d in expected]
+    assert run_bytes(runs["stores"]) == run_bytes(runs["oracle"])
+
+
+@pytest.mark.parametrize("mode", ["inline", "worker"])
+def test_stores_are_reused_across_blocks(revisit_params, monkeypatch, mode):
+    # scale 200: every tour, of about 16 000 arrivals and as many services
+    # per queue, is a block of its own; the stores grow over the first tours
+    # out of the empty start, then keep their arrays
+    use_refills(monkeypatch, mode)
+    seen = []
+    flush = des._Engine._flush
+
+    def recorded(engine):
+        flush(engine)
+        stores = engine._services + engine._downs
+        if mode != "inline":
+            # an inline clock moves to a new store when full, so that the views
+            # it handed out keep their epochs
+            stores += engine._clocks
+        seen.append([store._store for store in stores])
+
+    monkeypatch.setattr(des._Engine, "_flush", recorded)
+    result = pc.run(
+        pc.scaled_system(revisit_params, 200),
+        exhaustive(revisit_params),
+        COSTS["linear"],
+        warmup_cycles=5,
+        measured_cycles=20,
+        seed=8,
+    )
+    assert len(seen) == 27
+    tour_events = max(max(r.arrivals.max(), r.services.max()) for r in result.records)
+    grown = seen[5]
+    for arrays in seen[5:]:
+        assert all(a is b for a, b in zip(arrays, grown))
+    # one tour's values, one refill in flight and one topped up, a quarter more
+    bound = (tour_events + 2 * des.AHEAD_REFILL) * 5 // 4
+    assert all(a.size <= bound for a in grown)
+
+
+def test_streams_go_ahead_from_the_gate_with_a_cpu_to_spare(revisit_params):
     # a tour of the revisit system lasts 40 * scale in equilibrium, whatever
-    # the ratios, and holds 80 * scale arrivals per queue: a refill's worth
-    # from scale 410 on, and from 205 on with the table run twice per tour
+    # the ratios, and holds 80 * scale arrivals per queue: the gate's 4 096
+    # from scale 52 on, and from 26 on with the table run twice per tour
     twice = pc.ControlParams(2, BINOMIAL.ratios * 2)
     for control, scale, cpus, ahead in [
-        (BINOMIAL, 409, 2, False),
-        (BINOMIAL, 410, 2, True),
-        (exhaustive(revisit_params), 410, 2, True),
-        (twice, 204, 2, False),
-        (twice, 205, 2, True),
+        (BINOMIAL, 51, 2, False),
+        (BINOMIAL, 52, 2, True),
+        (exhaustive(revisit_params), 52, 2, True),
+        (twice, 25, 2, False),
+        (twice, 26, 2, True),
         (BINOMIAL, 500, 1, False),
         (BINOMIAL, 500, 64, True),
     ]:
         scaled = pc.scaled_system(revisit_params, scale)
         assert des._drawn_ahead(scaled, control, cpus) == [ahead] * 3
     params = pc.SystemParameters((1.0, 3.0), (4.0, 6.0), (0, 1), (1.0, 1.0))
-    # tours of 8 * scale at load 3/4: queue 2 fills a refill from scale 1366
-    scaled = pc.scaled_system(params, 1366)
+    # tours of 8 * scale at load 3/4: queue 2 reaches the gate from scale 171
+    scaled = pc.scaled_system(params, 171)
     control = pc.ControlParams.exhaustive(params)
     assert des._drawn_ahead(scaled, control, 2) == [False, True]
 
@@ -773,9 +887,9 @@ def test_small_tours_start_no_refill_thread(revisit_params, monkeypatch):
         raise AssertionError("a refill went to the worker")
 
     monkeypatch.setattr(des._RefillThread, "submit", no_thread)
-    # scale 100 is the README's: 8 000 arrivals per queue and tour; scale
-    # 500 holds 40 000, but a run given one CPU keeps it to itself
-    for scale, tours, cpus in ((1, 300, 2), (7, 300, 2), (100, 20, 2), (500, 2, 1)):
+    # scale 51 holds 4 080 arrivals per queue and tour, just short of the
+    # gate; scale 500 holds 40 000, but a run given one CPU keeps it to itself
+    for scale, tours, cpus in ((1, 300, 2), (7, 300, 2), (51, 20, 2), (500, 2, 1)):
         result = pc.run(
             pc.scaled_system(revisit_params, scale),
             BINOMIAL,
@@ -785,7 +899,8 @@ def test_small_tours_start_no_refill_thread(revisit_params, monkeypatch):
             seed=2,
             cpus=cpus,
         )
-        assert result.refills_ahead == 0 and result.refill_wait_s == 0.0
+        assert result.refills_ahead == result.drawn_inline == 0
+        assert result.refill_wait_s == 0.0
 
 
 class ThirdDrawFails(Exception):
