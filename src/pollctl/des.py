@@ -37,25 +37,22 @@ draw index, so they depend on the seed alone, not on when the simulator
 asks for them.
 
 Each queue's arrival and service streams are therefore functions of the seed
-alone, and a stream may be drawn before it is needed.  Each queue's two
-streams, and its completion epochs in the open block, live in reused
-``_Store`` arrays: values are drawn, cumulated and accumulated straight into
-them, a read is a view, and a full store moves its live values to its front,
-or to an array a quarter larger than they and the request when they do not
-fit there (an arrival clock drawing inline always moves, so that the views
-it handed out keep their epochs).  With a CPU to spare, a queue whose
-tours are expected to hold ``AHEAD_GATE`` arrivals or more keeps the next
-``AHEAD_REFILL`` values of both its streams in flight on one worker thread per
-run, written into the store's free tail, where NumPy fills and cumsums run
-without the interpreter lock; the simulator thread keeps the busy-period
-``accumulate``, the first-passage comparison, the binomials and switchovers
-and ``_flush``, and moves a store only while no refill is in flight.  Other
-queues, and runs with a single CPU, draw their streams inline: at smaller
-scales the simulator makes many small NumPy calls, and handing the
-interpreter lock to the worker between them costs more than the overlap
-saves.  Either way every value keeps its bits.  The worker is started on the
-first refill sent to it and stopped when ``run`` returns or raises; an error
-in a refill the run reads is raised by ``run`` unchanged.
+alone, and a stream may be drawn before it is needed.  Both streams, and the
+queue's completion epochs in the open block, live in reused arrays
+(``_Store``): values are drawn, cumulated and accumulated straight into them
+and read as views.  With a CPU to spare, a queue whose tours are expected to
+hold ``AHEAD_GATE`` arrivals or more keeps the next ``AHEAD_REFILL`` values
+of both its streams in flight on one worker thread per run, written into the
+free tails of their stores, where NumPy fills and cumsums run without the
+interpreter lock; the simulator thread keeps the busy-period ``accumulate``,
+the first-passage comparison, the binomials and switchovers and ``_flush``,
+and moves a store's values only while no refill is in flight.  Other queues,
+and runs with a single CPU, draw their streams inline: at smaller scales the
+simulator makes many small NumPy calls, and handing the interpreter lock to
+the worker between them costs more than the overlap saves.  Either way every
+value keeps its bits.  The worker is started on the first refill sent to it
+and stopped when ``run`` returns or raises; an error in a refill the run
+reads is raised by ``run`` unchanged.
 """
 
 from __future__ import annotations
@@ -344,8 +341,9 @@ class _ArrivalClock(_Store):
         if worker is not None:
             # the next refill, cumulated on the worker behind the last one; the
             # store moves only while no refill is in flight
+            rows = self._rows(AHEAD_REFILL)
             self._next = worker.submit(
-                _cumulate, self._rows(AHEAD_REFILL), self._gen, self._scale, self._horizon
+                _cumulate, rows, self._gen, self._scale, self._horizon
             )
         self._times = self._store[self._start : self._end]
 

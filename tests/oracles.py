@@ -328,7 +328,8 @@ class SampleBuffer:
         if short > 0:
             parts = [self._values[self._ptr :]]
             if self._worker is None:
-                parts.append(self._sample(self._dist, self._gen, max(short, self.CHUNK)))
+                size = max(short, self.CHUNK)
+                parts.append(self._sample(self._dist, self._gen, size))
             else:
                 if self._next is not None:
                     parts.append(self._worker.result(self._next))

@@ -630,7 +630,9 @@ def test_rollback_drops_a_refills_worth_of_used_values(worker_type):
         # only the seven values rolled back are kept
         assert buffer._ptr == 0
         assert buffer._end - buffer._start == 7
-        later = np.concatenate([buffer.take(5).copy(), buffer.take(2 * des.AHEAD_REFILL)])
+        later = np.concatenate(
+            [buffer.take(5).copy(), buffer.take(2 * des.AHEAD_REFILL)]
+        )
     finally:
         if worker is not None:
             worker.close()
