@@ -241,7 +241,6 @@ class _SampleBuffer(_Store):
             else:
                 if self._next is not None:
                     worker.result(self._next)
-                    self._next = None
                     self._end += AHEAD_REFILL
                     short -= AHEAD_REFILL
                 if short > 0:

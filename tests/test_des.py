@@ -781,6 +781,28 @@ def test_refills_ahead_keep_every_bit_under_fast_thread_switches(
     assert run_bytes(runs["worker"]) == run_bytes(runs["inline"])
 
 
+def test_drawn_inline_counts_the_values_the_caller_drew():
+    # the worker's one thread is held, so every refill sent stays queued and
+    # is drawn by the caller when it is needed
+    worker = des._RefillThread()
+    release = threading.Event()
+    try:
+        worker.submit(release.wait, 10.0)
+        buffer = des._SampleBuffer(Exponential(1.0), np.random.default_rng(1), worker)
+        buffer.take(10)
+        assert worker.drawn_inline == 10
+        # the queued refill, then a top-up of the 100 values it leaves short
+        buffer.take(des.AHEAD_REFILL + 100)
+        assert worker.drawn_inline == 10 + des.AHEAD_REFILL + 100
+        clock = des._ArrivalClock(40.0, np.random.default_rng(1), worker)
+        clock.advance_to(1.0)
+        assert worker.drawn_inline == 10 + des.AHEAD_REFILL + 100 + clock.BLOCK
+        assert worker.refills == 0
+    finally:
+        release.set()
+        worker.close()
+
+
 def capture_downs(monkeypatch, psi):
     """Copies of the completion epochs each block hands ``psi``, per queue."""
     blocks = []
