@@ -37,22 +37,23 @@ draw index, so they depend on the seed alone, not on when the simulator
 asks for them.
 
 Each queue's arrival and service streams are therefore functions of the seed
-alone, and a stream may be drawn before it is needed.  Both streams, and the
-queue's completion epochs in the open block, live in reused arrays
-(``_Store``): values are drawn, cumulated and accumulated straight into them
-and read as views.  With a CPU to spare, a queue whose tours are expected to
-hold ``AHEAD_GATE`` arrivals or more keeps the next ``AHEAD_REFILL`` values
-of both its streams in flight on one worker thread per run, written into the
-free tails of their stores, where NumPy fills and cumsums run without the
-interpreter lock; the simulator thread keeps the busy-period ``accumulate``,
-the first-passage comparison, the binomials and switchovers and ``_flush``,
-and moves a store's values only while no refill is in flight.  Other queues,
-and runs with a single CPU, draw their streams inline: at smaller scales the
-simulator makes many small NumPy calls, and handing the interpreter lock to
-the worker between them costs more than the overlap saves.  Either way every
-value keeps its bits.  The worker is started on the first refill sent to it
-and stopped when ``run`` returns or raises; an error in a refill the run
-reads is raised by ``run`` unchanged.
+alone, and a stream may be drawn before it is needed.  Every stream, a
+stage's switchovers too, and each queue's completion epochs in the open
+block live in reused arrays (``_Store``): values are drawn, cumulated and
+accumulated straight into them and read as views, each valid until the
+owner's next request.  With a CPU to spare, a queue whose tours are expected
+to hold ``AHEAD_GATE`` arrivals or more keeps the next ``AHEAD_REFILL``
+values of both its streams in flight on one worker thread per run, written
+into the free tails of their stores, where NumPy fills and cumsums run
+without the interpreter lock; the simulator thread keeps the busy-period
+``accumulate``, the first-passage comparison, the binomials and switchovers
+and ``_flush``, and moves a store's values only while no refill is in
+flight.  Other queues, and runs with a single CPU, draw their streams
+inline: at smaller scales the simulator makes many small NumPy calls, and
+handing the interpreter lock to the worker between them costs more than the
+overlap saves.  Either way every value keeps its bits.  The worker is
+started on the first refill sent to it and stopped when ``run`` returns or
+raises; an error in a refill the run reads is raised by ``run`` unchanged.
 """
 
 from __future__ import annotations
@@ -173,24 +174,35 @@ class _Store:
     ``_room(size)`` hands out the ``size`` slots after ``_end``, which the
     owner fills before it moves ``_end`` past them.  When they do not fit,
     the live values move to the front of the array, or, when they and the
-    request do not fit there either or ``fresh`` is set, to a new array a
-    quarter larger than they and the request; ``fresh`` keeps every view
-    handed out intact.  Either way ``_start`` becomes 0.  An owner makes room
-    only while no refill is being written into the array on another thread.
+    request do not fit there either, to a new array a quarter larger than
+    they and the request; either way ``_start`` becomes 0.  A view of the
+    store is therefore valid until the owner's next request.  With a
+    ``worker``, the owner keeps one refill in flight (``_next``), written
+    into the ``AHEAD_REFILL`` slots after ``_end``; it makes room only after
+    ``_land``, so the store moves only while no refill is in flight.
     """
 
-    def __init__(self):
+    def __init__(self, worker: _RefillThread | None = None):
         self._store = np.empty(0)
         self._start = self._end = 0
+        self._worker = worker
+        self._next = None
 
-    def _room(self, size: int, fresh: bool = False) -> np.ndarray:
+    def _room(self, size: int) -> np.ndarray:
         if self._end + size > self._store.size:
             live = self._store[self._start : self._end]
-            if fresh or live.size + size > self._store.size:
+            if live.size + size > self._store.size:
                 self._store = np.empty((live.size + size) * 5 // 4)
             self._store[: live.size] = live
             self._start, self._end = 0, live.size
         return self._store[self._end : self._end + size]
+
+    def _land(self):
+        """Read the refill in flight into the live values; return its result."""
+        value = self._worker.result(self._next)
+        self._next = None
+        self._end += AHEAD_REFILL
+        return value
 
 
 class _SampleBuffer(_Store):
@@ -204,7 +216,7 @@ class _SampleBuffer(_Store):
     and a rollback drops them once they are a refill's worth.
 
     Without a ``worker``, refills are drawn inline, at least ``CHUNK`` at a
-    time.  With one, a short ``take`` reads the ``AHEAD_REFILL`` values in
+    time.  With one, a short ``take`` lands the ``AHEAD_REFILL`` values in
     flight on the worker, draws what they leave short inline and puts the
     next refill in flight.  Every refill is drawn straight into the store by
     ``Distribution.fill``.  Block draws equal scalar draws for every shipped
@@ -219,11 +231,9 @@ class _SampleBuffer(_Store):
         gen: np.random.Generator,
         worker: _RefillThread | None = None,
     ):
-        super().__init__()
+        super().__init__(worker)
         self._dist = dist
         self._gen = gen
-        self._worker = worker
-        self._next = None
         self._ptr = 0
 
     def _draw(self, size: int) -> None:
@@ -240,13 +250,11 @@ class _SampleBuffer(_Store):
                 self._draw(max(short, self.CHUNK))
             else:
                 if self._next is not None:
-                    worker.result(self._next)
-                    self._end += AHEAD_REFILL
+                    self._land()
                     short -= AHEAD_REFILL
                 if short > 0:
                     self._draw(short)
                     worker.drawn_inline += short
-                # the store moves only while no refill is in flight
                 self._next = worker.submit(
                     self._dist.fill, self._gen, self._room(AHEAD_REFILL)
                 )
@@ -293,13 +301,11 @@ class _ArrivalClock(_Store):
     the block before, 0 for the first) plus the cumsum of its block's gaps up
     to it.  Every epoch is therefore a function of the seed alone, whatever
     the requests that trigger the refills.  Refills are inline, doubling up
-    to 256 blocks per pass, into a new store whenever the store is full, so
-    the views handed out keep their epochs.  With a ``worker``, the clock
-    keeps the next ``AHEAD_REFILL`` epochs in flight, cumulated on the worker
-    straight into the store; a request they leave short is topped up inline,
-    and the next refill sent.  It needs a refill's worth of room at every
-    refill, so it reuses its store, and a view holds its epochs until the
-    next request.
+    to 256 blocks per pass.  With a ``worker``, the clock keeps the next
+    ``AHEAD_REFILL`` epochs in flight, cumulated on the worker straight into
+    the store; a request they leave short is topped up inline, and the next
+    refill sent.  Either way the clock reuses its store, and a view holds its
+    epochs until the next request.
     """
 
     BLOCK = 4096
@@ -307,28 +313,23 @@ class _ArrivalClock(_Store):
     def __init__(
         self, rate: float, gen: np.random.Generator, worker: _RefillThread | None = None
     ):
-        super().__init__()
+        super().__init__(worker)
         self._scale = 1.0 / float(rate)
         self._gen = gen
-        self._worker = worker
-        self._next = None
         self._times = self._store
         self._ptr = 0
         self._horizon = 0.0
 
     def _rows(self, size: int) -> np.ndarray:
         """Room for ``size`` epochs, as (blocks, BLOCK) rows."""
-        room = self._room(size, fresh=self._worker is None)
-        return room.reshape(-1, self.BLOCK)
+        return self._room(size).reshape(-1, self.BLOCK)
 
     def _ensure(self, t: float) -> None:
         if self._horizon > t:
             return
-        worker = self._worker
         if self._next is not None:
-            self._horizon = worker.result(self._next)
-            self._next = None
-            self._end += AHEAD_REFILL
+            self._horizon = self._land()
+        worker = self._worker
         blocks = 1
         while self._horizon <= t:
             rows = self._rows(blocks * self.BLOCK)
@@ -338,8 +339,7 @@ class _ArrivalClock(_Store):
                 worker.drawn_inline += rows.size
             blocks = min(blocks * 2, 256)
         if worker is not None:
-            # the next refill, cumulated on the worker behind the last one; the
-            # store moves only while no refill is in flight
+            # the next refill, cumulated on the worker behind the last one
             rows = self._rows(AHEAD_REFILL)
             self._next = worker.submit(
                 _cumulate, rows, self._gen, self._scale, self._horizon
@@ -440,13 +440,6 @@ class _PathRecorder:
         )
 
 
-def _draws(dist: Distribution, gen: np.random.Generator, size: int):
-    """Endless scalar draws of ``dist``, sampled ``size`` at a time; for every
-    shipped kind they equal draws taken one by one."""
-    while True:
-        yield from np.asarray(dist.sample(gen, size), dtype=float).tolist()
-
-
 def _served_before(served: np.ndarray) -> np.ndarray:
     """Services of each queue before every stage of a block and at its end:
     the exclusive cumsum of ``served`` (stages, queues) down the stages."""
@@ -467,11 +460,13 @@ class _Tour(NamedTuple):
 
 
 class _Engine:
+    """The simulator between tours.  Its stores: per queue an ``_ArrivalClock``,
+    a ``_SampleBuffer`` of services and the block's completion epochs; per
+    stage a ``_SampleBuffer`` of switchovers, each read by ``take(1)``."""
+
     #: arrivals plus completions a block of tours may hold before its costs
     #: are integrated and its records built; bounds the memory the block keeps
     BLOCK_EVENTS = 1 << 14
-    #: switchovers drawn at once from each stage's substream
-    SWITCHOVER_DRAWS = 256
 
     def __init__(
         self,
@@ -514,16 +509,15 @@ class _Engine:
         ]
         basic = len(table.basic)
         self._polled = np.array([table.polled_queue(i) for i in range(len(table))])
-        #: per stage: polled queue, ratio, binomial substream, switchover draws
+        #: per stage: polled queue, ratio, binomial substream, switchovers
         self._stages = [
             (
                 table.polled_queue(i),
                 float(ratio),
                 rng.substream(seed, rng.BINOMIALS, i),
-                _draws(
+                _SampleBuffer(
                     scaled.switchover[i % basic],
                     rng.substream(seed, rng.SWITCHOVERS, i),
-                    self.SWITCHOVER_DRAWS,
                 ),
             )
             for i, ratio in enumerate(control.ratio_array)
@@ -709,7 +703,7 @@ class _Engine:
                 levels[queue] = level
                 busy.append(0.0)
                 served.append(0)
-            pause = next(pauses)
+            pause = float(pauses.take(1)[0])
             if pause > 0.0:
                 t += pause
             switch.append(pause)
@@ -900,7 +894,9 @@ def polling_epoch_stats(
         means = batch_means(samples, batches)
         estimate = float(means.mean())
         error = float(means.std(ddof=1)) / math.sqrt(means.size)
-        z = (estimate - fluid) / error if error > 0 else math.inf
+        # with no spread, agreement scores 0 and any miss a signed infinity
+        gap = estimate - fluid
+        z = gap / error if error > 0 else math.copysign(math.inf, gap) if gap else 0.0
         rows.append(
             {
                 "kind": kind,
