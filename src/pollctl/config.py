@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from typing import Any
 
 from .cost import (
@@ -43,11 +44,20 @@ def _check_keys(
             raise ConfigError(f"missing key {path}.{key}")
 
 
+def _finite(value: Any) -> bool:
+    """Whether ``value`` is a number that a float holds, other than NaN and
+    the infinities, which Python's ``json`` also reads."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond every float
+        return False
+
+
 def _number_list(value: Any, path: str, length: int | None = None) -> list[float]:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(f"{path} must be a list of numbers")
+    if not isinstance(value, list) or not all(_finite(v) for v in value):
+        raise ConfigError(f"{path} must be a list of numbers, each finite")
     if length is not None and len(value) != length:
         raise ConfigError(f"{path} must have length {length}")
     return [float(v) for v in value]
@@ -75,8 +85,8 @@ def _resolve_distribution(section: Any, path: str) -> dict[str, Any]:
             if key not in allowed:
                 raise ConfigError(f"{path}.{key} does not apply to kind {kind!r}")
             value = section[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{path}.{key} must be a number")
+            if not _finite(value):
+                raise ConfigError(f"{path}.{key} must be a finite number")
             resolved[key] = float(value)
     return resolved
 
@@ -254,11 +264,7 @@ def _resolve_simulation(section: Any) -> dict[str, Any]:
     if warmup is not None:
         warmup = _positive_int(warmup, "simulation.warmup_cycles", minimum=0)
     confidence = section.get("confidence", 0.95)
-    if (
-        not isinstance(confidence, (int, float))
-        or isinstance(confidence, bool)
-        or not 0.0 < confidence < 1.0
-    ):
+    if not _finite(confidence) or not 0.0 < confidence < 1.0:
         raise ConfigError("simulation.confidence must lie in (0, 1)")
     measured = _positive_int(
         section.get("measured_cycles", 1000), "simulation.measured_cycles"

@@ -11,17 +11,19 @@ count is needed online: its arrival clock is advanced at its polling epoch
 count is checked), and every clock once at the tour's end.
 
 The other queues' levels at each polling epoch, and the cost, do not feed
-back into the dynamics, so they are rebuilt a block of tours at a time:
-tours are simulated until the block holds more than ``_Engine.BLOCK_EVENTS``
-arrivals and completions (or the run ends).  Then every queue's polling
+back into the dynamics, so a tour only logs what the dynamics produce: one
+row per stage (polling epoch, the polled queue's level then, its services,
+busy time and switchover) and one entry per tour (start levels, and whether
+its path is recorded).  Tours are simulated until the block holds more than
+``_Engine.BLOCK_EVENTS`` arrivals and completions (or the run ends).  Then
+every tour record is built from the log's arrays: every queue's polling
 levels come from one ``searchsorted`` of its arrivals over the block's
 polling epochs minus its services in the stages before (checked against the
-levels used online), the cost is integrated over the whole block by
+levels used online), and the cost is integrated over the whole block by
 ``CostFunction.tour_integrals``, from the block's arrival epochs (one
-contiguous slice of each queue's clock) and completion epochs, and the
-block's tour records are built.  A recorded path keeps the jumps of each
-queue's ``cost.block_path`` over the recorded tours, so every simulated path
-is merged in one place.
+contiguous slice of each queue's clock) and completion epochs.  A recorded
+path keeps the jumps of each queue's ``cost.block_path`` over the recorded
+tours, so every simulated path is merged in one place.
 
 Event-order convention at coincident epochs: service completions precede
 arrivals (the ``>=`` above), which precede switchover ends.  All sampled
@@ -64,7 +66,6 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -408,17 +409,12 @@ class ScaledPath:
 
 
 class _PathRecorder:
-    def __init__(self, num_queues: int):
-        self.origin: float | None = None
-        self.start: np.ndarray | None = None
-        self.end = 0.0
-        self._times: list[list[np.ndarray]] = [[] for _ in range(num_queues)]
-        self._values: list[list[np.ndarray]] = [[] for _ in range(num_queues)]
-
-    def begin(self, t: float, levels) -> None:
-        if self.origin is None:
-            self.origin = t
-            self.start = np.array(levels)
+    def __init__(self, origin: float, start: np.ndarray):
+        self.origin = origin
+        self.start = start
+        self.end = origin
+        self._times: list[list[np.ndarray]] = [[] for _ in start]
+        self._values: list[list[np.ndarray]] = [[] for _ in start]
 
     def add(self, end: float, paths: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """Append per-queue step paths of consecutive tours (absolute epochs,
@@ -429,7 +425,6 @@ class _PathRecorder:
             self._values[k].append(levels)
 
     def finalize(self, scale: int) -> ScaledPath:
-        assert self.origin is not None and self.start is not None
         times = tuple((np.concatenate(c) - self.origin) / scale for c in self._times)
         values = tuple(np.concatenate(c) / scale for c in self._values)
         return ScaledPath(
@@ -448,21 +443,12 @@ def _served_before(served: np.ndarray) -> np.ndarray:
     return before
 
 
-class _Tour(NamedTuple):
-    """A simulated tour whose record waits for its block's costs."""
-
-    start: float
-    levels: tuple[int, ...]
-    recorded: bool
-    #: every ``CycleRecord`` field but the cost, the polling levels, the
-    #: arrivals and the services
-    fields: dict
-
-
 class _Engine:
     """The simulator between tours.  Its stores: per queue an ``_ArrivalClock``,
     a ``_SampleBuffer`` of services and the block's completion epochs; per
-    stage a ``_SampleBuffer`` of switchovers, each read by ``take(1)``."""
+    stage a ``_SampleBuffer`` of switchovers, each read by ``take(1)``.
+    ``cycle`` runs the dynamics and logs them; ``_flush`` turns a block's log
+    into its ``CycleRecord``s and path."""
 
     #: arrivals plus completions a block of tours may hold before its costs
     #: are integrated and its records built; bounds the memory the block keeps
@@ -526,19 +512,19 @@ class _Engine:
         self._t = 0.0
         self._levels = [0] * params.num_queues
         self.cycles_run = 0
+        #: the recorded path, started by the first recorded tour's block
         self.recorder: _PathRecorder | None = None
         self.cost_integrations = 0
         self.cost_passes = 0
-        # the block: tours whose records wait for their costs, the absolute
-        # completion epochs of its visits (one store per queue, reused by
-        # every block), and per stage its polling epoch, the polled queue's
-        # level then and its services
-        self._block: list[_Tour] = []
+        # the block's log: per stage a row (polling epoch, the polled queue's
+        # level then, its services, busy time, switchover; counts stay exact
+        # as floats below 2**53), per tour its start levels and whether its
+        # path is recorded; and the absolute completion epochs of its visits,
+        # one store per queue reused by every block
+        self._log: list[tuple[float, int, int, float, float]] = []
+        self._tours: list[tuple[tuple[int, ...], bool]] = []
         self._block_events = 0
         self._downs = [_Store() for _ in k_range]
-        self._epochs: list[float] = []
-        self._found: list[int] = []
-        self._served: list[int] = []
         self._finished: list[CycleRecord] = []
 
     # -- window machinery ---------------------------------------------------
@@ -588,19 +574,20 @@ class _Engine:
             chunk = min(chunk * 2, 1 << 22)
 
     def _flush(self) -> None:
-        """Rebuild the block's polling levels, integrate its costs in one
-        ``tour_integrals`` call, then finish its records; every clock's tour
-        mark moves to the block's end."""
-        block, self._block, self._block_events = self._block, [], 0
-        if not block:
+        """Build the block's records from its log: rebuild every queue's
+        polling levels, add the recorded tours to the path (starting it at
+        the first), integrate the block's costs in one ``tour_integrals``
+        call, then finish the records; every clock's tour mark moves to the
+        block's end."""
+        tours, self._tours, self._block_events = self._tours, [], 0
+        if not tours:
             return
-        epochs = np.array(self._epochs + [self._t])
-        found = np.array(self._found)
-        served = np.zeros((found.size, len(self._clocks)), dtype=np.int64)
-        stages = np.arange(found.size)
+        log, self._log = np.array(self._log), []
+        epochs = np.append(log[:, 0], self._t)
+        stages = np.arange(log.shape[0])
         polled = self._polled[stages % self._polled.size]
-        served[stages, polled] = self._served
-        self._epochs, self._found, self._served = [], [], []
+        served = np.zeros((stages.size, len(self._clocks)), dtype=np.int64)
+        served[stages, polled] = log[:, 2]
         ups = [clock.take_tour() for clock in self._clocks]
         # views of the reused stores: nothing below keeps one
         downs = [store._store[: store._end] for store in self._downs]
@@ -610,22 +597,24 @@ class _Engine:
         # arrivals before it (one at the epoch comes after it, as in
         # ``advance_to``) minus services in the stages before it
         ups_before = np.array([u.searchsorted(epochs) for u in ups]).T
-        levels = np.array(block[0].levels) + ups_before - _served_before(served)
+        starts = np.array([start for start, _ in tours] + [self._levels])
+        levels = starts[0] + ups_before - _served_before(served)
         # the online levels: each polled queue's, and all at tour bounds
-        starts = np.array([tour.levels for tour in block] + [self._levels])
         tour_rows = slice(None, None, self._polled.size)
-        if (levels[stages, polled] != found).any() or (
+        if (levels[stages, polled] != log[:, 1]).any() or (
             levels[tour_rows] != starts
         ).any():
             raise RuntimeError(
                 "rebuilt polling levels disagree with the simulated ones"
             )
         bounds = epochs[tour_rows]
-        recorded = [j for j, tour in enumerate(block) if tour.recorded]
-        if recorded and self.recorder is not None:
+        recorded = [j for j, (_, record_path) in enumerate(tours) if record_path]
+        if recorded:
             # the recorded tours run on from the first one: the jump slots of
             # each queue's merged path between their bounds
             i, j = recorded[0], recorded[-1] + 1
+            if self.recorder is None:
+                self.recorder = _PathRecorder(bounds[i], starts[i])
             paths = []
             for start, u, d in zip(starts.T, ups, downs):
                 times, path, slots = block_path(start, u, d, bounds)
@@ -634,23 +623,33 @@ class _Engine:
             self.recorder.add(bounds[j], paths)
         scale = self._scaled.scale
         if self._psi is None:
-            costs = np.full(len(block), math.nan)
+            costs = np.full(len(tours), math.nan)
         else:
             self.cost_passes += 1
-            self.cost_integrations += len(block) * self._psi.integrals_per_tour
+            self.cost_integrations += len(tours) * self._psi.integrals_per_tour
             costs = self._psi.tour_integrals(starts, ups, downs, bounds, scale)
-        shape = (len(block), self._polled.size, len(self._clocks))
+        costs = costs / scale
+        start_times = (bounds[:-1] / scale).tolist()
+        durations = (np.diff(bounds) / scale).tolist()
+        shape = (len(tours), self._polled.size, len(self._clocks))
         polling = levels[:-1].reshape(shape)
         services = served.reshape(shape).sum(axis=1)
         arrivals = np.diff(ups_before[tour_rows], axis=0)
-        for j, tour in enumerate(block):
+        busy, switch = (log[:, 3:] / scale).T.reshape(2, len(tours), -1)
+        first = self.cycles_run - len(tours)
+        for j, (start, _) in enumerate(tours):
             self._finished.append(
                 CycleRecord(
-                    cost=costs[j] / scale,
+                    index=first + j,
+                    start_time=start_times[j],
+                    duration=durations[j],
+                    cost=costs[j],
+                    start_levels=start,
                     polling_levels=polling[j],
+                    busy_times=busy[j],
+                    switchover_times=switch[j],
                     arrivals=arrivals[j],
                     services=services[j],
-                    **tour.fields,
                 )
             )
 
@@ -661,32 +660,25 @@ class _Engine:
 
         Only the polled queue's clock is advanced within the tour, at its
         polling epoch and at the end of its busy period; every clock is
-        advanced at the tour's end.  The other queues' polling levels are
-        rebuilt per block in ``_flush``, and the record is finished once its
-        block's costs are integrated, when the block exceeds
-        ``BLOCK_EVENTS`` or at ``take_records``.
+        advanced at the tour's end.  The tour logs one row per stage and its
+        start levels; ``_flush`` builds its record from the block's log once
+        the block exceeds ``BLOCK_EVENTS``, or at ``take_records``.
         """
         levels = self._levels
         start_levels = tuple(levels)
-        start_t = t = self._t
-        if record_path:
-            if self.recorder is None:
-                self.recorder = _PathRecorder(len(levels))
-            self.recorder.begin(t, start_levels)
-
+        t = self._t
         clocks = self._clocks
-        epochs, found, served = self._epochs, self._found, self._served
-        busy: list[float] = []
-        switch: list[float] = []
+        log = self._log
+        served = 0
         for i, (queue, ratio, binomials, pauses) in enumerate(self._stages):
             clock = clocks[queue]
+            epoch = t
             level = levels[queue] + clock.advance_to(t)
-            epochs.append(t)
-            found.append(level)
             if ratio == 1.0:
                 cleared = level
             else:
                 cleared = int(binomials.binomial(level, ratio))
+            duration, done = 0.0, 0
             if cleared > 0:
                 duration, done = self._busy_period(queue, cleared, t)
                 t += duration
@@ -696,36 +688,19 @@ class _Engine:
                         f"stage {i}: queue {queue} holds {left} jobs, "
                         f"not {level} - {cleared}"
                     )
-                levels[queue] = left
-                busy.append(duration)
-                served.append(done)
-            else:
-                levels[queue] = level
-                busy.append(0.0)
-                served.append(0)
+            levels[queue] = level - cleared
             pause = float(pauses.take(1)[0])
             if pause > 0.0:
                 t += pause
-            switch.append(pause)
+            log.append((epoch, level, done, duration, pause))
+            served += done
         for k, clock in enumerate(clocks):
             levels[k] += clock.advance_to(t)
         self._t = t
-
-        scale = self._scaled.scale
-        fields = dict(
-            index=self.cycles_run,
-            start_time=start_t / scale,
-            duration=(t - start_t) / scale,
-            start_levels=start_levels,
-            busy_times=np.array(busy) / scale,
-            switchover_times=np.array(switch) / scale,
-        )
         self.cycles_run += 1
-        self._block.append(_Tour(start_t, start_levels, record_path, fields))
+        self._tours.append((start_levels, record_path))
         # arrivals are the count's rise plus the completions
-        self._block_events += (
-            sum(levels) - sum(start_levels) + 2 * sum(served[-len(busy) :])
-        )
+        self._block_events += sum(levels) - sum(start_levels) + 2 * served
         if self._block_events > self.BLOCK_EVENTS:
             self._flush()
         return start_levels
@@ -748,7 +723,7 @@ class SimulationResult:
     warmup_cycles: int
     records: list[CycleRecord] = field(repr=False)
     path: ScaledPath | None = None
-    #: False when adaptive warmup reached ``warmup_limit`` with the Geweke
+    #: False when adaptive warmup reached ``WARMUP_LIMIT`` with the Geweke
     #: score still at 3 or more; a fixed ``warmup_cycles`` is taken as given
     warmup_converged: bool = True
     #: cost integrals over all tours: one per queue for a separable cost
@@ -784,6 +759,10 @@ class SimulationResult:
         return np.stack([r.switchover_times for r in self.records])
 
 
+#: tours adaptive warmup may run before it stops unsettled
+WARMUP_LIMIT = 2000
+
+
 def run(
     scaled: ScaledSystem,
     control: ControlParams,
@@ -793,27 +772,24 @@ def run(
     measured_cycles: int = 1000,
     seed: int = 0,
     record_path_cycles: int = 0,
-    warmup_limit: int = 2000,
     cpus: int | None = None,
 ) -> SimulationResult:
     """Simulate ``measured_cycles`` server tours after warmup.
 
     The system starts empty with the server about to poll stage 0.  With
     ``warmup_cycles=None`` at least 500 tours are discarded and warmup is
-    extended in steps of 250 (up to ``warmup_limit``, which may not be below
-    500) until the Geweke score of the total queue length at tour starts drops
-    below 3.  If it never does, ``warmup_converged`` is False and a
-    ``RuntimeWarning`` is issued.  ``cpus`` is the number of CPUs the run
-    may keep busy, by default ``process_cpus()``; with two or more, the
-    streams of queues with large tours are drawn ahead on a worker thread.
+    extended in steps of 250 (up to ``WARMUP_LIMIT``) until the Geweke score
+    of the total queue length at tour starts drops below 3.  If it never
+    does, ``warmup_converged`` is False and a ``RuntimeWarning`` is issued.
+    ``cpus`` is the number of CPUs the run may keep busy, by default
+    ``process_cpus()``; with two or more, the streams of queues with large
+    tours are drawn ahead on a worker thread.
     """
     params = scaled.params
     validate(params)
     control.validate_for(params)
     if measured_cycles < 1:
         raise ValueError("measured_cycles must be positive")
-    if warmup_limit < 500:
-        raise ValueError("warmup_limit must be at least 500, the adaptive minimum")
 
     if cpus is None:
         cpus = process_cpus()
@@ -829,17 +805,17 @@ def run(
                 z = geweke_z(np.array(totals, dtype=float))
                 if abs(z) < 3.0:
                     break
-                if target >= warmup_limit:
+                if target >= WARMUP_LIMIT:
                     converged = False
                     warnings.warn(
-                        f"adaptive warmup stopped at warmup_limit={warmup_limit} "
+                        f"adaptive warmup stopped at {WARMUP_LIMIT} "
                         f"cycles with Geweke |z| = {abs(z):.2f} >= 3; the measured "
                         "cycles may still carry the empty initial state",
                         RuntimeWarning,
                         stacklevel=2,
                     )
                     break
-                target = min(target + 250, warmup_limit)
+                target = min(target + 250, WARMUP_LIMIT)
         else:
             for _ in range(warmup_cycles):
                 engine.cycle()
@@ -850,7 +826,7 @@ def run(
             engine.cycle(record_path=m < record_path_cycles)
         records = engine.take_records()
         path = None
-        if record_path_cycles > 0 and engine.recorder is not None:
+        if record_path_cycles > 0:
             path = engine.recorder.finalize(scaled.scale)
     finally:
         engine.refill_thread.close()

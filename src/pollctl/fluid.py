@@ -5,9 +5,8 @@ at rate ``mu_k - lambda_k``, otherwise it fills at rate ``lambda_k``.  A stage
 visit therefore acts on the vector of queue levels as an affine map, one full
 tour of the augmented table is a composition of such maps, and the long-run
 behaviour is the unique periodic orbit of that composition.  This module
-builds the stage and cycle maps, finds the periodic equilibrium as the cycle
-map's fixed point and, independently, builds its orbit from the inter-visit
-recursion, and simulates arbitrary fluid trajectories.
+builds the stage and cycle maps, builds the periodic equilibrium's orbit from
+the inter-visit recursion, and simulates arbitrary fluid trajectories.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .model import (
     check_ratios,
     cycle_length,
     traffic_intensity,
-    validate,
 )
 
 
@@ -98,15 +96,6 @@ def _clamp_levels(levels: np.ndarray) -> np.ndarray:
     if low < -_NEGATIVE_CLAMP:
         raise InfeasibleParameters(f"queue level {low:.3e} fell below zero")
     return np.maximum(levels, 0.0)
-
-
-def pe_fixed_point(params: SystemParameters, control: ControlParams) -> np.ndarray:
-    """Queue levels at the tour-start polling epoch of the periodic orbit."""
-    validate(params)
-    composed = cycle_map(params, control)
-    eye = np.eye(params.num_queues)
-    levels = np.linalg.solve(eye - composed.matrix, composed.offset)
-    return _clamp_levels(levels)
 
 
 POLL = "poll"
@@ -337,20 +326,6 @@ class VisitRecursion:
             for comp, s in zip(psi.components, self._slices)
         )
         return total / self.cycle_time
-
-
-def polling_values_by_recursion(
-    params: SystemParameters, control: ControlParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic equilibrium via the inter-visit linear recursion.
-
-    Independent of the fixed-point route: these are the polling levels of
-    ``pe_from_params``'s orbit, which is built from ``VisitRecursion``.
-    Returns (per-stage polled levels, tour-start vector).
-    """
-    pe = pe_from_params(params, control)
-    polled = np.asarray(control.augmented_table(params).stages)
-    return pe.polling_levels()[np.arange(pe.num_stages), polled], pe.levels[0]
 
 
 @dataclass(frozen=True, eq=False)

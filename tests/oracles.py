@@ -62,6 +62,19 @@ def project_to_compact_by_masks(
     return r
 
 
+def pe_fixed_point(
+    params: pc.SystemParameters, control: pc.ControlParams
+) -> np.ndarray:
+    """Queue levels at the tour-start polling epoch of the periodic orbit, as
+    the fixed point of the composed stage maps (``pc.cycle_map``): a route
+    independent of the visit recursion that ``pc.pe_from_params`` solves."""
+    pc.validate(params)
+    composed = pc.cycle_map(params, control)
+    eye = np.eye(params.num_queues)
+    levels = np.linalg.solve(eye - composed.matrix, composed.offset)
+    return _clamp_levels(levels)
+
+
 class LoopVisitRecursion:
     """``pc.VisitRecursion`` as first written: ``A(r)`` built one stage at a
     time, rebuilt for the adjoint solve, and the sawtooth pieces gathered

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -341,6 +342,14 @@ def test_error_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"system": {}, "unknown": 1}), "utf-8")
     assert main(["pe", "--config", str(bad)]) == 2
+
+    # NaN in a cost, read by Python's ``json``, is a config error
+    nan_cost = write_config(
+        tmp_path, {"cost": {"kind": "linear", "coefficients": [math.nan, 1.0]}}
+    )
+    assert main(["pe", "--config", str(nan_cost), "--out", str(tmp_path / "n")]) == 2
+    assert "cost.coefficients must be" in capsys.readouterr().err
+    assert not (tmp_path / "n").exists()
 
     no_cost = {
         "system": {

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -260,3 +261,63 @@ def test_load_config_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(minimal()), "utf-8")
     assert load_config(str(good))["control"]["ratios"] == [1.0, 1.0]
+
+
+def every_section() -> dict:
+    config = minimal()
+    config["cost"] = {"kind": "linear", "coefficients": [1.0, 8.0]}
+    config["control"] = {"ratios": [1.0, 0.5]}
+    config["optimize"] = {"budget": 4}
+    config["simulation"] = {
+        "confidence": 0.9,
+        "service_distribution": {"kind": "gamma", "shape": 2.0},
+    }
+    config["sweep"] = {"parameter": "cost.coefficients.1", "values": [2.0, 4.0]}
+    return config
+
+
+def load_text(tmp_path, config: dict):
+    # ``json.dumps`` writes NaN and the infinities as Python's ``json`` reads
+    # them back: NaN, Infinity, -Infinity
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), "utf-8")
+    return load_config(str(path))
+
+
+def test_every_section_loads_from_json_text(tmp_path):
+    assert load_text(tmp_path, every_section())["sweep"]["values"] == [2.0, 4.0]
+
+
+def rejected_by_key(tmp_path, entry: str, value):
+    """Put ``value`` at ``entry`` and expect the error to name its key (the
+    list's, for a list position)."""
+    config = every_section()
+    set_path(config, entry, value)
+    key = entry.rstrip(".0123456789")
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.") + " must"):
+        load_text(tmp_path, config)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "system.arrival_rates.0",
+        "system.switchover_means.1",
+        "cost.coefficients.0",
+        "control.ratios.1",
+        "optimize.budget",
+        "simulation.confidence",
+        "simulation.service_distribution.shape",
+        "sweep.values.1",
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_numbers_are_rejected_by_key(tmp_path, entry, value):
+    rejected_by_key(tmp_path, entry, value)
+
+
+@pytest.mark.parametrize(
+    "entry", ["system.service_rates.0", "simulation.service_distribution.shape"]
+)
+def test_integers_beyond_every_float_are_rejected_by_key(tmp_path, entry):
+    rejected_by_key(tmp_path, entry, 10**400)

@@ -835,6 +835,22 @@ def pinned_run(name, revisit_params):
             record_path_cycles=2,
             cpus=1,
         )
+    if name == "adaptive-s1":
+        # adaptive warmup, extended four times past its first 500 tours at
+        # load 6/7
+        params = pc.SystemParameters(
+            (2.0, 2.0, 2.0), (7.0, 7.0, 7.0), (0, 1, 2, 1, 2), (2.0,) * 5
+        )
+        return pc.run(
+            pc.scaled_system(params, 1),
+            BINOMIAL,
+            COSTS["linear"],
+            warmup_cycles=None,
+            measured_cycles=300,
+            seed=22,
+            record_path_cycles=2,
+            cpus=1,
+        )
     kind, scale = name.split("-s")
     options = {"gamma": {"shape": 0.5}, "uniform": {"width": 0.5}}.get(kind)
     scaled = pc.scaled_system(
@@ -857,7 +873,9 @@ def pinned_run(name, revisit_params):
 
 #: SHA-256 of ``run_bytes`` from the simulator that drew switchovers from a
 #: generator of their own: random switchover kinds at scale 1, scale 60 with
-#: every stream drawn ahead, and the ``cyclic-pwl-s1`` benchmark run
+#: every stream drawn ahead, and the ``cyclic-pwl-s1`` benchmark run; and,
+#: from the simulator that still built each tour's record fields per tour,
+#: a run whose warmup the Geweke score extends to 1 500 tours
 PINNED_RUNS = {
     "exponential-s1": (
         "c24906a6df7a58833070414509dee15e"
@@ -883,6 +901,10 @@ PINNED_RUNS = {
         "7cfae74ce2fe91d45b687f1b8f812181"
         "ea523e7a41fef8668983d88d6ea99f9b"
     ),
+    "adaptive-s1": (
+        "ac4e647a3b7cc9c0b08e917d7a4e5d96"
+        "56fe40a4b45655bd647e0ea926f8f69a"
+    ),
 }
 
 
@@ -891,6 +913,8 @@ def test_runs_keep_their_pinned_bits(revisit_params, name):
     result = pinned_run(name, revisit_params)
     if name == "gamma-s60":
         assert result.refills_ahead > 0
+    if name == "adaptive-s1":
+        assert result.warmup_cycles == 1500
     assert hashlib.sha256(run_bytes(result)).hexdigest() == PINNED_RUNS[name]
 
 
@@ -1176,31 +1200,17 @@ def test_unsettled_adaptive_warmup_is_reported(
         return 4.5
 
     monkeypatch.setattr(des, "geweke_z", never_settles)
-    with pytest.warns(RuntimeWarning, match="warmup_limit=1000"):
+    monkeypatch.setattr(des, "WARMUP_LIMIT", 1000)
+    with pytest.warns(RuntimeWarning, match="stopped at 1000 cycles"):
         result = pc.run(
             symmetric_scaled,
             exhaustive(symmetric_params),
             measured_cycles=5,
             seed=0,
-            warmup_limit=1000,
         )
     assert result.warmup_converged is False
     assert result.warmup_cycles == 1000
     assert scores == [500, 750, 1000]
-
-
-def test_warmup_limit_below_the_adaptive_minimum_is_rejected(
-    symmetric_scaled, symmetric_params
-):
-    # adaptive warmup always runs 500 tours, so a lower limit cannot hold
-    with pytest.raises(ValueError, match="warmup_limit must be at least 500"):
-        pc.run(
-            symmetric_scaled,
-            exhaustive(symmetric_params),
-            measured_cycles=5,
-            seed=0,
-            warmup_limit=300,
-        )
 
 
 def test_settled_and_fixed_warmups_report_convergence(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import pollctl as pc
 from conftest import random_instance
+from oracles import pe_fixed_point
 
 
 @pytest.fixture
@@ -73,7 +74,7 @@ def test_pe_hand_oracle(symmetric_params, symmetric_pe):
     )
     np.testing.assert_allclose(pe.busy_times, [1.0, 1.0], atol=1e-9)
     np.testing.assert_allclose(
-        pc.pe_fixed_point(symmetric_params, pe.control), [3.0, 1.0], atol=1e-9
+        pe_fixed_point(symmetric_params, pe.control), [3.0, 1.0], atol=1e-9
     )
     markers = [m for m, _ in pe.markers]
     assert markers == ["poll", "depart", "poll", "depart", "poll"]
@@ -81,9 +82,9 @@ def test_pe_hand_oracle(symmetric_params, symmetric_pe):
 
 def test_recursion_route_hand_oracle(symmetric_params):
     ctrl = pc.ControlParams.exhaustive(symmetric_params)
-    values, start = pc.polling_values_by_recursion(symmetric_params, ctrl)
-    np.testing.assert_allclose(values, [3.0, 3.0], atol=1e-9)
-    np.testing.assert_allclose(start, [3.0, 1.0], atol=1e-9)
+    pe = pc.pe_from_params(symmetric_params, ctrl)
+    np.testing.assert_allclose(pe.polling_levels(), [[3.0, 1.0], [1.0, 3.0]], atol=1e-9)
+    np.testing.assert_allclose(pe.levels[0], [3.0, 1.0], atol=1e-9)
 
 
 def test_pe_interpolation_and_flow_balance(symmetric_pe):
@@ -106,7 +107,7 @@ def test_three_routes_agree_on_random_instances():
         if radius > 0.65:
             continue
         checked += 1
-        fixed = pc.pe_fixed_point(params, control)
+        fixed = pe_fixed_point(params, control)
         scale = 1.0 + np.abs(fixed).max()
 
         level = np.zeros(params.num_queues)
@@ -115,8 +116,10 @@ def test_three_routes_agree_on_random_instances():
             level = mapping(level)
         assert np.abs(level - fixed).max() < 1e-8 * scale
 
-        values, start = pc.polling_values_by_recursion(params, control)
-        assert np.abs(start - fixed).max() < 1e-8 * scale
+        pe = pc.pe_from_params(params, control)
+        assert np.abs(pe.levels[0] - fixed).max() < 1e-8 * scale
+        polled = np.asarray(control.augmented_table(params).stages)
+        values = pe.polling_levels()[np.arange(pe.num_stages), polled]
         recursion = pc.VisitRecursion(params, control.repetitions)
         solved = recursion.visits(control.ratio_array)[0]
         assert np.abs(values - solved).max() < 1e-8 * scale
@@ -129,7 +132,7 @@ def test_closed_form_orbit_matches_roll_forward():
     for _ in range(1000):
         params, control = random_instance(gen)
         pe = pc.pe_from_params(params, control)
-        start = pc.pe_fixed_point(params, control)
+        start = pe_fixed_point(params, control)
         traj = pc.simulate_fluid(params, control, start, horizon=pe.cycle_time)
         first = 2 * pe.num_stages
         gap = np.abs(traj.levels[:first] - pe.levels[:first]).max()
