@@ -38,13 +38,7 @@ from .config import (
     system_from,
 )
 from .des import long_run_cost, polling_epoch_stats, process_cpus, run
-from .fluid import (
-    NoConvergence,
-    cycle_map,
-    pe_from_params,
-    spectral_radius,
-    visit_busy_shares,
-)
+from .fluid import cycle_map, pe_from_params, spectral_radius, visit_busy_shares
 from .cost import pe_average_cost
 from .model import ControlParams
 from .rfcp import exhaustive_shortcut, relaxation_bound_cyclic, solve_rfcp
@@ -83,22 +77,13 @@ def _queue_columns(prefix: str, queues: int) -> list[str]:
 def _stage_rows(params, control: ControlParams, pe) -> list[list[Any]]:
     """Per-stage summary of a policy at its equilibrium (1-based indices)."""
     table = control.augmented_table(params)
-    shares = {}
-    for k in range(params.num_queues):
-        for stage, share in zip(table.visit_stages(k), visit_busy_shares(pe, k)):
-            shares[stage] = share
-    rows = []
-    for i in range(len(table)):
-        rows.append(
-            [
-                i + 1,
-                table.polled_queue(i) + 1,
-                control.ratios[i],
-                float(pe.busy_times[i]),
-                float(shares[i]),
-            ]
-        )
-    return rows
+    shares = np.empty(len(table))
+    for k, stages in enumerate(table.visits):
+        shares[stages] = visit_busy_shares(pe, k)
+    return [
+        [i + 1, queue + 1, control.ratios[i], float(pe.busy_times[i]), float(share)]
+        for i, (queue, share) in enumerate(zip(table.polled.tolist(), shares))
+    ]
 
 
 def _cmd_pe(resolved: dict, out: Path, seed: int, phases: dict) -> list[str]:
@@ -209,6 +194,8 @@ def _run_replication(payload: tuple[dict, int, int, int]) -> dict[str, Any]:
     psi = cost_from(resolved["cost"])
     sim = resolved["simulation"]
     scaled = scaled_from(resolved, params)
+    # the equilibrium first, so that a numerical breakdown fails before any tour
+    pe = pe_from_params(params, control)
     clock = time.perf_counter()
     result = run(
         scaled,
@@ -221,7 +208,6 @@ def _run_replication(payload: tuple[dict, int, int, int]) -> dict[str, Any]:
         cpus=cpus,
     )
     simulate_s = time.perf_counter() - clock
-    pe = pe_from_params(params, control)
     stats = polling_epoch_stats(result, pe, batches=sim["batches"])
     payload_out: dict[str, Any] = {
         "seed": rep_seed,
@@ -487,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoConvergence, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
     _write_json(

@@ -20,7 +20,7 @@ from .cost import (
     piecewise_linear_cost,
     polynomial_cost,
 )
-from .distributions import KIND_OPTIONS, ScaledSystem, scaled_system
+from .distributions import KIND_OPTIONS, ScaledSystem, make_distribution, scaled_system
 from .model import ControlParams, SystemParameters, validate
 
 
@@ -79,7 +79,7 @@ def _resolve_distribution(section: Any, path: str) -> dict[str, Any]:
     if kind not in KIND_OPTIONS:
         raise ConfigError(f"{path}.kind must be one of {sorted(KIND_OPTIONS)}")
     allowed = KIND_OPTIONS[kind]
-    resolved: dict[str, Any] = {"kind": kind}
+    options: dict[str, float] = {}
     for key in _DISTRIBUTION_OPTIONS:
         if key in section:
             if key not in allowed:
@@ -87,8 +87,12 @@ def _resolve_distribution(section: Any, path: str) -> dict[str, Any]:
             value = section[key]
             if not _finite(value):
                 raise ConfigError(f"{path}.{key} must be a finite number")
-            resolved[key] = float(value)
-    return resolved
+            options[key] = float(value)
+    try:  # the kind checks its options, and names the one it rejects
+        make_distribution(kind, 1.0, **options)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
+    return {"kind": kind, **options}
 
 
 def _resolve_system(section: Any) -> dict[str, Any]:

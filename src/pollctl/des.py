@@ -220,8 +220,8 @@ class _SampleBuffer(_Store):
     time.  With one, a short ``take`` lands the ``AHEAD_REFILL`` values in
     flight on the worker, draws what they leave short inline and puts the
     next refill in flight.  Every refill is drawn straight into the store by
-    ``Distribution.fill``.  Block draws equal scalar draws for every shipped
-    kind, so no value depends on where refills fall.
+    ``Distribution.fill``, which gives the same values in parts as at once,
+    so no value depends on where refills fall.
     """
 
     CHUNK = 1024
@@ -494,11 +494,11 @@ class _Engine:
             params.arrival_rates[k] / params.service_rates[k] for k in k_range
         ]
         basic = len(table.basic)
-        self._polled = np.array([table.polled_queue(i) for i in range(len(table))])
+        self._polled = table.polled
         #: per stage: polled queue, ratio, binomial substream, switchovers
         self._stages = [
             (
-                table.polled_queue(i),
+                int(self._polled[i]),
                 float(ratio),
                 rng.substream(seed, rng.BINOMIALS, i),
                 _SampleBuffer(
@@ -690,8 +690,7 @@ class _Engine:
                     )
             levels[queue] = level - cleared
             pause = float(pauses.take(1)[0])
-            if pause > 0.0:
-                t += pause
+            t += pause
             log.append((epoch, level, done, duration, pause))
             served += done
         for k, clock in enumerate(clocks):
@@ -798,24 +797,21 @@ def run(
         converged = True
         if warmup_cycles is None:
             totals: list[int] = []
-            target = 500
-            while True:
+            for target in [*range(500, WARMUP_LIMIT, 250), WARMUP_LIMIT]:
                 while engine.cycles_run < target:
                     totals.append(sum(engine.cycle()))
                 z = geweke_z(np.array(totals, dtype=float))
                 if abs(z) < 3.0:
                     break
-                if target >= WARMUP_LIMIT:
-                    converged = False
-                    warnings.warn(
-                        f"adaptive warmup stopped at {WARMUP_LIMIT} "
-                        f"cycles with Geweke |z| = {abs(z):.2f} >= 3; the measured "
-                        "cycles may still carry the empty initial state",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    break
-                target = min(target + 250, WARMUP_LIMIT)
+            else:
+                converged = False
+                warnings.warn(
+                    f"adaptive warmup stopped at {WARMUP_LIMIT} "
+                    f"cycles with Geweke |z| = {abs(z):.2f} >= 3; the measured "
+                    "cycles may still carry the empty initial state",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         else:
             for _ in range(warmup_cycles):
                 engine.cycle()

@@ -3,7 +3,9 @@
 Only the means of service and switchover times enter the fluid model, so the
 simulator accepts any nonnegative distribution with a prescribed mean.  All
 samplers here are parameterised by that mean directly; shape parameters, where
-they exist, are dimensionless.
+they exist, are dimensionless and checked where the kind is built.  Each kind
+draws one way, ``fill(gen, out)``, and filling an array in consecutive parts
+gives the same values as filling it at once.
 """
 
 from __future__ import annotations
@@ -18,40 +20,28 @@ from .model import InfeasibleParameters, SystemParameters
 
 @dataclass(frozen=True)
 class Distribution:
-    """Base class: nonnegative distribution with known mean."""
+    """Base class: nonnegative distribution with known mean.  A bad option
+    raises a ``ValueError`` whose message starts with the option's name."""
 
     mean: float
 
-    def sample(self, gen: np.random.Generator, size: int | None = None):
-        raise NotImplementedError
-
     def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
-        """Draw ``out.size`` values into ``out``, equal to
-        ``sample(gen, out.size)``."""
-        out[:] = self.sample(gen, out.size)
+        """Draw ``out.size`` values into ``out``."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class Deterministic(Distribution):
     """Point mass at ``mean``.  Consumes no randomness."""
 
-    def sample(self, gen: np.random.Generator, size: int | None = None):
-        if size is None:
-            return self.mean
-        return np.full(size, self.mean)
+    def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        out.fill(self.mean)
 
 
 @dataclass(frozen=True)
 class Exponential(Distribution):
     """Exponential with given mean.  Standard exponentials scaled in place
     equal ``gen.exponential(mean, size)`` bit for bit, and cost less."""
-
-    def sample(self, gen: np.random.Generator, size: int | None = None):
-        if size is None:
-            return gen.standard_exponential() * self.mean
-        draws = np.empty(size)
-        self.fill(gen, draws)
-        return draws
 
     def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
         gen.standard_exponential(out=out)
@@ -60,35 +50,47 @@ class Exponential(Distribution):
 
 @dataclass(frozen=True)
 class Gamma(Distribution):
-    """Gamma with given mean and shape; variance = mean^2 / shape."""
+    """Gamma with given mean and shape > 0; variance = mean^2 / shape."""
 
     shape: float = 2.0
 
-    def sample(self, gen: np.random.Generator, size: int | None = None):
-        return gen.gamma(self.shape, self.mean / self.shape, size)
+    def __post_init__(self) -> None:
+        if not self.shape > 0.0:
+            raise ValueError(f"shape must be > 0, got {self.shape}")
+
+    def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        out[:] = gen.gamma(self.shape, self.mean / self.shape, out.size)
 
 
 @dataclass(frozen=True)
 class LogNormal(Distribution):
-    """Lognormal with given mean and coefficient of variation."""
+    """Lognormal with given mean and coefficient of variation cv >= 0."""
 
     cv: float = 1.0
 
-    def sample(self, gen: np.random.Generator, size: int | None = None):
+    def __post_init__(self) -> None:
+        if not self.cv >= 0.0:
+            raise ValueError(f"cv must be >= 0, got {self.cv}")
+
+    def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
         log_var = math.log1p(self.cv**2)
         mu = math.log(self.mean) - 0.5 * log_var
-        return gen.lognormal(mu, math.sqrt(log_var), size)
+        out[:] = gen.lognormal(mu, math.sqrt(log_var), out.size)
 
 
 @dataclass(frozen=True)
 class Uniform(Distribution):
-    """Uniform on [mean*(1-width), mean*(1+width)], width in (0, 1]."""
+    """Uniform on [mean*(1-width), mean*(1+width)], width in [0, 1]."""
 
     width: float = 1.0
 
-    def sample(self, gen: np.random.Generator, size: int | None = None):
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.width <= 1.0:
+            raise ValueError(f"width must lie in [0, 1], got {self.width}")
+
+    def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
         half = self.mean * self.width
-        return gen.uniform(self.mean - half, self.mean + half, size)
+        out[:] = gen.uniform(self.mean - half, self.mean + half, out.size)
 
 
 _KINDS = {
@@ -107,15 +109,14 @@ KIND_OPTIONS = {
 
 
 def make_distribution(kind: str, mean: float, **options: float) -> Distribution:
-    """Build a distribution by name.  A zero mean always degenerates to a
-    point mass at zero regardless of ``kind``."""
+    """Build a distribution by name, checking its options.  A zero mean
+    always degenerates to a point mass at zero regardless of ``kind``."""
     if kind not in _KINDS:
         raise ValueError(f"unknown distribution kind {kind!r}")
     if mean < 0.0:
         raise ValueError("distribution mean must be nonnegative")
-    if mean == 0.0:
-        return Deterministic(0.0)
-    return _KINDS[kind](mean, **options)
+    dist = _KINDS[kind](mean, **options)
+    return dist if mean > 0.0 else Deterministic(0.0)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ the inter-visit recursion, and simulates arbitrary fluid trajectories.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,8 @@ from .model import (
 
 
 class NoConvergence(RuntimeError):
-    """An eigenvalue computation produced a non-finite result."""
+    """A numerical breakdown: a non-finite eigenvalue, or an equilibrium orbit
+    whose solve is singular, fails to close, goes negative or misses its tour."""
 
 
 # Queue levels this far below zero are treated as rounding noise and clamped;
@@ -91,10 +93,10 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return radius
 
 
-def _clamp_levels(levels: np.ndarray) -> np.ndarray:
+def _clamp_levels(levels: np.ndarray, error=NoConvergence) -> np.ndarray:
     low = levels.min(initial=0.0)
     if low < -_NEGATIVE_CLAMP:
-        raise InfeasibleParameters(f"queue level {low:.3e} fell below zero")
+        raise error(f"queue level {low:.3e} fell below zero")
     return np.maximum(levels, 0.0)
 
 
@@ -148,10 +150,9 @@ class PECandidate:
 
     def flow_balance_residual(self) -> np.ndarray:
         """Per-queue busy-time totals minus rho_k * tau; zero in equilibrium."""
-        table = self.control.augmented_table(self.params)
+        polled = self.control.augmented_table(self.params).polled
         _, per_queue = traffic_intensity(self.params)
-        totals = np.zeros(self.params.num_queues)
-        np.add.at(totals, np.asarray(table.stages), self.busy_times)
+        totals = np.bincount(polled, self.busy_times, self.params.num_queues)
         return totals - per_queue * self.cycle_time
 
 
@@ -178,20 +179,13 @@ class VisitRecursion:
         self.params = params
         self.cycle_time = cycle_length(params, repetitions)
         self.num_queues = params.num_queues
-        polled = augment(params.table, repetitions).stages
-        self.polled = np.asarray(polled)
-        stages = len(polled)
+        table = augment(params.table, repetitions)
+        self.polled = table.polled
+        self.successor = table.successor
+        stages = len(table)
         self.arrivals = params.arrival_array[self.polled]
         self.drain = params.drain_rates[self.polled]
         self.switchovers = np.asarray(params.switchover_means * repetitions)
-        visits = [
-            [i for i, q in enumerate(polled) if q == k] for k in range(self.num_queues)
-        ]
-        successor = list(range(stages))
-        for idx in visits:
-            for i, nxt in zip(idx, idx[1:] + idx[:1]):
-                successor[i] = nxt
-        self.successor = np.asarray(successor)
         self.base = np.eye(stages)
         # Columns and entries past the last stage stand for the next tour's
         # stages, so that stage i and the stages up to its queue's next visit
@@ -200,7 +194,7 @@ class VisitRecursion:
         drain = np.concatenate([self.drain, self.drain])
         switchovers = np.concatenate([self.switchovers, self.switchovers])
         self.rhs = np.zeros(stages)
-        for i, nxt in enumerate(successor):
+        for i, nxt in enumerate(self.successor.tolist()):
             end = i + ((nxt - i) % stages or stages)
             lam = self.arrivals[i]
             self.base[nxt, i] -= 1.0
@@ -212,31 +206,31 @@ class VisitRecursion:
         # Piece i < stages drains stage i and piece stages + i refills after
         # it; _gather picks each piece's start level, end level and duration
         # from the concatenated orbit, queue k's pieces in _slices[k].
-        pieces = np.asarray(
-            [i + shift for idx in visits for shift in (0, stages) for i in idx]
-        )
+        visits = [idx.tolist() for idx in table.visits]
+        pieces = np.array([i + s for idx in visits for s in (0, stages) for i in idx])
         ends = np.concatenate([np.arange(stages, 2 * stages), self.successor])
         self._gather = np.array([pieces, ends[pieces], pieces + 2 * stages])
         self._unpiece = np.argsort(pieces).reshape(2, -1)
-        self._slices, start = [], 0
-        for idx in visits:
-            self._slices.append(slice(start, start + 2 * len(idx)))
-            start += 2 * len(idx)
+        bounds = [0, *itertools.accumulate(2 * len(idx) for idx in visits)]
+        self._slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
     def _solve(self, r: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """``A(r)`` and the orbit of ``visits``."""
         check_ratios(r, self.polled, self.num_queues)
         matrix = self.base + self.coupling * r
-        levels = np.linalg.solve(matrix, self.rhs)
+        try:
+            levels = np.linalg.solve(matrix, self.rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"periodic orbit has no solution: {exc}") from exc
         residual = np.abs(matrix @ levels - self.rhs).max()
         if not residual <= 1e-9 * max(1.0, np.abs(levels).max()):  # NaN fails
-            raise InfeasibleParameters("periodic orbit failed to close on itself")
+            raise NoConvergence("periodic orbit failed to close on itself")
         levels = _clamp_levels(levels)
         left = (1.0 - r) * levels  # nonnegative as levels are and r <= 1
         busy = r * levels / self.drain
         tour = busy.sum() + self.switchovers.sum()
         if abs(tour - self.cycle_time) > 1e-9 * max(1.0, self.cycle_time):
-            raise InfeasibleParameters("tour duration disagrees with switchover budget")
+            raise NoConvergence("tour duration disagrees with switchover budget")
         refill = (levels[self.successor] - left) / self.arrivals
         return matrix, (levels, left, busy, refill)
 
@@ -363,12 +357,12 @@ def simulate_fluid(
     accumulation of infinitesimally short cycles when all switchovers vanish.
     """
     control.validate_for(params)
-    q = _clamp_levels(np.asarray(initial_levels, dtype=float).copy())
+    q = _clamp_levels(np.asarray(initial_levels, dtype=float), InfeasibleParameters)
     if q.shape != (params.num_queues,):
         raise ValueError(f"initial levels must have shape ({params.num_queues},)")
     stages = len(control.ratios)
     maps = [stage_map(params, i, r) for i, r in enumerate(control.ratios)]
-    polled = np.asarray(control.augmented_table(params).stages)
+    polled = control.augmented_table(params).polled
     busy_per_level = control.ratio_array / params.drain_rates[polled]
     times = [0.0]
     levels = [q.copy()]
@@ -425,8 +419,7 @@ def simulate_fluid(
 
 def visit_busy_shares(pe: PECandidate, queue: int) -> np.ndarray:
     """Fraction of a queue's equilibrium service done at each of its visits."""
-    table = pe.control.augmented_table(pe.params)
-    stages = np.asarray(table.visit_stages(queue))
+    stages = pe.control.augmented_table(pe.params).visits[queue]
     busy = pe.busy_times[stages]
     total = busy.sum()
     if total <= 0.0:

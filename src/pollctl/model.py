@@ -133,7 +133,14 @@ def validate(params: SystemParameters) -> None:
 
 @dataclass(frozen=True)
 class AugmentedTable:
-    """The basic visit table concatenated with itself ``repetitions`` times."""
+    """The basic visit table concatenated with itself ``repetitions`` times.
+
+    Its stage structure is cached as arrays of augmented stage indices:
+    ``polled[i]`` is the queue stage ``i`` polls, ``visits[k]`` queue ``k``'s
+    stages in order, and ``successor[i]`` the stage of the next visit to
+    stage ``i``'s queue, wrapping into the next tour (``i`` itself for a
+    queue polled once per tour).
+    """
 
     basic: tuple[int, ...]
     repetitions: int
@@ -143,19 +150,31 @@ class AugmentedTable:
         if self.repetitions < 1:
             raise InvalidControl(f"repetitions must be >= 1, got {self.repetitions}")
 
-    @property
-    def stages(self) -> tuple[int, ...]:
-        return self.basic * self.repetitions
-
     def __len__(self) -> int:
         return len(self.basic) * self.repetitions
 
-    def polled_queue(self, stage: int) -> int:
-        return self.basic[stage % len(self.basic)]
+    @cached_property
+    def polled(self) -> np.ndarray:
+        return np.array(self.basic * self.repetitions)
+
+    @cached_property
+    def visits(self) -> tuple[np.ndarray, ...]:
+        stages = [[] for _ in range(max(self.basic) + 1)]
+        for i, queue in enumerate(self.basic * self.repetitions):
+            stages[queue].append(i)
+        return tuple(np.array(s, dtype=int) for s in stages)
+
+    @cached_property
+    def successor(self) -> np.ndarray:
+        successor = np.empty(len(self), dtype=int)
+        for stages in self.visits:
+            successor[stages[:-1]] = stages[1:]
+            successor[stages[-1:]] = stages[:1]
+        return successor
 
     def visit_stages(self, queue: int) -> tuple[int, ...]:
         """Augmented stage indices at which ``queue`` is polled, in order."""
-        return tuple(i for i, q in enumerate(self.stages) if q == queue)
+        return tuple(self.visits[queue].tolist())
 
 
 def augment(table, repetitions: int) -> AugmentedTable:
@@ -176,20 +195,20 @@ def cycle_length(params: SystemParameters, repetitions: int = 1) -> float:
     return repetitions * params.switchover_total / (1.0 - rho)
 
 
-def check_ratios(ratios: np.ndarray, stages: np.ndarray, num_queues: int) -> None:
+def check_ratios(ratios: np.ndarray, polled: np.ndarray, num_queues: int) -> None:
     """Reject ratios outside the admissible set of an augmented table.
 
-    ``stages`` holds the queue polled at each augmented stage.  Every ratio
+    ``polled`` holds the queue polled at each augmented stage.  Every ratio
     must lie in [0, 1] and every queue must get a positive total ratio over
     its visits, otherwise it would never be served.
     """
-    if ratios.shape != stages.shape:
+    if ratios.shape != polled.shape:
         raise MismatchedDimensions(
-            f"{ratios.size} ratios for {stages.size} augmented stages"
+            f"{ratios.size} ratios for {polled.size} augmented stages"
         )
     if not (ratios.min() >= 0.0 and ratios.max() <= 1.0):  # NaN fails too
         raise InvalidControl("ratios must lie in [0, 1]")
-    sums = np.bincount(stages, ratios, num_queues)
+    sums = np.bincount(polled, ratios, num_queues)
     if not sums.min() > 0.0:
         starved = np.flatnonzero(sums <= 0.0)
         raise InvalidControl(f"queues with zero total ratio: {starved.tolist()}")
@@ -221,10 +240,10 @@ class ControlParams:
 
     def validate_for(self, params: SystemParameters) -> None:
         """Check membership in the admissible ratio set (see ``check_ratios``)."""
-        stages = np.asarray(self.augmented_table(params).stages)
-        check_ratios(self.ratio_array, stages, params.num_queues)
+        polled = self.augmented_table(params).polled
+        check_ratios(self.ratio_array, polled, params.num_queues)
 
     def queue_ratio_sums(self, params: SystemParameters) -> np.ndarray:
         """Per-queue sums of ratios over the queue's visit stages."""
-        stages = np.asarray(self.augmented_table(params).stages)
-        return np.bincount(stages, self.ratio_array, params.num_queues)
+        polled = self.augmented_table(params).polled
+        return np.bincount(polled, self.ratio_array, params.num_queues)

@@ -79,16 +79,16 @@ def project_to_compact(
 
 
 def _compact_projection(params: SystemParameters, repetitions: int):
-    """``project_to_compact`` for one augmented table, with the table's stage
-    array and per-queue visit indices built once."""
-    stages = np.asarray(augment(params.table, repetitions).stages)
+    """``project_to_compact`` for one augmented table, reading the table's
+    polled queues and per-queue visits."""
+    table = augment(params.table, repetitions)
+    polled, visits = table.polled, table.visits
     queues = params.num_queues
-    visits = [np.flatnonzero(stages == k) for k in range(queues)]
 
     def project(ratios) -> np.ndarray:
         y = np.asarray(ratios, dtype=float)
         r = np.clip(y, 0.0, 1.0)
-        for k in np.flatnonzero(np.bincount(stages, r, queues) < 1.0):
+        for k in np.flatnonzero(np.bincount(polled, r, queues) < 1.0):
             # measured from the largest visit, which reaches 1 at shift 1, with
             # the visits more than 1 below it, which stay at 0, raised to -1
             at = visits[k]
@@ -100,11 +100,11 @@ def _compact_projection(params: SystemParameters, repetitions: int):
             i = j - 1
             t = kinks[i] + (kinks[j] - kinks[i]) * (1.0 - sums[i]) / (sums[j] - sums[i])
             r[at] = np.clip(v + t, 0.0, 1.0)
-        short = np.bincount(stages, r, queues) < 1.0
+        short = np.bincount(polled, r, queues) < 1.0
         while short.any():
-            lift = short[stages] & (r > 0.0)
+            lift = short[polled] & (r > 0.0)
             r[lift] = np.nextafter(r[lift], 1.0)
-            short = np.bincount(stages, r, queues) < 1.0
+            short = np.bincount(polled, r, queues) < 1.0
         return r
 
     return project

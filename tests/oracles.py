@@ -42,7 +42,7 @@ def project_to_compact_by_masks(
 ) -> np.ndarray:
     """``pc.project_to_compact`` as first written, with the table and each
     queue's visit mask rebuilt on every call."""
-    stages = np.asarray(pc.augment(params.table, repetitions).stages)
+    stages = pc.augment(params.table, repetitions).polled
     y = np.asarray(ratios, dtype=float)
     r = np.clip(y, 0.0, 1.0)
     for k in np.flatnonzero(np.bincount(stages, r, params.num_queues) < 1.0):
@@ -84,7 +84,7 @@ class LoopVisitRecursion:
         self.cycle_time = pc.cycle_length(params, repetitions)
         self.num_queues = params.num_queues
         table = pc.augment(params.table, repetitions)
-        self.polled = np.asarray(table.stages)
+        self.polled = table.polled
         stages = len(self.polled)
         self.arrivals = params.arrival_array[self.polled]
         self.drain = params.drain_rates[self.polled]
@@ -174,7 +174,7 @@ def slsqp_search_cost(
     from scipy import optimize
 
     dim = params.num_stages * repetitions
-    stages = np.asarray(pc.augment(params.table, repetitions).stages)
+    stages = pc.augment(params.table, repetitions).polled
     gen = np.random.default_rng((seed, repetitions))
 
     def project(x):
@@ -334,7 +334,9 @@ class SampleBuffer:
 
     @staticmethod
     def _sample(dist, gen: np.random.Generator, count: int) -> np.ndarray:
-        return np.asarray(dist.sample(gen, count), dtype=float)
+        values = np.empty(count)
+        dist.fill(gen, values)
+        return values
 
     def take(self, count: int) -> np.ndarray:
         short = self._ptr + count - self._values.size

@@ -381,6 +381,47 @@ def test_error_exit_codes(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["pe", "optimize", "simulate", "sweep"])
+def test_out_of_range_distribution_option_exits_as_config_error(
+    tmp_path, capsys, command
+):
+    config = write_config(
+        tmp_path,
+        {
+            "simulation": {"switchover_distribution": {"kind": "uniform", "width": 2.0}},
+            "sweep": {"parameter": "cost.coefficients.1", "values": [2.0]},
+        },
+    )
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error: simulation.switchover_distribution.width must" in err
+
+
+#: a system that passes every configuration check, but whose equilibrium
+#: solve loses the tour length to round-off
+BREAKDOWN = {
+    "system": {
+        "arrival_rates": [0.4995, 0.4995],
+        "service_rates": [1.0, 1.0],
+        "table": [1, 2, 1, 2],
+        "switchover_means": [1.0, 1.0, 1.0, 1.0],
+    },
+    "control": {"ratios": [1.0, 1e-9, 1.0, 1e-9]},
+}
+
+
+@pytest.mark.parametrize("command", ["pe", "simulate"])
+def test_numerical_breakdown_exits_as_runtime_failure(
+    tmp_path, capsys, monkeypatch, command
+):
+    # the equilibrium is built before the simulator runs a tour
+    monkeypatch.setattr(cli, "run", lambda *a, **k: pytest.fail("a tour was run"))
+    config = write_config(tmp_path, BREAKDOWN)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "runtime failure: tour duration disagrees with switchover budget" in err
+
+
 def test_simulator_level_mismatch_exits_as_runtime_failure(
     tmp_path, capsys, monkeypatch
 ):

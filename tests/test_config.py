@@ -321,3 +321,26 @@ def test_non_finite_numbers_are_rejected_by_key(tmp_path, entry, value):
 )
 def test_integers_beyond_every_float_are_rejected_by_key(tmp_path, entry):
     rejected_by_key(tmp_path, entry, 10**400)
+
+
+@pytest.mark.parametrize(
+    "kind, option, bad, edges",
+    [
+        ("gamma", "shape", [0.0, -1.0], [1e-3]),
+        ("lognormal", "cv", [-1.0], [0.0]),
+        ("uniform", "width", [-0.1, 2.0], [0.0, 1.0]),
+    ],
+)
+@pytest.mark.parametrize("section", ["service_distribution", "switchover_distribution"])
+def test_out_of_range_distribution_options_are_rejected_by_key(
+    tmp_path, section, kind, option, bad, edges
+):
+    key = rf"simulation\.{section}\.{option} must"
+    for value in bad + edges:
+        config = every_section()
+        config["simulation"][section] = {"kind": kind, option: value}
+        if value in bad:
+            with pytest.raises(ConfigError, match=key):
+                load_text(tmp_path, config)
+        else:
+            assert load_text(tmp_path, config)["simulation"][section][option] == value

@@ -118,7 +118,7 @@ def test_three_routes_agree_on_random_instances():
 
         pe = pc.pe_from_params(params, control)
         assert np.abs(pe.levels[0] - fixed).max() < 1e-8 * scale
-        polled = np.asarray(control.augmented_table(params).stages)
+        polled = control.augmented_table(params).polled
         values = pe.polling_levels()[np.arange(pe.num_stages), polled]
         recursion = pc.VisitRecursion(params, control.repetitions)
         solved = recursion.visits(control.ratio_array)[0]
@@ -246,12 +246,15 @@ def test_kernel_orbit_checks_fire(revisit_params):
         setattr(recursion, attribute, value(getattr(recursion, attribute)))
         return recursion
 
-    with pytest.raises(pc.InfeasibleParameters, match="close"):
+    with pytest.raises(pc.NoConvergence, match="close"):
         broken("coupling", lambda c: c * np.nan).visits(ratios)
-    with pytest.raises(pc.InfeasibleParameters, match="below zero"):
+    with pytest.raises(pc.NoConvergence, match="below zero"):
         broken("rhs", lambda b: -b).visits(ratios)
-    with pytest.raises(pc.InfeasibleParameters, match="tour duration"):
+    with pytest.raises(pc.NoConvergence, match="tour duration"):
         broken("switchovers", lambda s: 1.01 * s).visits(ratios)
+    # without the ratios' terms, A(r) is singular
+    with pytest.raises(pc.NoConvergence, match="no solution"):
+        broken("coupling", lambda c: 0.0 * c).visits(ratios)
 
 
 # -- adjoint gradient of the kernel cost ---------------------------------------
@@ -315,7 +318,7 @@ def test_gradient_rejects_what_visits_rejects(revisit_params):
             recursion.cost_and_gradient(ratios, psi)
     broken = pc.VisitRecursion(revisit_params, 1)
     broken.rhs = -broken.rhs
-    with pytest.raises(pc.InfeasibleParameters, match="below zero"):
+    with pytest.raises(pc.NoConvergence, match="below zero"):
         broken.cost_and_gradient([0.9, 0.3, 1.0, 0.8, 0.4], psi)
 
 

@@ -55,10 +55,15 @@ def test_switchovers_may_vanish_per_stage_but_not_in_total():
 def test_augmented_table():
     table = pc.augment((0, 1, 2, 1), 2)
     assert len(table) == 8
-    assert table.stages == (0, 1, 2, 1) * 2
-    assert table.polled_queue(5) == 1
+    assert table.polled.tolist() == [0, 1, 2, 1] * 2
     assert table.visit_stages(1) == (1, 3, 5, 7)
     assert table.visit_stages(2) == (2, 6)
+    assert [v.tolist() for v in table.visits] == [[0, 4], [1, 3, 5, 7], [2, 6]]
+    # the next visit of stage i's queue; the last visit wraps into the next tour
+    assert table.successor.tolist() == [4, 3, 6, 5, 0, 7, 2, 1]
+    single = pc.augment((1, 0), 1)
+    assert [v.tolist() for v in single.visits] == [[1], [0]]
+    assert single.successor.tolist() == [0, 1]
     with pytest.raises(pc.InvalidControl):
         pc.augment((0, 1), 0)
 
