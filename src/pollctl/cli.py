@@ -6,8 +6,10 @@ space, ``simulate`` runs the discrete-event system and compares it against
 the fluid predictions, and ``sweep`` re-optimises over a grid of one
 configuration value, emitting plot-ready CSV.
 
-All data outputs are byte-identical across runs with the same configuration
-and seed; wall-clock metadata lives only in the ``run_meta.json`` sidecar.
+Each command only computes: it returns its artefacts, by file name, and its
+``run_meta.json`` counters, and ``main`` writes them all.  All data outputs
+are byte-identical across runs with the same configuration and seed;
+wall-clock metadata lives only in the ``run_meta.json`` sidecar.
 Exit codes: 0 on success, 2 for configuration or validation errors, 1 for
 runtime failures.
 """
@@ -19,7 +21,6 @@ import csv
 import json
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,25 +46,12 @@ from .rfcp import exhaustive_shortcut, relaxation_bound_cyclic, solve_rfcp
 from .rng import replication_seed
 
 
-#: the phases ``run_meta.json`` times for every command
-PHASES = ("load", "solve", "simulate", "write")
-
-
-@contextmanager
-def _phase(phases: dict[str, float], name: str):
-    """Add the wall time of the ``with`` block to ``phases[name]``."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        phases[name] += time.perf_counter() - start
-
-
-def _write_json(path: Path, payload: Any) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
+def _write(path: Path, artefact: dict | tuple) -> None:
+    """Write a dict as JSON, or a ``(header, rows)`` pair as CSV."""
+    if isinstance(artefact, dict):
+        path.write_text(json.dumps(artefact, indent=2, sort_keys=True) + "\n", "utf-8")
+        return
+    header, rows = artefact
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -72,6 +60,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
 
 def _queue_columns(prefix: str, queues: int) -> list[str]:
     return [f"{prefix}{k + 1}" for k in range(queues)]
+
+
+#: the columns of ``optimize_stages.csv``, and of ``sweep_stages.csv`` after
+#: ``value``
+_STAGE_COLUMNS = ["stage", "queue", "ratio", "busy_time", "busy_share"]
 
 
 def _stage_rows(params, control: ControlParams, pe) -> list[list[Any]]:
@@ -86,37 +79,28 @@ def _stage_rows(params, control: ControlParams, pe) -> list[list[Any]]:
     ]
 
 
-def _cmd_pe(resolved: dict, out: Path, seed: int, phases: dict) -> list[str]:
-    with _phase(phases, "load"):
-        params = system_from(resolved["system"])
-        control = control_from(resolved["control"])
-        psi = cost_from(resolved["cost"])
-    with _phase(phases, "solve"):
-        pe = pe_from_params(params, control)
-        summary = {
-            "cycle_time": float(pe.cycle_time),
-            "start_levels": [float(v) for v in pe.levels[0]],
-            "busy_times": [float(v) for v in pe.busy_times],
-            "queue_ratio_sums": [
-                float(v) for v in control.queue_ratio_sums(params)
-            ],
-            "flow_balance_residual": float(
-                np.abs(pe.flow_balance_residual()).max()
-            ),
-            "cycle_map_spectral_radius": float(
-                spectral_radius(cycle_map(params, control).matrix)
-            ),
-            "average_cost": pe_average_cost(pe, psi) if psi is not None else None,
-        }
-
-    with _phase(phases, "write"):
-        header = ["time", "kind", "stage"] + _queue_columns("q", params.num_queues)
-        rows = []
-        for t, (kind, stage), levels in zip(pe.times, pe.markers, pe.levels):
-            rows.append([float(t), kind, stage + 1] + [float(v) for v in levels])
-        _write_csv(out / "pe_breakpoints.csv", header, rows)
-        _write_json(out / "pe_summary.json", summary)
-    return ["pe_breakpoints.csv", "pe_summary.json"]
+def _cmd_pe(resolved: dict, args: argparse.Namespace) -> tuple[dict, dict]:
+    params = system_from(resolved["system"])
+    control = control_from(resolved["control"])
+    psi = cost_from(resolved["cost"])
+    pe = pe_from_params(params, control)
+    summary = {
+        "cycle_time": float(pe.cycle_time),
+        "start_levels": [float(v) for v in pe.levels[0]],
+        "busy_times": [float(v) for v in pe.busy_times],
+        "queue_ratio_sums": [float(v) for v in control.queue_ratio_sums(params)],
+        "flow_balance_residual": float(np.abs(pe.flow_balance_residual()).max()),
+        "cycle_map_spectral_radius": float(
+            spectral_radius(cycle_map(params, control).matrix)
+        ),
+        "average_cost": pe_average_cost(pe, psi) if psi is not None else None,
+    }
+    header = ["time", "kind", "stage"] + _queue_columns("q", params.num_queues)
+    rows = [
+        [float(t), kind, stage + 1] + [float(v) for v in levels]
+        for t, (kind, stage), levels in zip(pe.times, pe.markers, pe.levels)
+    ]
+    return {"pe_breakpoints.csv": (header, rows), "pe_summary.json": summary}, {}
 
 
 def _optimize(resolved: dict, seed: int):
@@ -151,14 +135,10 @@ def _optimize(resolved: dict, seed: int):
     return params, solution, pe_from_params(params, solution.control), counters
 
 
-def _cmd_optimize(
-    resolved: dict, out: Path, seed: int, counters: dict[str, Any], phases: dict
-) -> list[str]:
+def _cmd_optimize(resolved: dict, args: argparse.Namespace) -> tuple[dict, dict]:
     if resolved["cost"] is None:
         raise ConfigError("optimize requires a cost section")
-    with _phase(phases, "solve"):
-        params, solution, pe, found = _optimize(resolved, seed)
-    counters.update(found)
+    params, solution, pe, counters = _optimize(resolved, args.seed)
     result = {
         "repetitions": solution.repetitions,
         "ratios": list(solution.ratios),
@@ -173,17 +153,11 @@ def _cmd_optimize(
             }
             for s in solution.searches
         ],
-        "shortcut_applies": found["shortcut_applies"],
-        "relaxation_bound": found["relaxation_bound"],
+        "shortcut_applies": counters["shortcut_applies"],
+        "relaxation_bound": counters["relaxation_bound"],
     }
-    with _phase(phases, "write"):
-        _write_json(out / "optimize_result.json", result)
-        _write_csv(
-            out / "optimize_stages.csv",
-            ["stage", "queue", "ratio", "busy_time", "busy_share"],
-            _stage_rows(params, solution.control, pe),
-        )
-    return ["optimize_result.json", "optimize_stages.csv"]
+    stages = (_STAGE_COLUMNS, _stage_rows(params, solution.control, pe))
+    return {"optimize_result.json": result, "optimize_stages.csv": stages}, counters
 
 
 def _run_replication(payload: tuple[dict, int, int, int]) -> dict[str, Any]:
@@ -256,149 +230,126 @@ def _worker_count(threads: int, replications: int) -> int:
     return min(threads, replications, process_cpus())
 
 
-def _cmd_simulate(
-    resolved: dict,
-    out: Path,
-    seed: int,
-    replications: int,
-    threads: int,
-    counters: dict[str, Any],
-    phases: dict,
-) -> list[str]:
-    sim = resolved["simulation"]
-    workers = _worker_count(threads, replications)
+#: the columns of ``simulation_stats.csv`` after ``replication``; stage and
+#: queue are 1-based there, which makes an aggregate row's -1 a 0
+_STAT_COLUMNS = ["kind", "stage", "queue", "estimate", "std_error", "fluid", "z"]
+
+
+def _cmd_simulate(resolved: dict, args: argparse.Namespace) -> tuple[dict, dict]:
+    if args.replications < 1:
+        raise ConfigError("--replications must be positive")
+    if args.threads < 1:
+        raise ConfigError("--threads must be positive")
+    workers = _worker_count(args.threads, args.replications)
     # the worker processes share the CPUs, and a replication draws its
     # streams ahead on a thread only with a CPU of its own to spare
     cpus = max(1, process_cpus() // workers)
+    record = resolved["simulation"]["record_path_cycles"]
     payloads = [
-        (
-            resolved,
-            replication_seed(seed, j),
-            sim["record_path_cycles"] if j == 0 else 0,
-            cpus,
-        )
-        for j in range(replications)
+        (resolved, replication_seed(args.seed, j), record if j == 0 else 0, cpus)
+        for j in range(args.replications)
     ]
-    with _phase(phases, "simulate"):
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_replication, payloads))
-        else:
-            results = [_run_replication(p) for p in payloads]
-    with _phase(phases, "write"):
-        stat_rows = []
-        for j, rep in enumerate(results):
-            for row in rep["stats"]:
-                stat_rows.append(
-                    [
-                        j,
-                        row["kind"],
-                        row["stage"] + 1 if row["stage"] >= 0 else 0,
-                        row["queue"] + 1 if row["queue"] >= 0 else 0,
-                        row["estimate"],
-                        row["std_error"],
-                        row["fluid"],
-                        row["z"],
-                    ]
-                )
-        _write_csv(
-            out / "simulation_stats.csv",
-            [
-                "replication",
-                "kind",
-                "stage",
-                "queue",
-                "estimate",
-                "std_error",
-                "fluid",
-                "z",
-            ],
-            stat_rows,
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_replication, payloads))
+    else:
+        results = [_run_replication(p) for p in payloads]
+    stat_rows = [
+        [j]
+        + [row[c] + 1 if c in ("stage", "queue") else row[c] for c in _STAT_COLUMNS]
+        for j, rep in enumerate(results)
+        for row in rep["stats"]
+    ]
+    rates = [rep["cost_rate"] for rep in results if rep["cost_rate"] is not None]
+    summary = {
+        "replications": [
+            {
+                "seed": rep["seed"],
+                "warmup_cycles": rep["warmup_cycles"],
+                "cost_rate": rep["cost_rate"],
+                "half_width": rep["half_width"],
+            }
+            for rep in results
+        ],
+        "pooled_cost_rate": float(np.mean(rates)) if rates else None,
+    }
+    artefacts = {
+        "simulation_stats.csv": (["replication"] + _STAT_COLUMNS, stat_rows),
+        "simulation_summary.json": summary,
+    }
+    path = results[0]["path"]
+    if path is not None:
+        grid, sampled, fluid = path
+        queues = sampled.shape[1]
+        header = (
+            ["time"] + _queue_columns("q", queues) + _queue_columns("fluid_q", queues)
         )
-
-        counters["replications"] = [rep["counters"] for rep in results]
-        rates = [rep["cost_rate"] for rep in results if rep["cost_rate"] is not None]
-        summary = {
-            "replications": [
-                {
-                    "seed": rep["seed"],
-                    "warmup_cycles": rep["warmup_cycles"],
-                    "cost_rate": rep["cost_rate"],
-                    "half_width": rep["half_width"],
-                }
-                for rep in results
-            ],
-            "pooled_cost_rate": float(np.mean(rates)) if rates else None,
-        }
-        _write_json(out / "simulation_summary.json", summary)
-        outputs = ["simulation_stats.csv", "simulation_summary.json"]
-
-        path = results[0]["path"]
-        if path is not None:
-            grid, sampled, fluid = path
-            queues = sampled.shape[1]
-            header = (
-                ["time"]
-                + _queue_columns("q", queues)
-                + _queue_columns("fluid_q", queues)
-            )
-            rows = [
-                [float(t)]
-                + [float(v) for v in sampled[i]]
-                + [float(v) for v in fluid[i]]
-                for i, t in enumerate(grid)
-            ]
-            _write_csv(out / "simulation_path.csv", header, rows)
-            outputs.append("simulation_path.csv")
-    return outputs
+        rows = [
+            [float(t)] + [float(v) for v in sampled[i]] + [float(v) for v in fluid[i]]
+            for i, t in enumerate(grid)
+        ]
+        artefacts["simulation_path.csv"] = (header, rows)
+    return artefacts, {"replications": [rep["counters"] for rep in results]}
 
 
-def _cmd_sweep(
-    resolved: dict, out: Path, seed: int, counters: dict[str, Any], phases: dict
-) -> list[str]:
+def _cmd_sweep(resolved: dict, args: argparse.Namespace) -> tuple[dict, dict]:
     sweep = resolved["sweep"]
     if sweep is None:
         raise ConfigError("sweep requires a sweep section")
     if resolved["cost"] is None:
         raise ConfigError("sweep requires a cost section")
-    with _phase(phases, "solve"):
-        summary_rows = []
-        stage_rows = []
-        records = []
-        counters["values"] = []
-        for value in sweep["values"]:
+    summary_rows, stage_rows, records, counters = [], [], [], []
+    for index, value in enumerate(sweep["values"]):
+        try:
             variant = rewrite_config(resolved, sweep["parameter"], value)
-            params, solution, pe, found = _optimize(variant, seed)
-            counters["values"].append({"value": value, **found})
-            summary_rows.append(
-                [value, solution.repetitions, solution.cost, solution.evaluations]
-            )
-            for row in _stage_rows(params, solution.control, pe):
-                stage_rows.append([value] + row)
-            records.append(
-                {
-                    "value": value,
-                    "repetitions": solution.repetitions,
-                    "ratios": list(solution.ratios),
-                    "cost": solution.cost,
-                }
-            )
-    with _phase(phases, "write"):
-        _write_csv(
-            out / "sweep_summary.csv",
+        except ValueError as exc:
+            raise ConfigError(f"sweep.values[{index}] = {value}: {exc}") from exc
+        params, solution, pe, found = _optimize(variant, args.seed)
+        counters.append({"value": value, **found})
+        summary_rows.append(
+            [value, solution.repetitions, solution.cost, solution.evaluations]
+        )
+        stages = _stage_rows(params, solution.control, pe)
+        stage_rows += [[value] + row for row in stages]
+        records.append(
+            {
+                "value": value,
+                "repetitions": solution.repetitions,
+                "ratios": list(solution.ratios),
+                "cost": solution.cost,
+            }
+        )
+    artefacts = {
+        "sweep_summary.csv": (
             ["value", "repetitions", "cost", "evaluations"],
             summary_rows,
-        )
-        _write_csv(
-            out / "sweep_stages.csv",
-            ["value", "stage", "queue", "ratio", "busy_time", "busy_share"],
-            stage_rows,
-        )
-        _write_json(
-            out / "sweep_result.json",
-            {"parameter": sweep["parameter"], "results": records},
-        )
-    return ["sweep_summary.csv", "sweep_stages.csv", "sweep_result.json"]
+        ),
+        "sweep_stages.csv": (["value"] + _STAGE_COLUMNS, stage_rows),
+        "sweep_result.json": {"parameter": sweep["parameter"], "results": records},
+    }
+    return artefacts, {"values": counters}
+
+
+#: each command: the function that computes its artefacts and counters, the
+#: ``run_meta.json`` phase that times it, and its help text
+COMMANDS = {
+    "pe": (_cmd_pe, "solve", "compute the periodic equilibrium of an explicit control"),
+    "optimize": (
+        _cmd_optimize,
+        "solve",
+        "search repetition counts and ratios for minimum cost",
+    ),
+    "simulate": (
+        _cmd_simulate,
+        "simulate",
+        "run the discrete-event system and compare with fluid",
+    ),
+    "sweep": (
+        _cmd_sweep,
+        "solve",
+        "re-optimise over a grid of one configuration value",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,12 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("pe", "compute the periodic equilibrium of an explicit control"),
-        ("optimize", "search repetition counts and ratios for minimum cost"),
-        ("simulate", "run the discrete-event system and compare with fluid"),
-        ("sweep", "re-optimise over a grid of one configuration value"),
-    ):
+    for name, (_, _, help_text) in COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="JSON configuration file")
         sub.add_argument("--out", default=None, help="output directory")
@@ -431,52 +377,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, phase, _ = COMMANDS[args.command]
     out = Path(args.out if args.out is not None else f"pollctl_{args.command}")
     started = datetime.now(timezone.utc).isoformat()
     clock = time.perf_counter()
-    counters: dict[str, Any] = {}
-    phases = dict.fromkeys(PHASES, 0.0)
     try:
-        with _phase(phases, "load"):
-            resolved = load_config(args.config)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.command == "pe":
-            outputs = _cmd_pe(resolved, out, args.seed, phases)
-        elif args.command == "optimize":
-            outputs = _cmd_optimize(resolved, out, args.seed, counters, phases)
-        elif args.command == "simulate":
-            if args.replications < 1:
-                raise ConfigError("--replications must be positive")
-            if args.threads < 1:
-                raise ConfigError("--threads must be positive")
-            outputs = _cmd_simulate(
-                resolved,
-                out,
-                args.seed,
-                args.replications,
-                args.threads,
-                counters,
-                phases,
-            )
-        else:
-            outputs = _cmd_sweep(resolved, out, args.seed, counters, phases)
+        resolved = load_config(args.config)
+        loaded = time.perf_counter()
+        artefacts, counters = command(resolved, args)
+        computed = time.perf_counter()
         manifest = {
             "command": args.command,
             "seed": args.seed,
-            "outputs": sorted(outputs),
+            "outputs": sorted(artefacts),
             "config": resolved,
         }
         if args.command == "simulate":
             manifest["replications"] = args.replications
-        with _phase(phases, "write"):
-            _write_json(out / "resolved_config.json", manifest)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, artefact in {**artefacts, "resolved_config.json": manifest}.items():
+            _write(out / name, artefact)
+        written = time.perf_counter()
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
-    _write_json(
+    phases = {"load": loaded - clock, "solve": 0.0, "simulate": 0.0}
+    phases[phase] = computed - loaded
+    phases["write"] = written - computed
+    _write(
         out / "run_meta.json",
         {
             "version": __version__,

@@ -150,6 +150,15 @@ def system_from(resolved_system: dict[str, Any]) -> SystemParameters:
     )
 
 
+#: each cost kind: its builder, and its option keys in the builder's order,
+#: each marked by whether it holds one list per queue
+_COST_KINDS = {
+    "linear": (linear_cost, {"coefficients": False}),
+    "piecewise_linear": (piecewise_linear_cost, {"thresholds": True, "slopes": True}),
+    "polynomial": (polynomial_cost, {"coefficients": True}),
+}
+
+
 def _resolve_cost(section: Any, queues: int) -> dict[str, Any]:
     _check_keys(
         section,
@@ -158,42 +167,21 @@ def _resolve_cost(section: Any, queues: int) -> dict[str, Any]:
         optional=("coefficients", "thresholds", "slopes"),
     )
     kind = section["kind"]
-    if kind == "linear":
-        _check_keys(section, "cost", required=("kind", "coefficients"))
-        coefficients = _number_list(section["coefficients"], "cost.coefficients", queues)
-        resolved = {"kind": kind, "coefficients": coefficients}
-    elif kind == "piecewise_linear":
-        _check_keys(section, "cost", required=("kind", "thresholds", "slopes"))
-        thresholds = section["thresholds"]
-        slopes = section["slopes"]
-        for name, value in (("thresholds", thresholds), ("slopes", slopes)):
-            if not isinstance(value, list) or len(value) != queues:
-                raise ConfigError(f"cost.{name} must be one list per queue")
-        resolved = {
-            "kind": kind,
-            "thresholds": [
-                _number_list(t, f"cost.thresholds[{k}]") for k, t in enumerate(thresholds)
-            ],
-            "slopes": [
-                _number_list(p, f"cost.slopes[{k}]") for k, p in enumerate(slopes)
-            ],
-        }
-    elif kind == "polynomial":
-        _check_keys(section, "cost", required=("kind", "coefficients"))
-        coefficients = section["coefficients"]
-        if not isinstance(coefficients, list) or len(coefficients) != queues:
-            raise ConfigError("cost.coefficients must be one list per queue")
-        resolved = {
-            "kind": kind,
-            "coefficients": [
-                _number_list(c, f"cost.coefficients[{k}]")
-                for k, c in enumerate(coefficients)
-            ],
-        }
-    else:
-        raise ConfigError(
-            "cost.kind must be one of ['linear', 'piecewise_linear', 'polynomial']"
-        )
+    if kind not in list(_COST_KINDS):  # a list: the kind may be unhashable
+        raise ConfigError(f"cost.kind must be one of {list(_COST_KINDS)}")
+    options = _COST_KINDS[kind][1]
+    _check_keys(section, "cost", required=("kind", *options))
+    resolved = {"kind": kind}
+    for key, per_queue in options.items():
+        value = section[key]
+        if not per_queue:
+            resolved[key] = _number_list(value, f"cost.{key}", queues)
+            continue
+        if not isinstance(value, list) or len(value) != queues:
+            raise ConfigError(f"cost.{key} must be one list per queue")
+        resolved[key] = [
+            _number_list(v, f"cost.{key}[{k}]") for k, v in enumerate(value)
+        ]
     try:
         cost_from(resolved)
     except ValueError as exc:
@@ -204,14 +192,8 @@ def _resolve_cost(section: Any, queues: int) -> dict[str, Any]:
 def cost_from(resolved_cost: dict[str, Any] | None) -> CostFunction | None:
     if resolved_cost is None:
         return None
-    kind = resolved_cost["kind"]
-    if kind == "linear":
-        return linear_cost(resolved_cost["coefficients"])
-    if kind == "piecewise_linear":
-        return piecewise_linear_cost(
-            resolved_cost["thresholds"], resolved_cost["slopes"]
-        )
-    return polynomial_cost(resolved_cost["coefficients"])
+    build, options = _COST_KINDS[resolved_cost["kind"]]
+    return build(*(resolved_cost[key] for key in options))
 
 
 def _resolve_control(section: Any, params: SystemParameters) -> dict[str, Any]:
@@ -320,32 +302,33 @@ def _resolve_sweep(section: Any) -> dict[str, Any]:
     return {"parameter": parameter, "values": values}
 
 
-def set_path(data: dict[str, Any], path: str, value: Any) -> None:
-    """Assign ``value`` at a dotted path; list positions are 0-based."""
+def _key(node: Any, part: str) -> Any:
+    """The key or list index that one part of a dotted path names in ``node``."""
+    if isinstance(node, list):
+        try:
+            index = int(part)
+        except ValueError:
+            raise ConfigError(f"sweep.parameter: {part!r} is not a list index")
+        if not 0 <= index < len(node):
+            raise ConfigError(f"sweep.parameter: index {index} out of range")
+        return index
+    if isinstance(node, dict):
+        if part not in node:
+            raise ConfigError(f"sweep.parameter: no entry {part!r}")
+        return part
+    raise ConfigError(f"sweep.parameter: {part!r} addresses a scalar")
+
+
+def set_path(data: dict[str, Any], path: str, value: Any) -> Any:
+    """Assign ``value`` at a dotted path and return the entry it replaces;
+    list positions are 0-based."""
     node: Any = data
-    parts = path.split(".")
-    for depth, part in enumerate(parts):
-        last = depth == len(parts) - 1
-        if isinstance(node, list):
-            try:
-                index = int(part)
-            except ValueError:
-                raise ConfigError(f"sweep.parameter: {part!r} is not a list index")
-            if not 0 <= index < len(node):
-                raise ConfigError(f"sweep.parameter: index {index} out of range")
-            if last:
-                node[index] = value
-            else:
-                node = node[index]
-        elif isinstance(node, dict):
-            if part not in node:
-                raise ConfigError(f"sweep.parameter: no entry {part!r}")
-            if last:
-                node[part] = value
-            else:
-                node = node[part]
-        else:
-            raise ConfigError(f"sweep.parameter: {part!r} addresses a scalar")
+    *parents, last = path.split(".")
+    for part in parents:
+        node = node[_key(node, part)]
+    key = _key(node, last)
+    replaced, node[key] = node[key], value
+    return replaced
 
 
 def resolve_config(data: Any) -> dict[str, Any]:
@@ -384,7 +367,12 @@ def load_config(path: str) -> dict[str, Any]:
 def rewrite_config(resolved: dict[str, Any], path: str, value: Any) -> dict[str, Any]:
     """Copy a resolved config, set one value, and re-validate."""
     data = copy.deepcopy(resolved)
-    set_path(data, path, value)
+    replaced = set_path(data, path, value)
+    # a whole number stays an integer over an integer entry or an unset one,
+    # such as ``optimize.budget``
+    whole = isinstance(value, float) and value.is_integer()
+    if whole and (replaced is None or isinstance(replaced, int)):
+        set_path(data, path, int(value))
     if data.get("cost") is None:
         data.pop("cost", None)
     if data.get("sweep") is None:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import csv
+import hashlib
 import json
 import math
 import os
@@ -14,6 +16,7 @@ import numpy as np
 from pollctl import cli, des
 from pollctl import cost as cost_module
 from pollctl.cli import main
+from pollctl.config import set_path
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -676,3 +679,179 @@ def test_simulate_with_a_cost_loads_no_scipy(tmp_path, command):
     if command == "simulate":
         summary = json.loads((out / "simulation_summary.json").read_text("utf-8"))
         assert summary["replications"][0]["half_width"] > 0.0
+
+
+def test_sweeping_an_integer_entry_matches_optimize_at_each_value(tmp_path, capsys):
+    # a swept value is a float; written over an integer entry, or over the
+    # unset budget, it is an integer again
+    unset = {**README_CONFIG, "optimize": {"repetition_set": [1, 2], "budget": None}}
+    sweeps = [
+        (README_CONFIG, "optimize.budget", [0, 2]),
+        (unset, "optimize.budget", [0, 2]),
+        (README_CONFIG, "system.table.4", [2, 3]),
+        (README_CONFIG, "optimize.repetition_set.0", [1, 2]),
+    ]
+    for n, (base, parameter, values) in enumerate(sweeps):
+        sweep = {"parameter": parameter, "values": values}
+        config = write_config(tmp_path, {**base, "sweep": sweep}, name=f"{n}.json")
+        out = tmp_path / f"sweep-{n}"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        summary = read_csv(out / "sweep_summary.csv")[1:]
+        stages = read_csv(out / "sweep_stages.csv")[1:]
+        assert [float(row[0]) for row in summary] == values
+        for value, row in zip(values, summary):
+            data = copy.deepcopy(base)
+            set_path(data, parameter, value)
+            written = write_config(tmp_path, data, name=f"{n}-{value}.json")
+            ref = tmp_path / f"optimize-{n}-{value}"
+            assert main(["optimize", "--config", str(written), "--out", str(ref)]) == 0
+            result = json.loads((ref / "optimize_result.json").read_text("utf-8"))
+            assert [int(row[1]), float(row[2]), int(row[3])] == [
+                result["repetitions"],
+                result["cost"],
+                result["evaluations"],
+            ]
+            assert [r[1:] for r in stages if float(r[0]) == value] == read_csv(
+                ref / "optimize_stages.csv"
+            )[1:]
+
+    # a value that fails resolution is named with the error
+    failing = [
+        ("system.arrival_rates.0", [2.0, 5.0], "sweep.values[1] = 5.0: total load"),
+        ("optimize.budget", [1.5], "sweep.values[0] = 1.5: optimize.budget must be"),
+    ]
+    for n, (parameter, values, message) in enumerate(failing):
+        sweep = {"parameter": parameter, "values": values}
+        config = write_config(tmp_path, {**README_CONFIG, "sweep": sweep})
+        out = tmp_path / f"bad-{n}"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_manifest_lists_exactly_the_files_written(tmp_path):
+    runs = [("pe", 0), ("optimize", 0), ("sweep", 0), ("simulate", 0), ("simulate", 2)]
+    for command, record in runs:
+        simulation = {
+            "warmup_cycles": 5,
+            "measured_cycles": 20,
+            "batches": 4,
+            "record_path_cycles": record,
+        }
+        sweep = {"parameter": "cost.coefficients.1", "values": [1.0, 2.0]}
+        settings = {"optimize": {"budget": 0}, "simulation": simulation, "sweep": sweep}
+        name = f"{command}-{record}"
+        config = write_config(tmp_path, settings, name=f"{name}.json")
+        out = tmp_path / name
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "resolved_config.json").read_text("utf-8"))
+        written = sorted(
+            p.name
+            for p in out.iterdir()
+            if p.name not in ("resolved_config.json", "run_meta.json")
+        )
+        assert manifest["outputs"] == written
+        if command == "simulate":
+            assert ("simulation_path.csv" in written) is (record > 0)
+
+
+#: a small revisit system with a piecewise-linear cost that every command
+#: runs on in ``test_every_artefact_keeps_its_pinned_bytes``
+PINNED_CONFIG = {
+    "system": README_CONFIG["system"],
+    "cost": {
+        "kind": "piecewise_linear",
+        "thresholds": [[0.0, 2.0], [0.0, 3.0], [0.0, 2.0]],
+        "slopes": [[1.0, 5.0], [1.0, 3.0], [2.0, 9.0]],
+    },
+    "optimize": {"budget": 0},
+    "simulation": {
+        "scale": 4,
+        "warmup_cycles": 10,
+        "measured_cycles": 40,
+        "batches": 4,
+        "record_path_cycles": 2,
+    },
+    "sweep": {"parameter": "cost.slopes.2.1", "values": [6.0, 9.0]},
+}
+
+#: SHA-256 of every artefact but ``run_meta.json``, from the CLI whose
+#: commands still wrote their own files
+PINNED_ARTEFACTS = {
+    "pe/pe_breakpoints.csv": (
+        "6ddc64a408cd9f0dac9fcc6e7ad603ac"
+        "eef37afa733b994b4f42fc806d41e7cc"
+    ),
+    "pe/pe_summary.json": (
+        "43eb99eca22a5f230b5f034384cd3408"
+        "342ef2d0a760dc23448d53b85d53426a"
+    ),
+    "pe/resolved_config.json": (
+        "a19be2e42c6bc60ddb8fde4184900ab1"
+        "c37e3f53fcdcb9392e91954aaf98a6b5"
+    ),
+    "optimize/optimize_result.json": (
+        "665145e96105915f70ea70ba83bf249d"
+        "7de6abcc611a216fdb45960e06daa1c1"
+    ),
+    "optimize/optimize_stages.csv": (
+        "2513eaeea695b3630896175566ab2cf3"
+        "52392e2169bca248b199f0d1f485df66"
+    ),
+    "optimize/resolved_config.json": (
+        "681ed5d3d41999711dd83a4bafcac2ab"
+        "6e8d8a4d40e7ee08d1995cf01768c97a"
+    ),
+    "simulate/resolved_config.json": (
+        "96bf071e5acad98cea87b9201b454822"
+        "3025f8c6d779bf9fe48c77b474a92e43"
+    ),
+    "simulate/simulation_path.csv": (
+        "276717913a74e0aebb3695475715a341"
+        "a7b1a452c34dbd4a24e3ac8ea27193fd"
+    ),
+    "simulate/simulation_stats.csv": (
+        "2e2216e00e3f681dad0a25a35ec8f2f2"
+        "9e58caddb908f3bb45241b41ec7140c9"
+    ),
+    "simulate/simulation_summary.json": (
+        "68b2851880b727794326ef1491100918"
+        "7c7d2c671f0a105bd10b764d3a9e760b"
+    ),
+    "sweep/resolved_config.json": (
+        "b985aa8cf8f3ac509fbc37ab2140934f"
+        "6f94f64c250034722b0264b2f915ce9d"
+    ),
+    "sweep/sweep_result.json": (
+        "bda4510b5f65c8d0a8f7d28b918211ce"
+        "d524dda2d61fc3a002785f097f850a7f"
+    ),
+    "sweep/sweep_stages.csv": (
+        "b0567d289869c25a1967e7dde78b4721"
+        "35e7d28a2e84e0666d76b3bca0e4b4ef"
+    ),
+    "sweep/sweep_summary.csv": (
+        "8c58c9c531b845369d05cb3f12421ce7"
+        "30b44f15d2c04446b41d3de36fde3eaa"
+    ),
+}
+
+
+def test_every_artefact_keeps_its_pinned_bytes(tmp_path):
+    """Every command's artefacts keep their bytes.
+
+    Like the simulator's pinned runs, the digests include LAPACK results:
+    they hold under NumPy 2.4.6.
+    """
+    config = write_config(tmp_path, PINNED_CONFIG)
+    for command in ("pe", "optimize", "simulate", "sweep"):
+        argv = [command, "--config", str(config), "--out", str(tmp_path / command)]
+        if command == "simulate":
+            argv += ["--replications", "2"]
+        assert main(argv) == 0
+    digests = {
+        f"{command}/{name}": hashlib.sha256(data).hexdigest()
+        for command in ("pe", "optimize", "simulate", "sweep")
+        for name, data in tree_bytes(tmp_path / command).items()
+    }
+    assert digests == PINNED_ARTEFACTS
