@@ -193,8 +193,8 @@ def _run_replication(payload: tuple[dict, int, int, int]) -> dict[str, Any]:
         "counters": {
             "warmup_cycles": result.warmup_cycles,
             "warmup_converged": result.warmup_converged,
-            "tours": result.warmup_cycles + len(result.records),
-            "jobs_served": int(np.sum([r.services for r in result.records])),
+            "tours": result.warmup_cycles + result.indices.size,
+            "jobs_served": int(result.services.sum()),
             "cost_integrations": result.cost_integrations,
             "cost_passes": result.cost_passes,
             "simulate_s": simulate_s,

@@ -76,7 +76,7 @@ _DISTRIBUTION_OPTIONS = tuple(dict.fromkeys(sum(KIND_OPTIONS.values(), ())))
 def _resolve_distribution(section: Any, path: str) -> dict[str, Any]:
     _check_keys(section, path, required=("kind",), optional=_DISTRIBUTION_OPTIONS)
     kind = section["kind"]
-    if kind not in KIND_OPTIONS:
+    if kind not in list(KIND_OPTIONS):  # a list: the kind may be unhashable
         raise ConfigError(f"{path}.kind must be one of {sorted(KIND_OPTIONS)}")
     allowed = KIND_OPTIONS[kind]
     options: dict[str, float] = {}

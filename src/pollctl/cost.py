@@ -5,17 +5,17 @@ constant, so for the built-in cost families every integral is computed in
 closed form, vectorised over arrays of linear pieces: linear and polynomial
 costs via antiderivatives, piecewise-linear costs as sums of threshold-
 activated linear terms.  Simulated paths are integrated a block of tours at a
-time.  ``block_path`` is the one merge of a queue's simulated jumps: it
-places every bound and jump by ``searchsorted`` position arithmetic, with no
-sort.  A separable cost integrates each queue on its own merged path; any
-other cost reads every queue's count on the union of their paths' epochs.
-Either way the cost is evaluated once per block and the pieces are summed
-per tour.  A linear cost needs no step path at all: its integral is the
-total time the jobs spend in the queue.  Fluid paths are integrated through
-one method of every cost, ``integrals(start, end, dt)`` over arrays of linear
-pieces; a ``CustomCost`` of an arbitrary callable loops adaptive
-Gauss-Legendre quadrature with a 1e-10 relative target over the pieces, such
-as the breakpoint orbit of ``VisitRecursion.orbit``.
+time.  ``block_path`` is the one merge of a queue's simulated jumps: one
+stable sort merges its completions and arrivals in linear time, and the tour
+bounds are slotted in.  A separable cost integrates each queue on its own
+merged path; any other cost reads every queue's count on the union of their
+paths' epochs.  Either way the cost is evaluated once per block and the
+pieces are summed per tour.  A linear cost needs no step path at all: its
+integral is the total time the jobs spend in the queue.  Fluid paths are
+integrated through one method of every cost, ``integrals(start, end, dt)``
+over arrays of linear pieces; a ``CustomCost`` of an arbitrary callable
+loops adaptive Gauss-Legendre quadrature with a 1e-10 relative target over
+the pieces, such as the breakpoint orbit of ``VisitRecursion.orbit``.
 """
 
 from __future__ import annotations
@@ -167,26 +167,25 @@ def block_path(
     the slot of each tour bound (its last entry is the final slot, the
     block's end); every other slot is a jump.  Slots hold the bounds and the
     jumps in time order, downs before ups at equal epochs and bound ``j``
-    before the jumps of tour ``j``; each slot's position is counted by
-    ``searchsorted``, with no sort.  A path that misses a tour's start level,
-    goes negative or runs backwards in time raises ``RuntimeError``.
+    before the jumps of tour ``j``: a stable sort of the downs then the ups
+    ranks the jumps, which then move past the bounds before them.  A path
+    that misses a tour's start level, goes negative or runs backwards in time
+    raises ``RuntimeError``.
     """
     up_counts, down_counts = _tour_counts(levels, ups, downs, bounds)
     jumps = up_counts + down_counts
     slots = _bound_slots(jumps)
     # index among the jumps (downs first at ties), then past the bounds before it
-    up_at = np.arange(ups.size) + downs.searchsorted(ups, "right")
-    down_at = np.arange(downs.size) + ups.searchsorted(downs, "left")
-    passed = np.repeat(np.arange(1, jumps.size + 1), jumps)
-    up_at += passed[up_at]
-    down_at += passed[down_at]
+    events = np.concatenate([downs, ups])
+    at = np.empty(events.size, dtype=np.int64)
+    at[events.argsort(kind="stable")] = np.arange(events.size)
+    at += np.repeat(np.arange(1, jumps.size + 1), jumps)[at]
     times = np.empty(slots[-1] + 1)
     steps = np.zeros(times.size, dtype=np.int64)
     times[slots] = bounds
-    times[up_at] = ups
-    times[down_at] = downs
-    steps[up_at] = 1
-    steps[down_at] = -1
+    times[at] = events
+    steps[at[: downs.size]] = -1
+    steps[at[downs.size :]] = 1
     steps[0] = levels[0]
     path = np.cumsum(steps)
     missed = np.flatnonzero(path[slots] != levels)

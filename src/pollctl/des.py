@@ -16,14 +16,14 @@ row per stage (polling epoch, the polled queue's level then, its services,
 busy time and switchover) and one entry per tour (start levels, and whether
 its path is recorded).  Tours are simulated until the block holds more than
 ``_Engine.BLOCK_EVENTS`` arrivals and completions (or the run ends).  Then
-every tour record is built from the log's arrays: every queue's polling
-levels come from one ``searchsorted`` of its arrivals over the block's
-polling epochs minus its services in the stages before (checked against the
-levels used online), and the cost is integrated over the whole block by
-``CostFunction.tour_integrals``, from the block's arrival epochs (one
-contiguous slice of each queue's clock) and completion epochs.  A recorded
-path keeps the jumps of each queue's ``cost.block_path`` over the recorded
-tours, so every simulated path is merged in one place.
+the tours' record columns are built from the log's arrays: every queue's
+polling levels come from one ``searchsorted`` of its arrivals over the
+block's polling epochs minus its services in the stages before (checked
+against the levels used online), and the cost is integrated over the whole
+block by ``CostFunction.tour_integrals``, from the block's arrival epochs
+(one contiguous slice of each queue's clock) and completion epochs.  A
+recorded path keeps the jumps of each queue's ``cost.block_path`` over the
+recorded tours, so every simulated path is merged in one place.
 
 Event-order convention at coincident epochs: service completions precede
 arrivals (the ``>=`` above), which precede switchover ends.  All sampled
@@ -272,6 +272,13 @@ class _SampleBuffer(_Store):
             self._ptr = 0
 
 
+def _floats(dist: Distribution, gen: np.random.Generator):
+    """Draws of ``dist`` in order as Python floats, taken ``CHUNK`` at a time."""
+    buffer = _SampleBuffer(dist, gen)
+    while True:
+        yield from buffer.take(buffer.CHUNK).tolist()
+
+
 def _cumulate(rows: np.ndarray, gen: np.random.Generator, scale: float, head: float):
     """Fill ``rows`` (blocks, BLOCK) with the arrival epochs after ``head``:
     a row-wise cumsum of scaled exponential gaps, then the heads folded in
@@ -413,25 +420,16 @@ class _PathRecorder:
         self.origin = origin
         self.start = start
         self.end = origin
-        self._times: list[list[np.ndarray]] = [[] for _ in start]
-        self._values: list[list[np.ndarray]] = [[] for _ in start]
-
-    def add(self, end: float, paths: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Append per-queue step paths of consecutive tours (absolute epochs,
-        counts)."""
-        self.end = end
-        for k, (times, levels) in enumerate(paths):
-            self._times[k].append(times)
-            self._values[k].append(levels)
+        #: per block of recorded tours, each queue's (epochs, counts) step path
+        self.blocks: list[list[tuple[np.ndarray, np.ndarray]]] = []
 
     def finalize(self, scale: int) -> ScaledPath:
-        times = tuple((np.concatenate(c) - self.origin) / scale for c in self._times)
-        values = tuple(np.concatenate(c) / scale for c in self._values)
+        queues = [tuple(zip(*paths)) for paths in zip(*self.blocks)]
         return ScaledPath(
             end_time=(self.end - self.origin) / scale,
             start_levels=self.start / scale,
-            times=times,
-            values=values,
+            times=tuple((np.concatenate(t) - self.origin) / scale for t, _ in queues),
+            values=tuple(np.concatenate(v) / scale for _, v in queues),
         )
 
 
@@ -446,12 +444,12 @@ def _served_before(served: np.ndarray) -> np.ndarray:
 class _Engine:
     """The simulator between tours.  Its stores: per queue an ``_ArrivalClock``,
     a ``_SampleBuffer`` of services and the block's completion epochs; per
-    stage a ``_SampleBuffer`` of switchovers, each read by ``take(1)``.
+    stage a ``_SampleBuffer`` of switchovers, read through ``_floats``.
     ``cycle`` runs the dynamics and logs them; ``_flush`` turns a block's log
-    into its ``CycleRecord``s and path."""
+    into its tours' record fields and path."""
 
     #: arrivals plus completions a block of tours may hold before its costs
-    #: are integrated and its records built; bounds the memory the block keeps
+    #: are integrated and its columns built; bounds the memory the block keeps
     BLOCK_EVENTS = 1 << 14
 
     def __init__(
@@ -501,7 +499,7 @@ class _Engine:
                 int(self._polled[i]),
                 float(ratio),
                 rng.substream(seed, rng.BINOMIALS, i),
-                _SampleBuffer(
+                _floats(
                     scaled.switchover[i % basic],
                     rng.substream(seed, rng.SWITCHOVERS, i),
                 ),
@@ -525,7 +523,8 @@ class _Engine:
         self._tours: list[tuple[tuple[int, ...], bool]] = []
         self._block_events = 0
         self._downs = [_Store() for _ in k_range]
-        self._finished: list[CycleRecord] = []
+        #: per block flushed since ``take_columns``, its tours' record fields
+        self._blocks: list[tuple[np.ndarray, ...]] = []
 
     # -- window machinery ---------------------------------------------------
 
@@ -574,11 +573,11 @@ class _Engine:
             chunk = min(chunk * 2, 1 << 22)
 
     def _flush(self) -> None:
-        """Build the block's records from its log: rebuild every queue's
-        polling levels, add the recorded tours to the path (starting it at
-        the first), integrate the block's costs in one ``tour_integrals``
-        call, then finish the records; every clock's tour mark moves to the
-        block's end."""
+        """Build the block's record columns from its log: rebuild every
+        queue's polling levels, add the recorded tours to the path (starting
+        it at the first), integrate the block's costs in one
+        ``tour_integrals`` call, then append the columns; every clock's tour
+        mark moves to the block's end."""
         tours, self._tours, self._block_events = self._tours, [], 0
         if not tours:
             return
@@ -620,7 +619,8 @@ class _Engine:
                 times, path, slots = block_path(start, u, d, bounds)
                 jumps = np.delete(np.arange(slots[i], slots[j]), slots[i:j] - slots[i])
                 paths.append((times[jumps], path[jumps]))
-            self.recorder.add(bounds[j], paths)
+            self.recorder.end = bounds[j]
+            self.recorder.blocks.append(paths)
         scale = self._scaled.scale
         if self._psi is None:
             costs = np.full(len(tours), math.nan)
@@ -628,30 +628,21 @@ class _Engine:
             self.cost_passes += 1
             self.cost_integrations += len(tours) * self._psi.integrals_per_tour
             costs = self._psi.tour_integrals(starts, ups, downs, bounds, scale)
-        costs = costs / scale
-        start_times = (bounds[:-1] / scale).tolist()
-        durations = (np.diff(bounds) / scale).tolist()
-        shape = (len(tours), self._polled.size, len(self._clocks))
-        polling = levels[:-1].reshape(shape)
-        services = served.reshape(shape).sum(axis=1)
-        arrivals = np.diff(ups_before[tour_rows], axis=0)
         busy, switch = (log[:, 3:] / scale).T.reshape(2, len(tours), -1)
-        first = self.cycles_run - len(tours)
-        for j, (start, _) in enumerate(tours):
-            self._finished.append(
-                CycleRecord(
-                    index=first + j,
-                    start_time=start_times[j],
-                    duration=durations[j],
-                    cost=costs[j],
-                    start_levels=start,
-                    polling_levels=polling[j],
-                    busy_times=busy[j],
-                    switchover_times=switch[j],
-                    arrivals=arrivals[j],
-                    services=services[j],
-                )
+        self._blocks.append(
+            (
+                np.arange(self.cycles_run - len(tours), self.cycles_run),
+                bounds[:-1] / scale,
+                np.diff(bounds) / scale,
+                costs / scale,
+                starts[:-1],
+                levels[:-1].reshape(len(tours), self._polled.size, -1),
+                busy,
+                switch,
+                np.diff(ups_before[tour_rows], axis=0),
+                served.reshape(len(tours), self._polled.size, -1).sum(axis=1),
             )
+        )
 
     # -- cycle driver ---------------------------------------------------------
 
@@ -661,8 +652,8 @@ class _Engine:
         Only the polled queue's clock is advanced within the tour, at its
         polling epoch and at the end of its busy period; every clock is
         advanced at the tour's end.  The tour logs one row per stage and its
-        start levels; ``_flush`` builds its record from the block's log once
-        the block exceeds ``BLOCK_EVENTS``, or at ``take_records``.
+        start levels; ``_flush`` builds its record fields from the block's log
+        once the block exceeds ``BLOCK_EVENTS``, or at ``take_columns``.
         """
         levels = self._levels
         start_levels = tuple(levels)
@@ -674,7 +665,8 @@ class _Engine:
             clock = clocks[queue]
             epoch = t
             level = levels[queue] + clock.advance_to(t)
-            if ratio == 1.0:
+            if ratio == 1.0 or level == 0:
+                # binomial(0, ratio) is 0 and draws nothing
                 cleared = level
             else:
                 cleared = int(binomials.binomial(level, ratio))
@@ -689,7 +681,7 @@ class _Engine:
                         f"not {level} - {cleared}"
                     )
             levels[queue] = level - cleared
-            pause = float(pauses.take(1)[0])
+            pause = next(pauses)
             t += pause
             log.append((epoch, level, done, duration, pause))
             served += done
@@ -704,23 +696,35 @@ class _Engine:
             self._flush()
         return start_levels
 
-    def take_records(self) -> list[CycleRecord]:
-        """Finish the open block and hand over every record finished since
-        the last call."""
+    def take_columns(self) -> list[np.ndarray]:
+        """Finish the open block and hand over the tours since the last call:
+        one array per ``CycleRecord`` field in order, none without tours."""
         self._flush()
-        records, self._finished = self._finished, []
-        return records
+        blocks, self._blocks = self._blocks, []
+        return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 @dataclass
 class SimulationResult:
-    """Measured cycles of one run, plus the optional recorded path."""
+    """Measured cycles of one run, plus the optional recorded path: the
+    ``CycleRecord`` fields of its tours as columns (``indices`` to
+    ``services``, a row per tour), and the ``records`` built on first read."""
 
     scaled: ScaledSystem
     control: ControlParams
     seed: int
     warmup_cycles: int
-    records: list[CycleRecord] = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    start_times: np.ndarray = field(repr=False)
+    durations: np.ndarray = field(repr=False)
+    costs: np.ndarray = field(repr=False)
+    start_levels: np.ndarray = field(repr=False)
+    #: (cycles, stages, queues) job counts at every polling epoch
+    polling_array: np.ndarray = field(repr=False)
+    busy_array: np.ndarray = field(repr=False)
+    switchover_array: np.ndarray = field(repr=False)
+    arrivals: np.ndarray = field(repr=False)
+    services: np.ndarray = field(repr=False)
     path: ScaledPath | None = None
     #: False when adaptive warmup reached ``WARMUP_LIMIT`` with the Geweke
     #: score still at 3 or more; a fixed ``warmup_cycles`` is taken as given
@@ -737,25 +741,22 @@ class SimulationResult:
     drawn_inline: int = 0
 
     @cached_property
-    def durations(self) -> np.ndarray:
-        return np.array([r.duration for r in self.records])
-
-    @cached_property
-    def costs(self) -> np.ndarray:
-        return np.array([r.cost for r in self.records])
-
-    @cached_property
-    def polling_array(self) -> np.ndarray:
-        """(cycles, stages, queues) job counts at every polling epoch."""
-        return np.stack([r.polling_levels for r in self.records])
-
-    @cached_property
-    def busy_array(self) -> np.ndarray:
-        return np.stack([r.busy_times for r in self.records])
-
-    @cached_property
-    def switchover_array(self) -> np.ndarray:
-        return np.stack([r.switchover_times for r in self.records])
+    def records(self) -> list[CycleRecord]:
+        return [
+            CycleRecord(*row)
+            for row in zip(
+                self.indices.tolist(),
+                self.start_times.tolist(),
+                self.durations.tolist(),
+                self.costs,
+                map(tuple, self.start_levels.tolist()),
+                self.polling_array,
+                self.busy_array,
+                self.switchover_array,
+                self.arrivals,
+                self.services,
+            )
+        ]
 
 
 #: tours adaptive warmup may run before it stops unsettled
@@ -816,22 +817,22 @@ def run(
             for _ in range(warmup_cycles):
                 engine.cycle()
         warmup_used = engine.cycles_run
-        engine.take_records()
+        engine.take_columns()
 
         for m in range(measured_cycles):
             engine.cycle(record_path=m < record_path_cycles)
-        records = engine.take_records()
+        columns = engine.take_columns()
         path = None
         if record_path_cycles > 0:
             path = engine.recorder.finalize(scaled.scale)
     finally:
         engine.refill_thread.close()
     return SimulationResult(
-        scaled=scaled,
-        control=control,
-        seed=seed,
-        warmup_cycles=warmup_used,
-        records=records,
+        scaled,
+        control,
+        seed,
+        warmup_used,
+        *columns,
         path=path,
         warmup_converged=converged,
         cost_integrations=engine.cost_integrations,

@@ -354,6 +354,13 @@ def test_error_exit_codes(tmp_path, capsys):
     assert "cost.coefficients must be" in capsys.readouterr().err
     assert not (tmp_path / "n").exists()
 
+    # an unhashable distribution kind is a config error, not a TypeError
+    listed_kind = write_config(
+        tmp_path, {"simulation": {"service_distribution": {"kind": ["gamma"]}}}
+    )
+    assert main(["pe", "--config", str(listed_kind), "--out", str(tmp_path / "k")]) == 2
+    assert "simulation.service_distribution.kind must be" in capsys.readouterr().err
+
     no_cost = {
         "system": {
             "arrival_rates": [1.0, 1.0],
@@ -542,6 +549,37 @@ def test_simulate_reports_cost_passes(tmp_path):
         passes[name] = rep["cost_passes"], rep["cost_integrations"]
     # one block for the warmup tours and one for the measured ones
     assert passes == {"piecewise": (2, 45 * 2), "none": (0, 0)}
+
+
+def test_simulate_builds_no_cycle_record(tmp_path, monkeypatch):
+    # the counters come from the result's columns: a record built on the way
+    # would raise
+    results = []
+
+    def kept(*args, **kwargs):
+        results.append(des.run(*args, **kwargs))
+        return results[-1]
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("simulate built a CycleRecord")
+
+    simulation = {
+        "warmup_cycles": 7,
+        "measured_cycles": 60,
+        "record_path_cycles": 3,
+        "batches": 4,
+    }
+    config = write_config(tmp_path, {"cost": PIECEWISE, "simulation": simulation})
+    out = tmp_path / "sim"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run", kept)
+        patch.setattr(des, "CycleRecord", no_record)
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    meta = json.loads((out / "run_meta.json").read_text("utf-8"))
+    (rep,) = meta["counters"]["replications"]
+    (result,) = results
+    assert rep["tours"] == result.warmup_cycles + len(result.records) == 67
+    assert rep["jobs_served"] == int(np.sum([r.services for r in result.records]))
 
 
 def test_simulate_workers_never_exceed_replications_or_cpus(monkeypatch):

@@ -323,6 +323,17 @@ def test_integers_beyond_every_float_are_rejected_by_key(tmp_path, entry):
     rejected_by_key(tmp_path, entry, 10**400)
 
 
+@pytest.mark.parametrize("section", ["service_distribution", "switchover_distribution"])
+@pytest.mark.parametrize("kind", [["gamma"], {"name": "gamma"}, "weibull", None])
+def test_distribution_kinds_outside_the_list_are_rejected_by_key(
+    tmp_path, section, kind
+):
+    config = every_section()
+    config["simulation"][section] = {"kind": kind}
+    with pytest.raises(ConfigError, match=rf"simulation\.{section}\.kind must be"):
+        load_text(tmp_path, config)
+
+
 @pytest.mark.parametrize(
     "kind, option, bad, edges",
     [

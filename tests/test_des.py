@@ -1077,7 +1077,10 @@ class ThirdDrawFails(Exception):
 
 class FailsOnThirdDraw(Distribution):
     """Exponential draws, until the third call of ``fill`` raises; with
-    ``off_main``, the third call made off the main thread."""
+    ``off_main``, every call made off the main thread raises instead.  A
+    refill still queued when it is needed is drawn on the main thread, so
+    which refills the worker draws depends on timing: failing each of them,
+    not the third, makes any run that reads one raise."""
 
     def __init__(self, mean: float, off_main: bool = False):
         object.__setattr__(self, "mean", mean)
@@ -1085,9 +1088,12 @@ class FailsOnThirdDraw(Distribution):
         object.__setattr__(self, "calls", itertools.count(1))
 
     def fill(self, gen, out):
-        main = threading.current_thread() is threading.main_thread()
-        if not (self.off_main and main) and next(self.calls) == 3:
-            raise ThirdDrawFails("the third draw of the service stream")
+        if self.off_main:
+            fails = threading.current_thread() is not threading.main_thread()
+        else:
+            fails = next(self.calls) == 3
+        if fails:
+            raise ThirdDrawFails("a failing draw of the service stream")
         out[:] = gen.exponential(self.mean, out.size)
 
 
@@ -1141,7 +1147,7 @@ def test_refill_errors_reach_run_unchanged(revisit_params, monkeypatch, mode, of
     with pytest.raises(ThirdDrawFails) as raised:
         pc.run(scaled, BINOMIAL, warmup_cycles=0, measured_cycles=3, seed=4)
     assert type(raised.value) is ThirdDrawFails
-    assert str(raised.value) == "the third draw of the service stream"
+    assert str(raised.value) == "a failing draw of the service stream"
 
 
 def test_different_seeds_decorrelate(symmetric_scaled, symmetric_params):
@@ -1173,6 +1179,54 @@ def test_deterministic_switchovers_recorded_exactly(symmetric_params):
     )
     # scaled switchovers are n * s_i long; recorded durations divide by n
     np.testing.assert_allclose(result.switchover_array, 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1, 200])
+def test_columns_equal_the_stacked_records(revisit_params, scale):
+    # at scale 200 every tour, of about 16 000 arrivals, is a block of its own
+    result = pc.run(
+        pc.scaled_system(revisit_params, scale),
+        BINOMIAL,
+        COSTS["piecewise"],
+        warmup_cycles=4,
+        measured_cycles=300 if scale == 1 else 6,
+        seed=12,
+        record_path_cycles=2,
+    )
+    records = result.records
+    if scale == 200:
+        assert result.cost_passes == 10
+    assert [r.index for r in records] == list(range(4, 4 + len(records)))
+    for r in records:
+        assert type(r.index) is int and type(r.start_time) is float
+        assert all(type(level) is int for level in r.start_levels)
+        for values in (r.polling_levels, r.arrivals, r.services):
+            assert values.dtype == np.int64
+    pairs = [
+        (result.durations, np.array([r.duration for r in records])),
+        (result.costs, np.array([r.cost for r in records])),
+        (result.polling_array, np.stack([r.polling_levels for r in records])),
+        (result.busy_array, np.stack([r.busy_times for r in records])),
+        (result.switchover_array, np.stack([r.switchover_times for r in records])),
+    ]
+    for column, stacked in pairs:
+        assert column.shape == stacked.shape and column.dtype == stacked.dtype
+        assert column.tobytes() == stacked.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_binomial_of_none_draws_nothing(seed):
+    # the simulator skips ``binomial`` at an empty queue: NumPy gives 0 there
+    # and leaves the generator where it was, so skipping keeps every bit
+    used = np.random.default_rng(seed)
+    for ratio in (0.0, 0.1, 0.5, 0.7, 0.999, 1.0):
+        assert used.binomial(0, ratio) == 0
+    fresh = np.random.default_rng(seed)
+    for n, ratio in ((30, 0.5), (400, 0.999), (5, 0.1)):
+        assert used.binomial(n, ratio, size=50).tolist() == (
+            fresh.binomial(n, ratio, size=50).tolist()
+        )
+    assert used.random(4).tobytes() == fresh.random(4).tobytes()
 
 
 # -- warmup control ----------------------------------------------------------------
