@@ -1215,7 +1215,7 @@ def test_columns_equal_the_stacked_records(revisit_params, scale):
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_binomial_of_none_draws_nothing(seed):
+def test_binomial_at_an_empty_queue_draws_nothing(seed):
     # the simulator skips ``binomial`` at an empty queue: NumPy gives 0 there
     # and leaves the generator where it was, so skipping keeps every bit
     used = np.random.default_rng(seed)
