@@ -78,7 +78,7 @@ from .rfcp import (
     relaxation_bound_cyclic,
     solve_rfcp,
 )
-from .stats import batch_means, geweke_z, ratio_ci
+from .stats import batch_means, ratio_ci
 
 __version__ = "0.1.0"
 
@@ -120,7 +120,6 @@ __all__ = [
     "cycle_length",
     "cycle_map",
     "exhaustive_shortcut",
-    "geweke_z",
     "linear_cost",
     "long_run_cost",
     "make_distribution",

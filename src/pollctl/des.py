@@ -72,9 +72,9 @@ import numpy as np
 from . import rng
 from .cost import CostFunction, block_path
 from .distributions import Distribution, ScaledSystem
-from .fluid import PECandidate
-from .model import ControlParams, cycle_length, validate
-from .stats import batch_means, geweke_z, ratio_ci
+from .fluid import PECandidate, cycle_map, pe_from_params
+from .model import ControlParams, SystemParameters, cycle_length, validate
+from .stats import batch_means, ratio_ci
 
 
 def _first_passage(pending, t0: float, completions, shift: int) -> int:
@@ -726,8 +726,8 @@ class SimulationResult:
     arrivals: np.ndarray = field(repr=False)
     services: np.ndarray = field(repr=False)
     path: ScaledPath | None = None
-    #: False when adaptive warmup reached ``WARMUP_LIMIT`` with the Geweke
-    #: score still at 3 or more; a fixed ``warmup_cycles`` is taken as given
+    #: False when a default warmup stopped at ``WARMUP_LIMIT`` tours with the
+    #: mean levels still off; a fixed ``warmup_cycles`` is taken as given
     warmup_converged: bool = True
     #: cost integrals over all tours: one per queue for a separable cost
     cost_integrations: int = 0
@@ -759,8 +759,36 @@ class SimulationResult:
         ]
 
 
-#: tours adaptive warmup may run before it stops unsettled
+#: tours a default warmup may discard
 WARMUP_LIMIT = 2000
+#: distance of the mean levels from the equilibrium's, relative to its
+#: largest level, at which a default warmup ends
+WARMUP_TOLERANCE = 1e-3
+
+
+def _fluid_warmup(params: SystemParameters, control: ControlParams) -> tuple[int, bool]:
+    """Fewest tours ``m <= WARMUP_LIMIT`` after which the mean levels of a run
+    from empty, ``n * F^m(0)`` with ``F`` the fluid tour map, are within
+    ``WARMUP_TOLERANCE`` of the equilibrium's at stage 0's polling epoch; and
+    whether there is such an ``m``.  The fluid stage map is a stage's
+    conditional mean at every scale and for every distribution.
+    """
+    tour = cycle_map(params, control)
+    target = pe_from_params(params, control).levels[0]
+    levels = np.zeros_like(target)
+    for m in range(WARMUP_LIMIT + 1):
+        gap = np.abs(levels - target).max() / np.abs(target).max()
+        if gap <= WARMUP_TOLERANCE:
+            return m, True
+        levels = tour(levels)
+    warnings.warn(
+        f"warmup stopped at {WARMUP_LIMIT} cycles with the mean levels off the "
+        f"equilibrium's by {gap:.3g} of its largest level; the measured cycles "
+        "may still carry the empty initial state",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return WARMUP_LIMIT, False
 
 
 def run(
@@ -777,10 +805,9 @@ def run(
     """Simulate ``measured_cycles`` server tours after warmup.
 
     The system starts empty with the server about to poll stage 0.  With
-    ``warmup_cycles=None`` at least 500 tours are discarded and warmup is
-    extended in steps of 250 (up to ``WARMUP_LIMIT``) until the Geweke score
-    of the total queue length at tour starts drops below 3.  If it never
-    does, ``warmup_converged`` is False and a ``RuntimeWarning`` is issued.
+    ``warmup_cycles=None`` the tours that ``_fluid_warmup`` counts from the
+    fluid alone are discarded; if ``WARMUP_LIMIT`` tours are not enough,
+    ``warmup_converged`` is False and a ``RuntimeWarning`` is issued.
     ``cpus`` is the number of CPUs the run may keep busy, by default
     ``process_cpus()``; with two or more, the streams of queues with large
     tours are drawn ahead on a worker thread.
@@ -790,33 +817,20 @@ def run(
     control.validate_for(params)
     if measured_cycles < 1:
         raise ValueError("measured_cycles must be positive")
+    if warmup_cycles is not None and warmup_cycles < 0:
+        raise ValueError("warmup_cycles must be nonnegative")
+    if record_path_cycles < 0:
+        raise ValueError("record_path_cycles must be nonnegative")
+    converged = True
+    if warmup_cycles is None:
+        warmup_cycles, converged = _fluid_warmup(params, control)
 
     if cpus is None:
         cpus = process_cpus()
     engine = _Engine(scaled, control, psi, seed, cpus)
     try:
-        converged = True
-        if warmup_cycles is None:
-            totals: list[int] = []
-            for target in [*range(500, WARMUP_LIMIT, 250), WARMUP_LIMIT]:
-                while engine.cycles_run < target:
-                    totals.append(sum(engine.cycle()))
-                z = geweke_z(np.array(totals, dtype=float))
-                if abs(z) < 3.0:
-                    break
-            else:
-                converged = False
-                warnings.warn(
-                    f"adaptive warmup stopped at {WARMUP_LIMIT} "
-                    f"cycles with Geweke |z| = {abs(z):.2f} >= 3; the measured "
-                    "cycles may still carry the empty initial state",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        else:
-            for _ in range(warmup_cycles):
-                engine.cycle()
-        warmup_used = engine.cycles_run
+        for _ in range(warmup_cycles):
+            engine.cycle()
         engine.take_columns()
 
         for m in range(measured_cycles):
@@ -831,7 +845,7 @@ def run(
         scaled,
         control,
         seed,
-        warmup_used,
+        warmup_cycles,
         *columns,
         path=path,
         warmup_converged=converged,

@@ -10,6 +10,7 @@ arrivals occurring during its service) and moves on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -107,15 +108,17 @@ def validate(params: SystemParameters) -> None:
     """Reject parameter sets that have no stable operating regime.
 
     Raises ``InfeasibleParameters`` when rates are non-positive, switchover
-    means are negative or all zero, or the total load reaches 1; raises
-    ``NonCoveringTable`` when a queue never appears in the visit table.
+    means are negative or all zero, any of them is not finite, or the total
+    load reaches 1; raises ``NonCoveringTable`` when a queue never appears in
+    the visit table.
     """
-    if min(params.arrival_rates) <= 0.0:
-        raise InfeasibleParameters("arrival rates must be positive")
-    if min(params.service_rates) <= 0.0:
-        raise InfeasibleParameters("service rates must be positive")
-    if min(params.switchover_means) < 0.0:
-        raise InfeasibleParameters("switchover means must be nonnegative")
+    # written so that NaN, which fails every comparison, fails each check
+    if not all(0.0 < x < math.inf for x in params.arrival_rates):
+        raise InfeasibleParameters("arrival rates must be positive and finite")
+    if not all(0.0 < x < math.inf for x in params.service_rates):
+        raise InfeasibleParameters("service rates must be positive and finite")
+    if not all(0.0 <= x < math.inf for x in params.switchover_means):
+        raise InfeasibleParameters("switchover means must be nonnegative and finite")
     if params.switchover_total <= 0.0:
         raise InfeasibleParameters("at least one switchover mean must be positive")
     bad = [q for q in params.table if q < 0 or q >= params.num_queues]

@@ -145,28 +145,3 @@ def ratio_ci(
     scale = float(ratios.std(ddof=1)) / np.sqrt(ratios.size)
     quantile = t_quantile(confidence, ratios.size - 1)
     return estimate, float(quantile * scale)
-
-
-def geweke_z(samples: np.ndarray) -> float:
-    """Geweke convergence score: standardised gap between the mean of the
-    first tenth and the last half of the series, each at least 8 samples.
-
-    Variances are estimated per segment from non-overlapping batches, which
-    absorbs short-range autocorrelation.  |z| beyond about 3 suggests the
-    series has not settled.
-    """
-    samples = np.asarray(samples, dtype=float)
-    head = samples[: max(int(samples.size * 0.1), 8)]
-    tail = samples[-max(int(samples.size * 0.5), 8) :]
-
-    def _segment(seg: np.ndarray) -> tuple[float, float]:
-        parts = max(min(seg.size // 4, 16), 2)
-        means = batch_means(seg, parts)
-        return float(means.mean()), float(means.var(ddof=1) / means.size)
-
-    head_mean, head_var = _segment(head)
-    tail_mean, tail_var = _segment(tail)
-    spread = np.sqrt(head_var + tail_var)
-    if spread == 0.0:
-        return 0.0
-    return float((head_mean - tail_mean) / spread)

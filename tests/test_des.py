@@ -847,8 +847,7 @@ def pinned_run(name, revisit_params):
             cpus=1,
         )
     if name == "adaptive-s1":
-        # adaptive warmup, extended four times past its first 500 tours at
-        # load 6/7
+        # default warmup at load 6/7: the 23 tours the fluid transient needs
         params = pc.SystemParameters(
             (2.0, 2.0, 2.0), (7.0, 7.0, 7.0), (0, 1, 2, 1, 2), (2.0,) * 5
         )
@@ -884,9 +883,10 @@ def pinned_run(name, revisit_params):
 
 #: SHA-256 of ``run_bytes`` from the simulator that drew switchovers from a
 #: generator of their own: random switchover kinds at scale 1, scale 60 with
-#: every stream drawn ahead, and the ``cyclic-pwl-s1`` benchmark run; and,
-#: from the simulator that still built each tour's record fields per tour,
-#: a run whose warmup the Geweke score extends to 1 500 tours
+#: every stream drawn ahead, and the ``cyclic-pwl-s1`` benchmark run; and a
+#: run with the default warmup, pinned where it equalled the same run with
+#: ``warmup_cycles=23`` on the simulator before the warmup was counted from
+#: the fluid
 PINNED_RUNS = {
     "exponential-s1": (
         "c24906a6df7a58833070414509dee15e"
@@ -913,8 +913,8 @@ PINNED_RUNS = {
         "ea523e7a41fef8668983d88d6ea99f9b"
     ),
     "adaptive-s1": (
-        "ac4e647a3b7cc9c0b08e917d7a4e5d96"
-        "56fe40a4b45655bd647e0ea926f8f69a"
+        "0f366c75bda0eb46c9f4c6c1d3913f0b"
+        "f698ad68529a6c6134277b5705f6bd7b"
     ),
 }
 
@@ -925,7 +925,7 @@ def test_runs_keep_their_pinned_bits(revisit_params, name):
     if name == "gamma-s60":
         assert result.refills_ahead > 0
     if name == "adaptive-s1":
-        assert result.warmup_cycles == 1500
+        assert result.warmup_cycles == 23
     assert hashlib.sha256(run_bytes(result)).hexdigest() == PINNED_RUNS[name]
 
 
@@ -1245,50 +1245,94 @@ def test_explicit_warmup_is_respected(symmetric_scaled, symmetric_params):
     assert result.records[0].index == 7
 
 
-def test_adaptive_warmup_discards_at_least_500(symmetric_scaled, symmetric_params):
-    result = pc.run(
-        symmetric_scaled,
-        exhaustive(symmetric_params),
-        measured_cycles=5,
-        seed=0,
+#: fluid-optimal ratios of the README system (``revisit_params``) for the
+#: linear cost (1, 1, 8) at one repetition
+README_OPTIMAL = pc.ControlParams(1, (1.0, 0.1261682310223152, 1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(("scale", "runs"), [(4, 300), (64, 60)])
+def test_mean_levels_from_empty_follow_the_fluid_tour_map(revisit_params, scale, runs):
+    # the fluid stage map is a stage's conditional mean, so the mean levels
+    # at the start of tour m of a run from empty are n * F^m(0) exactly
+    tour = pc.cycle_map(revisit_params, README_OPTIMAL)
+    expected = [np.zeros(3)]
+    for _ in range(7):
+        expected.append(tour(expected[-1]))
+    scaled = pc.scaled_system(revisit_params, scale)
+    levels = np.array(
+        [
+            pc.run(
+                scaled,
+                README_OPTIMAL,
+                warmup_cycles=0,
+                measured_cycles=8,
+                seed=seed,
+                cpus=1,
+            ).start_levels
+            for seed in range(runs)
+        ]
     )
-    assert 500 <= result.warmup_cycles <= 2000
+    assert not levels[:, 0].any()
+    error = levels[:, 1:].std(axis=0, ddof=1) / np.sqrt(runs)
+    z = (levels[:, 1:].mean(axis=0) - scale * np.array(expected[1:])) / error
+    assert np.abs(z).max() < 4.0
 
 
-def test_unsettled_adaptive_warmup_is_reported(
-    symmetric_scaled, symmetric_params, monkeypatch
-):
-    scores = []
+def fluid_warmup_count(params, control, tolerance=1e-3):
+    """Fewest tours m with max|F^m(0) - q0| <= tolerance * max|q0|."""
+    tour = pc.cycle_map(params, control)
+    target = pc.pe_from_params(params, control).levels[0]
+    levels, m = np.zeros_like(target), 0
+    while np.abs(levels - target).max() > tolerance * np.abs(target).max():
+        levels, m = tour(levels), m + 1
+    return m
 
-    def never_settles(samples):
-        scores.append(len(samples))
-        return 4.5
 
-    monkeypatch.setattr(des, "geweke_z", never_settles)
-    monkeypatch.setattr(des, "WARMUP_LIMIT", 1000)
-    with pytest.warns(RuntimeWarning, match="stopped at 1000 cycles"):
+def test_default_warmup_is_the_fluid_transient_count(revisit_params):
+    # the README system, and the ``adaptive-s1`` pinned system at load 6/7
+    slower = pc.SystemParameters((2.0,) * 3, (7.0,) * 3, (0, 1, 2, 1, 2), (2.0,) * 5)
+    for params, control, count in (
+        (revisit_params, exhaustive(revisit_params), 7),
+        (revisit_params, README_OPTIMAL, 8),
+        (slower, BINOMIAL, 23),
+    ):
+        assert fluid_warmup_count(params, control) == count
+        for scale, seed in ((1, 0), (30, 5)):
+            result = pc.run(
+                pc.scaled_system(params, scale),
+                control,
+                measured_cycles=5,
+                seed=seed,
+            )
+            assert result.warmup_cycles == count
+            assert result.warmup_converged is True
+            assert result.records[0].index == count
+
+
+def test_unsettled_adaptive_warmup_is_reported(revisit_params, monkeypatch):
+    monkeypatch.setattr(des, "WARMUP_LIMIT", 5)
+    with pytest.warns(RuntimeWarning, match=r"stopped at 5 cycles .* by 0\.00\d+ of"):
         result = pc.run(
-            symmetric_scaled,
-            exhaustive(symmetric_params),
+            pc.scaled_system(revisit_params, 1),
+            exhaustive(revisit_params),
             measured_cycles=5,
             seed=0,
         )
     assert result.warmup_converged is False
-    assert result.warmup_cycles == 1000
-    assert scores == [500, 750, 1000]
+    assert result.warmup_cycles == 5
 
 
 def test_settled_and_fixed_warmups_report_convergence(
-    symmetric_scaled, symmetric_params, monkeypatch
+    symmetric_scaled, symmetric_params
 ):
-    monkeypatch.setattr(des, "geweke_z", lambda samples: 2.9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        settled = pc.run(
-            symmetric_scaled, exhaustive(symmetric_params), measured_cycles=5, seed=0
-        )
+    # no warning either: tier-1 turns every warning into an error
+    settled = pc.run(
+        symmetric_scaled, exhaustive(symmetric_params), measured_cycles=5, seed=0
+    )
     assert settled.warmup_converged is True
-    assert settled.warmup_cycles == 500
+    assert settled.warmup_cycles == fluid_warmup_count(
+        symmetric_params, exhaustive(symmetric_params)
+    )
     fixed = pc.run(
         symmetric_scaled,
         exhaustive(symmetric_params),
@@ -1307,6 +1351,15 @@ def test_measured_cycles_must_be_positive(symmetric_scaled, symmetric_params):
             warmup_cycles=0,
             measured_cycles=0,
         )
+    # nor may the other run lengths be negative
+    for name, value in (("warmup_cycles", -5), ("record_path_cycles", -1)):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            pc.run(
+                symmetric_scaled,
+                exhaustive(symmetric_params),
+                measured_cycles=5,
+                **{name: value},
+            )
 
 
 # -- recorded paths -----------------------------------------------------------------

@@ -39,6 +39,14 @@ def test_validate_rejects_bad_inputs():
     # total load at or above one
     with pytest.raises(pc.InfeasibleParameters, match="load"):
         pc.validate(pc.SystemParameters((2.0, 2.0), (4.0, 4.0), (0, 1), (1.0, 1.0)))
+    # NaN fails every comparison, so non-finite values need checks of their own
+    for field, args in (
+        ("arrival", ((np.nan, 1.0), (4.0, 4.0), (0, 1), (0.0, 1.0))),
+        ("service", ((1.0, 1.0), (4.0, np.inf), (0, 1), (1.0, 1.0))),
+        ("switchover", ((1.0, 1.0), (4.0, 4.0), (0, 1), (1.0, np.inf))),
+    ):
+        with pytest.raises(pc.InfeasibleParameters, match=f"{field} .* finite"):
+            pc.validate(pc.SystemParameters(*args))
 
 
 def test_switchovers_may_vanish_per_stage_but_not_in_total():

@@ -52,15 +52,6 @@ def test_ratio_ci_point_estimate_is_overall_ratio():
         pc.ratio_ci(np.zeros(5), np.zeros(6))
 
 
-def test_geweke_score_flags_trends_not_noise():
-    gen = np.random.default_rng(42)
-    stationary = gen.normal(0.0, 1.0, 5000)
-    assert abs(pc.geweke_z(stationary)) < 3.0
-    trending = stationary + np.linspace(0.0, 4.0, 5000)
-    assert abs(pc.geweke_z(trending)) > 5.0
-    assert pc.geweke_z(np.ones(1000)) == 0.0
-
-
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.special"])
 def test_cli_import_leaves_scipy_module_unloaded(module):
     code = f"import sys, pollctl.cli; print({module!r} in sys.modules)"
