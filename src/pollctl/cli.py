@@ -40,9 +40,8 @@ from .config import (
 )
 from .des import long_run_cost, polling_epoch_stats, process_cpus, run
 from .fluid import cycle_map, pe_from_params, spectral_radius, visit_busy_shares
-from .cost import pe_average_cost
 from .model import ControlParams
-from .rfcp import exhaustive_shortcut, relaxation_bound_cyclic, solve_rfcp
+from .rfcp import control_cost, exhaustive_shortcut, relaxation_bound_cyclic, solve_rfcp
 from .rng import replication_seed
 
 
@@ -93,7 +92,7 @@ def _cmd_pe(resolved: dict, args: argparse.Namespace) -> tuple[dict, dict]:
         "cycle_map_spectral_radius": float(
             spectral_radius(cycle_map(params, control).matrix)
         ),
-        "average_cost": pe_average_cost(pe, psi) if psi is not None else None,
+        "average_cost": None if psi is None else control_cost(params, control, psi),
     }
     header = ["time", "kind", "stage"] + _queue_columns("q", params.num_queues)
     rows = [
@@ -195,7 +194,6 @@ def _run_replication(payload: tuple[dict, int, int, int]) -> dict[str, Any]:
             "warmup_converged": result.warmup_converged,
             "tours": result.warmup_cycles + result.indices.size,
             "jobs_served": int(result.services.sum()),
-            "cost_integrations": result.cost_integrations,
             "cost_passes": result.cost_passes,
             "simulate_s": simulate_s,
             "refills_ahead": result.refills_ahead,
@@ -382,6 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     clock = time.perf_counter()
     try:
+        if args.seed < 0:
+            raise ConfigError("--seed must be a nonnegative integer")
         resolved = load_config(args.config)
         loaded = time.perf_counter()
         artefacts, counters = command(resolved, args)

@@ -39,8 +39,6 @@ class CostFunction:
 
     #: smallest p with value(x) = O(1 + |x|^p); used to sanity-check moments
     growth_order: float = 1.0
-    #: cost integrals ``tour_integrals`` computes per tour
-    integrals_per_tour: int = 1
 
     def value(self, levels):
         """Cost at one level vector (K,) or a batch of them (T, K)."""
@@ -319,10 +317,6 @@ class SeparableCost(CostFunction):
     @property
     def growth_order(self) -> float:  # type: ignore[override]
         return max(c.growth_order for c in self.components)
-
-    @property
-    def integrals_per_tour(self) -> int:  # type: ignore[override]
-        return len(self.components)
 
     def value(self, levels):
         levels = np.asarray(levels, dtype=float)

@@ -313,7 +313,10 @@ class _ArrivalClock(_Store):
     ``AHEAD_REFILL`` epochs in flight, cumulated on the worker straight into
     the store; a request they leave short is topped up inline, and the next
     refill sent.  Either way the clock reuses its store, and a view holds its
-    epochs until the next request.
+    epochs until the next request.  Every epoch the simulator reaches is
+    asked for here, a busy period's chunks and the tours' ends among them,
+    so one that is not finite, from a draw that is not, raises
+    ``RuntimeError``.
     """
 
     BLOCK = 4096
@@ -335,6 +338,9 @@ class _ArrivalClock(_Store):
     def _ensure(self, t: float) -> None:
         if self._horizon > t:
             return
+        if not math.isfinite(t):
+            # no horizon would pass it
+            raise RuntimeError(f"simulated epoch {t} is not finite")
         if self._next is not None:
             self._horizon = self._land()
         worker = self._worker
@@ -512,7 +518,6 @@ class _Engine:
         self.cycles_run = 0
         #: the recorded path, started by the first recorded tour's block
         self.recorder: _PathRecorder | None = None
-        self.cost_integrations = 0
         self.cost_passes = 0
         # the block's log: per stage a row (polling epoch, the polled queue's
         # level then, its services, busy time, switchover; counts stay exact
@@ -626,7 +631,6 @@ class _Engine:
             costs = np.full(len(tours), math.nan)
         else:
             self.cost_passes += 1
-            self.cost_integrations += len(tours) * self._psi.integrals_per_tour
             costs = self._psi.tour_integrals(starts, ups, downs, bounds, scale)
         busy, switch = (log[:, 3:] / scale).T.reshape(2, len(tours), -1)
         self._blocks.append(
@@ -729,8 +733,6 @@ class SimulationResult:
     #: False when a default warmup stopped at ``WARMUP_LIMIT`` tours with the
     #: mean levels still off; a fixed ``warmup_cycles`` is taken as given
     warmup_converged: bool = True
-    #: cost integrals over all tours: one per queue for a separable cost
-    cost_integrations: int = 0
     #: blocks of tours whose costs were integrated together
     cost_passes: int = 0
     #: refills of arrival and service streams drawn ahead on a worker thread
@@ -849,7 +851,6 @@ def run(
         *columns,
         path=path,
         warmup_converged=converged,
-        cost_integrations=engine.cost_integrations,
         cost_passes=engine.cost_passes,
         refills_ahead=engine.refill_thread.refills,
         refill_wait_s=engine.refill_thread.wait_s,

@@ -55,8 +55,8 @@ class Gamma(Distribution):
     shape: float = 2.0
 
     def __post_init__(self) -> None:
-        if not self.shape > 0.0:
-            raise ValueError(f"shape must be > 0, got {self.shape}")
+        if not 0.0 < self.shape < math.inf:
+            raise ValueError(f"shape must be finite and > 0, got {self.shape}")
 
     def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
         out[:] = gen.gamma(self.shape, self.mean / self.shape, out.size)
@@ -64,13 +64,14 @@ class Gamma(Distribution):
 
 @dataclass(frozen=True)
 class LogNormal(Distribution):
-    """Lognormal with given mean and coefficient of variation cv >= 0."""
+    """Lognormal with given mean and coefficient of variation cv >= 0, whose
+    square, and so the variance, is a finite float."""
 
     cv: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.cv >= 0.0:
-            raise ValueError(f"cv must be >= 0, got {self.cv}")
+        if not (self.cv >= 0.0 and math.isfinite(self.cv * self.cv)):
+            raise ValueError(f"cv must be >= 0 with a finite square, got {self.cv}")
 
     def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
         log_var = math.log1p(self.cv**2)
@@ -113,8 +114,8 @@ def make_distribution(kind: str, mean: float, **options: float) -> Distribution:
     always degenerates to a point mass at zero regardless of ``kind``."""
     if kind not in _KINDS:
         raise ValueError(f"unknown distribution kind {kind!r}")
-    if mean < 0.0:
-        raise ValueError("distribution mean must be nonnegative")
+    if not 0.0 <= mean < math.inf:
+        raise ValueError(f"mean must be finite and nonnegative, got {mean}")
     dist = _KINDS[kind](mean, **options)
     return dist if mean > 0.0 else Deterministic(0.0)
 

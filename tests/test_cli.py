@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,8 @@ import numpy as np
 from pollctl import cli, des
 from pollctl import cost as cost_module
 from pollctl.cli import main
-from pollctl.config import set_path
+from pollctl.config import control_from, cost_from, load_config, set_path, system_from
+from pollctl.rfcp import control_cost
 
 
 def write_config(tmp_path, extra=None, name="config.json"):
@@ -215,7 +217,6 @@ def test_simulate_command_outputs(tmp_path):
         assert rep["warmup_converged"] is True
         assert rep["tours"] == 100
         assert rep["jobs_served"] > 0
-        assert rep["cost_integrations"] == 100 * 2  # one per queue and tour
     assert "counters" not in summary["replications"][0]
 
 
@@ -395,16 +396,36 @@ def test_error_exit_codes(tmp_path, capsys):
 def test_out_of_range_distribution_option_exits_as_config_error(
     tmp_path, capsys, command
 ):
+    # the second, a lognormal cv whose square overflows, once passed the
+    # config checks and raised at the first draw
+    for section, kind, option, value in (
+        ("switchover_distribution", "uniform", "width", 2.0),
+        ("service_distribution", "lognormal", "cv", 1e155),
+    ):
+        config = write_config(
+            tmp_path,
+            {
+                "simulation": {section: {"kind": kind, option: value}},
+                "sweep": {"parameter": "cost.coefficients.1", "values": [2.0]},
+            },
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: simulation.{section}.{option} must" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pe", "optimize", "simulate", "sweep"])
+def test_negative_seed_exits_as_config_error(tmp_path, capsys, command):
     config = write_config(
-        tmp_path,
-        {
-            "simulation": {"switchover_distribution": {"kind": "uniform", "width": 2.0}},
-            "sweep": {"parameter": "cost.coefficients.1", "values": [2.0]},
-        },
+        tmp_path, {"sweep": {"parameter": "cost.coefficients.1", "values": [2.0]}}
     )
-    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "error: simulation.switchover_distribution.width must" in err
+    out = tmp_path / "o"
+    args = [command, "--config", str(config), "--out", str(out), "--seed", "-1"]
+    assert main(args) == 2
+    assert "error: --seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 #: a system that passes every configuration check, but whose equilibrium
@@ -546,9 +567,9 @@ def test_simulate_reports_cost_passes(tmp_path):
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         meta = json.loads((out / "run_meta.json").read_text("utf-8"))
         (rep,) = meta["counters"]["replications"]
-        passes[name] = rep["cost_passes"], rep["cost_integrations"]
+        passes[name] = rep["cost_passes"]
     # one block for the warmup tours and one for the measured ones
-    assert passes == {"piecewise": (2, 45 * 2), "none": (0, 0)}
+    assert passes == {"piecewise": 2, "none": 0}
 
 
 def test_simulate_builds_no_cycle_record(tmp_path, monkeypatch):
@@ -814,15 +835,16 @@ PINNED_CONFIG = {
 }
 
 #: SHA-256 of every artefact but ``run_meta.json``, from the CLI whose
-#: commands still wrote their own files
+#: commands still wrote their own files; ``pe_summary.json``'s from the ``pe``
+#: that prices a policy with ``control_cost``
 PINNED_ARTEFACTS = {
     "pe/pe_breakpoints.csv": (
         "6ddc64a408cd9f0dac9fcc6e7ad603ac"
         "eef37afa733b994b4f42fc806d41e7cc"
     ),
     "pe/pe_summary.json": (
-        "43eb99eca22a5f230b5f034384cd3408"
-        "342ef2d0a760dc23448d53b85d53426a"
+        "69041070053e65a1a3b27272dc2cdd81"
+        "0e710deafb1f5caf03acb4265c403007"
     ),
     "pe/resolved_config.json": (
         "a19be2e42c6bc60ddb8fde4184900ab1"
@@ -893,3 +915,29 @@ def test_every_artefact_keeps_its_pinned_bytes(tmp_path):
         for name, data in tree_bytes(tmp_path / command).items()
     }
     assert digests == PINNED_ARTEFACTS
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+
+
+@pytest.mark.parametrize(
+    "name", ["cyclic-pwl-s1", "optimize-revisit", "simulate-s500", "readme", "pinned"]
+)
+def test_pe_reports_the_price_optimize_reports(tmp_path, name):
+    # the breakpoint-orbit quadrature differs from it in the last digits
+    if name in ("readme", "pinned"):
+        config = write_config(
+            tmp_path, README_CONFIG if name == "readme" else PINNED_CONFIG
+        )
+    else:
+        config = WORKLOADS / f"{name}.json"
+    out = tmp_path / "pe"
+    assert main(["pe", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "pe_summary.json").read_text("utf-8"))
+    resolved = load_config(config)
+    price = control_cost(
+        system_from(resolved["system"]),
+        control_from(resolved["control"]),
+        cost_from(resolved["cost"]),
+    )
+    assert summary["average_cost"].hex() == price.hex()

@@ -338,7 +338,7 @@ def test_distribution_kinds_outside_the_list_are_rejected_by_key(
     "kind, option, bad, edges",
     [
         ("gamma", "shape", [0.0, -1.0], [1e-3]),
-        ("lognormal", "cv", [-1.0], [0.0]),
+        ("lognormal", "cv", [-1.0, 1e155], [0.0, 1e150]),
         ("uniform", "width", [-0.1, 2.0], [0.0, 1.0]),
     ],
 )

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import sys
 import threading
 import types
 import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -119,9 +121,18 @@ def test_exponential_draws_equal_numpys_exponential_bitwise():
 def test_make_distribution_rejects_bad_requests():
     with pytest.raises(ValueError, match="unknown distribution"):
         pc.make_distribution("cauchy", 1.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        pc.make_distribution("exponential", -1.0)
+    for mean in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mean must be finite and nonnegative"):
+            pc.make_distribution("exponential", mean)
     assert pc.make_distribution("exponential", 0.0) == Deterministic(0.0)
+    # options under which the kind draws NaN, or its variance overflows
+    for kind, option, value in (
+        ("gamma", "shape", math.inf),
+        ("lognormal", "cv", math.inf),
+        ("lognormal", "cv", 1e155),
+    ):
+        with pytest.raises(ValueError, match=f"^{option} must"):
+            pc.make_distribution(kind, 1.0, **{option: value})
 
 
 def test_scaled_system_checks_means(symmetric_params):
@@ -497,7 +508,6 @@ def test_tour_costs_match_recorded_path_integral(revisit_params, scale, control,
         assert record.cost == pytest.approx(expected, rel=1e-12, abs=0.0)
         t0 = t1
     assert result.path.end_time == pytest.approx(t0, rel=1e-12)
-    assert result.cost_integrations == (4 + tours) * (1 if name == "custom" else 3)
 
 
 @pytest.mark.parametrize("control", [None, BINOMIAL], ids=["exhaustive", "binomial"])
@@ -516,8 +526,40 @@ def test_cost_integration_leaves_observables_bitwise_unchanged(revisit_params, c
     np.testing.assert_array_equal(plain.durations, costed.durations)
     np.testing.assert_array_equal(plain.busy_array, costed.busy_array)
     np.testing.assert_array_equal(plain.switchover_array, costed.switchover_array)
-    assert np.isnan(plain.costs).all() and plain.cost_integrations == 0
+    assert np.isnan(plain.costs).all() and plain.cost_passes == 0
     assert np.isfinite(costed.costs).all()
+
+
+@dataclass(frozen=True)
+class Drawing(Distribution):
+    """Draws ``value`` whatever its mean, as a faulty distribution might."""
+
+    value: float = math.nan
+
+    def fill(self, gen, out):
+        out.fill(self.value)
+
+
+@pytest.mark.parametrize(
+    "field, index, value",
+    # an infinite switchover before the tour's last stage gives the next
+    # stage an epoch that no refill of an arrival clock passes
+    [("service", 0, math.nan), ("switchover", 1, math.inf)],
+)
+def test_draws_that_are_not_finite_are_a_runtime_error(
+    revisit_params, field, index, value
+):
+    scaled = pc.scaled_system(revisit_params, 2)
+    dists = list(getattr(scaled, field))
+    dists[index] = Drawing(dists[index].mean, value)
+    with pytest.raises(RuntimeError, match="epoch .* is not finite"):
+        pc.run(
+            replace(scaled, **{field: tuple(dists)}),
+            exhaustive(revisit_params),
+            pc.linear_cost([1.0, 1.0, 8.0]),
+            warmup_cycles=0,
+            measured_cycles=5,
+        )
 
 
 def test_level_mismatch_after_busy_period_is_a_runtime_error(
@@ -598,7 +640,6 @@ def test_records_do_not_depend_on_the_block_size(revisit_params, name, monkeypat
     split = simulate()
     # a block of 40 events holds at most one tour
     assert split.cost_passes == 67 > whole.cost_passes
-    assert whole.cost_integrations == split.cost_integrations
     for a, b in zip(whole.records, split.records):
         assert a.cost == b.cost and a.start_levels == b.start_levels
         np.testing.assert_array_equal(a.arrivals, b.arrivals)
