@@ -21,7 +21,6 @@ from .cost import (
     pe_average_cost,
     piecewise_linear_cost,
     polynomial_cost,
-    trajectory_running_cost,
 )
 from .des import (
     CycleRecord,
@@ -138,7 +137,6 @@ __all__ = [
     "spectral_radius",
     "stage_map",
     "traffic_intensity",
-    "trajectory_running_cost",
     "validate",
     "visit_busy_shares",
 ]

@@ -89,9 +89,7 @@ def _cmd_pe(resolved: dict, args: argparse.Namespace) -> tuple[dict, dict]:
         "busy_times": [float(v) for v in pe.busy_times],
         "queue_ratio_sums": [float(v) for v in control.queue_ratio_sums(params)],
         "flow_balance_residual": float(np.abs(pe.flow_balance_residual()).max()),
-        "cycle_map_spectral_radius": float(
-            spectral_radius(cycle_map(params, control).matrix)
-        ),
+        "cycle_map_spectral_radius": spectral_radius(cycle_map(params, control).matrix),
         "average_cost": None if psi is None else control_cost(params, control, psi),
     }
     header = ["time", "kind", "stage"] + _queue_columns("q", params.num_queues)
@@ -199,6 +197,9 @@ def _run_replication(payload: tuple[dict, int, int, int]) -> dict[str, Any]:
             "refills_ahead": result.refills_ahead,
             "refill_wait_s": result.refill_wait_s,
             "drawn_inline": result.drawn_inline,
+            "cycle_map_spectral_radius": spectral_radius(
+                cycle_map(params, control).matrix
+            ),
         },
     }
     if psi is not None:

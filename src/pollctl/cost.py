@@ -20,6 +20,7 @@ the pieces, such as the breakpoint orbit of ``VisitRecursion.orbit``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 
@@ -36,9 +37,6 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 class CostFunction:
     """Nonnegative, componentwise-nondecreasing cost of a queue-level vector."""
-
-    #: smallest p with value(x) = O(1 + |x|^p); used to sanity-check moments
-    growth_order: float = 1.0
 
     def value(self, levels):
         """Cost at one level vector (K,) or a batch of them (T, K)."""
@@ -80,8 +78,6 @@ class CostFunction:
 
 class ScalarCost:
     """Cost of a single queue's level; building block of separable costs."""
-
-    growth_order: float = 1.0
 
     def value(self, x):
         raise NotImplementedError
@@ -287,7 +283,6 @@ class PolynomialScalar(ScalarCost):
             raise ValueError("coefficients must be a nonempty 1-d sequence")
         if np.any(self.coefficients < 0.0):
             raise ValueError("polynomial cost needs nonnegative coefficients")
-        self.growth_order = float(max(1, self.coefficients.size - 1))
         self._antiderivative = np.polynomial.polynomial.polyint(self.coefficients)
 
     def value(self, x):
@@ -313,10 +308,6 @@ class SeparableCost(CostFunction):
     """Sum of independent per-queue scalar costs."""
 
     components: tuple[ScalarCost, ...]
-
-    @property
-    def growth_order(self) -> float:  # type: ignore[override]
-        return max(c.growth_order for c in self.components)
 
     def value(self, levels):
         levels = np.asarray(levels, dtype=float)
@@ -366,6 +357,7 @@ def polynomial_cost(coefficients) -> SeparableCost:
     return SeparableCost(tuple(PolynomialScalar(c) for c in coefficients))
 
 
+@dataclass(frozen=True, eq=False)
 class CustomCost(CostFunction):
     """Wrap an arbitrary vectorized callable ``fn((..., K)) -> (...)``.
 
@@ -375,9 +367,7 @@ class CustomCost(CostFunction):
 
     REL_TOL = 1e-10
 
-    def __init__(self, fn, growth_order: float) -> None:
-        self.fn = fn
-        self.growth_order = float(growth_order)
+    fn: Callable
 
     def value(self, levels):
         out = self.fn(np.asarray(levels, dtype=float))
@@ -422,17 +412,3 @@ def pe_average_cost(pe, psi: CostFunction) -> float:
     pieces = psi.integrals(pe.levels[:-1], pe.levels[1:], np.diff(pe.times))
     return float(pieces.sum()) / pe.cycle_time
 
-
-def trajectory_running_cost(traj, psi: CostFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Running average cost t -> integral/t sampled at the path breakpoints.
-
-    The value reported at t=0 is the instantaneous cost of the initial state,
-    the limit of the running average.
-    """
-    times = traj.times
-    pieces = psi.integrals(traj.levels[:-1], traj.levels[1:], np.diff(times))
-    cumulative = np.concatenate([[0.0], np.cumsum(pieces)])
-    averages = np.full_like(cumulative, float(psi.value(traj.levels[0])))
-    positive = times > 0.0
-    averages[positive] = cumulative[positive] / times[positive]
-    return times.copy(), averages

@@ -206,6 +206,15 @@ class _Store:
         return value
 
 
+def _fill(dist: Distribution, gen: np.random.Generator, out: np.ndarray) -> None:
+    """``dist.fill(gen, out)``, raising ``RuntimeError`` on a negative draw.
+    A NaN passes here and is caught by the epoch it gives."""
+    dist.fill(gen, out)
+    low = out.min(initial=0.0)
+    if low < 0.0:
+        raise RuntimeError(f"{dist} drew a negative time {low}")
+
+
 class _SampleBuffer(_Store):
     """Sequential i.i.d. draws with rollback of unused values.
 
@@ -238,7 +247,7 @@ class _SampleBuffer(_Store):
         self._ptr = 0
 
     def _draw(self, size: int) -> None:
-        self._dist.fill(self._gen, self._room(size))
+        _fill(self._dist, self._gen, self._room(size))
         self._end += size
 
     def take(self, count: int) -> np.ndarray:
@@ -257,7 +266,7 @@ class _SampleBuffer(_Store):
                     self._draw(short)
                     worker.drawn_inline += short
                 self._next = worker.submit(
-                    self._dist.fill, self._gen, self._room(AHEAD_REFILL)
+                    _fill, self._dist, self._gen, self._room(AHEAD_REFILL)
                 )
             ptr = self._start
         self._ptr += count

@@ -35,7 +35,7 @@ class NoConvergence(RuntimeError):
 # Queue levels this far below zero are treated as rounding noise and clamped;
 # anything lower indicates a real bug in the dynamics.
 _NEGATIVE_CLAMP = 1e-12
-# Stage events ``simulate_fluid`` walks at most before it gives up.
+# Stages ``simulate_fluid`` walks at most before it gives up.
 _MAX_STAGES = 1_000_000
 
 
@@ -352,9 +352,11 @@ def simulate_fluid(
     """Apply the stage maps from ``initial_levels`` until ``horizon``.
 
     Every polling and departure epoch becomes a breakpoint; zero-duration
-    stages leave coincident breakpoints rather than being dropped.  The walk
-    refuses to cross ``_MAX_STAGES`` events, which guards against the
-    accumulation of infinitesimally short cycles when all switchovers vanish.
+    stages leave coincident breakpoints rather than being dropped.  Whole
+    stages are walked until one ends at or after ``horizon``; a path that
+    runs past it is cut there by one ``CUT`` breakpoint.  The walk refuses to
+    cross ``_MAX_STAGES`` stages, which guards against the accumulation of
+    infinitesimally short cycles when all switchovers vanish.
     """
     control.validate_for(params)
     q = _clamp_levels(np.asarray(initial_levels, dtype=float), InfeasibleParameters)
@@ -370,30 +372,14 @@ def simulate_fluid(
     cycle_starts = [0.0]
     t = 0.0
     stage = 0
-    steps = 0
     while t < horizon:
-        t_depart = t + busy_per_level[stage] * q[polled[stage]]
-        q_depart = maps[stage].matrix @ q
-        if t_depart > horizon:
-            # Horizon falls inside the busy period; all levels move linearly.
-            frac = (horizon - t) / (t_depart - t)
-            times.append(horizon)
-            levels.append(q + frac * (q_depart - q))
-            markers.append((CUT, stage))
-            t = horizon
-            break
-        times.append(t_depart)
-        levels.append(q_depart)
+        if len(markers) > 2 * _MAX_STAGES:
+            raise RuntimeError(f"exceeded {_MAX_STAGES} stages before the horizon")
+        times.append(t + busy_per_level[stage] * q[polled[stage]])
+        levels.append(maps[stage].matrix @ q)
         markers.append((DEPART, stage))
-        t_next = t_depart + params.switchover_means[stage % params.num_stages]
-        if t_next > horizon:
-            times.append(horizon)
-            levels.append(q_depart + params.arrival_array * (horizon - t_depart))
-            markers.append((CUT, stage))
-            t = horizon
-            break
-        t = t_next
-        q = q_depart + maps[stage].offset
+        t = times[-1] + params.switchover_means[stage % params.num_stages]
+        q = levels[-1] + maps[stage].offset
         stage = (stage + 1) % stages
         times.append(t)
         levels.append(q)
@@ -404,17 +390,17 @@ def simulate_fluid(
                     "server tour of zero duration; requires a positive switchover"
                 )
             cycle_starts.append(t)
-        steps += 1
-        if steps > _MAX_STAGES:
-            raise RuntimeError(f"exceeded {_MAX_STAGES} stages before the horizon")
-    return FluidTrajectory(
-        params=params,
-        control=control,
-        times=np.asarray(times),
-        levels=np.asarray(levels),
-        markers=tuple(markers),
-        cycle_start_times=np.asarray(cycle_starts),
-    )
+    # keep the breakpoints at or before the horizon (the start always), and
+    # cut the stage that runs past it there
+    times, levels = np.asarray(times), np.asarray(levels)
+    kept = max(1, int(times.searchsorted(horizon, side="right")))
+    if kept < times.size:
+        levels = np.vstack([levels[:kept], _interpolate(times, levels, horizon)])
+        times = np.append(times[:kept], horizon)
+        markers = markers[:kept] + [(CUT, markers[kept - 1][1])]
+    starts = np.asarray(cycle_starts)
+    starts = starts[: max(1, starts.searchsorted(horizon, side="right"))]
+    return FluidTrajectory(params, control, times, levels, tuple(markers), starts)
 
 
 def visit_busy_shares(pe: PECandidate, queue: int) -> np.ndarray:

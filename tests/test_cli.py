@@ -941,3 +941,17 @@ def test_pe_reports_the_price_optimize_reports(tmp_path, name):
         cost_from(resolved["cost"]),
     )
     assert summary["average_cost"].hex() == price.hex()
+
+
+def test_simulate_reports_the_contraction_rate_pe_reports(tmp_path):
+    small = {"scale": 1, "warmup_cycles": 10, "measured_cycles": 40, "batches": 4}
+    config = write_config(tmp_path, {**README_CONFIG, "simulation": small})
+    args = ["--config", str(config), "--out"]
+    assert main(["pe", *args, str(tmp_path / "pe")]) == 0
+    assert main(["simulate", *args, str(tmp_path / "sim"), "--replications", "2"]) == 0
+    summary = json.loads((tmp_path / "pe" / "pe_summary.json").read_text("utf-8"))
+    meta = json.loads((tmp_path / "sim" / "run_meta.json").read_text("utf-8"))
+    reps = meta["counters"]["replications"]
+    radii = [rep["cycle_map_spectral_radius"] for rep in reps]
+    assert radii == [summary["cycle_map_spectral_radius"]] * 2
+    assert 0.0 < radii[0] < 1.0

@@ -93,7 +93,6 @@ def test_piecewise_segment_integral_matches_quadrature():
 def test_polynomial_scalar_value_and_integral():
     poly = PolynomialScalar([1.0, 0.0, 2.0])  # 1 + 2 x^2
     assert poly.value(3.0) == pytest.approx(19.0)
-    assert poly.growth_order == 2.0
     # mean of 1 + 2 x^2 over x in [1, 4] is 1 + 2 * (64 - 1) / 9 = 15
     assert poly.integrals(1.0, 4.0, 2.0) == pytest.approx(30.0, rel=1e-12)
     assert poly.integrals(2.0, 2.0, 3.0) == pytest.approx(27.0, rel=1e-12)
@@ -157,13 +156,6 @@ def test_linear_cost_vectorized_value():
 def test_piecewise_linear_cost_requires_matching_lists():
     with pytest.raises(ValueError, match="per threshold list"):
         pc.piecewise_linear_cost([[0.0]], [[1.0], [2.0]])
-
-
-def test_separable_growth_order_is_max():
-    psi = pc.SeparableCost(
-        (LinearScalar(1.0), PolynomialScalar([0.0, 0.0, 0.0, 1.0]))
-    )
-    assert psi.growth_order == 3.0
 
 
 # -- simulated windows -------------------------------------------------------------
@@ -287,9 +279,7 @@ def test_tour_integrals_match_the_per_tour_oracle(seed, tours, events, scale, na
         assert block[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-JOINT = pc.CustomCost(
-    lambda x: np.max(x, axis=-1) ** 2 + x[..., 0] * x[..., 1], growth_order=2.0
-)
+JOINT = pc.CustomCost(lambda x: np.max(x, axis=-1) ** 2 + x[..., 0] * x[..., 1])
 SEPARABLE = pc.piecewise_linear_cost(
     [[0.0, 1.0, 3.0], [0.0, 2.0], [0.0, 1.0]], [[0.5, 1.0, 2.5], [1.0, 3.0], [2.0, 4.0]]
 )
@@ -319,7 +309,7 @@ def test_joint_tour_integrals_match_the_per_tour_oracle(seed, tours, events, sca
     expected = joint_tour_integrals(JOINT, levels, ups, downs, bounds, scale)
     assert block.shape == (tours,)
     np.testing.assert_allclose(block, expected, rtol=1e-12, atol=0.0)
-    custom = pc.CustomCost(SEPARABLE.value, SEPARABLE.growth_order)
+    custom = pc.CustomCost(SEPARABLE.value)
     np.testing.assert_allclose(
         custom.tour_integrals(levels, ups, downs, bounds, scale),
         SEPARABLE.tour_integrals(levels, ups, downs, bounds, scale),
@@ -358,7 +348,7 @@ def test_custom_cost_matches_separable_on_segments():
     pieces.append((pieces[0][0], pieces[0][1], 0.0))
     start, end, duration = (np.array(column) for column in zip(*pieces))
     for psi, rel in ((smooth, 1e-9), (kinked, 2e-6)):
-        custom = pc.CustomCost(psi.value, psi.growth_order)
+        custom = pc.CustomCost(psi.value)
         # the 20 segments and a zero-duration piece in one call
         batch = custom.integrals(start, end, duration)
         assert batch.shape == duration.shape
@@ -376,7 +366,7 @@ def test_custom_cost_joint_function():
     def worst_queue(levels):
         return np.asarray(levels, dtype=float).max(axis=-1)
 
-    custom = pc.CustomCost(worst_queue, growth_order=1.0)
+    custom = pc.CustomCost(worst_queue)
     # max(2 - 2t, 2t) on the unit interval integrates to 3/2 per unit time
     assert custom.integrals([2.0, 0.0], [0.0, 2.0], 3.0) == pytest.approx(
         4.5, rel=1e-9
@@ -412,43 +402,14 @@ def test_segment_loop_and_vectorised_path_agree(revisit_params):
         [[0.0, 2.0], [0.0, 1.0, 5.0], [0.0]], [[1.0, 3.0], [0.5, 1.0, 4.0], [2.0]]
     )
     # CustomCost integrates piece by piece by quadrature
-    custom = pc.CustomCost(psi.value, growth_order=1.0)
+    custom = pc.CustomCost(psi.value)
     assert pc.pe_average_cost(pe, custom) == pytest.approx(
         pc.pe_average_cost(pe, psi), rel=1e-8
     )
-    _, vectorised = pc.trajectory_running_cost(traj, psi)
-    _, looped = pc.trajectory_running_cost(traj, custom)
-    np.testing.assert_allclose(looped, vectorised, rtol=1e-8)
-
-
-def test_running_cost_starts_at_instantaneous_value(symmetric_params, symmetric_pe):
-    psi = pc.linear_cost([1.0, 1.0])
-    traj = pc.simulate_fluid(
-        symmetric_params, symmetric_pe.control, [5.0, 0.0], horizon=12.0
+    pieces = (traj.levels[:-1], traj.levels[1:], np.diff(traj.times))
+    np.testing.assert_allclose(
+        custom.integrals(*pieces), psi.integrals(*pieces), rtol=1e-8
     )
-    times, averages = pc.trajectory_running_cost(traj, psi)
-    assert times[0] == 0.0
-    assert averages[0] == pytest.approx(5.0)
-    assert len(times) == len(averages)
-
-
-def test_running_cost_on_orbit_equals_cycle_average(symmetric_params, symmetric_pe):
-    psi = pc.linear_cost([1.0, 1.0])
-    traj = pc.simulate_fluid(
-        symmetric_params, symmetric_pe.control, symmetric_pe.levels[0], horizon=12.0
-    )
-    times, averages = pc.trajectory_running_cost(traj, psi)
-    assert times[-1] == pytest.approx(12.0)
-    assert averages[-1] == pytest.approx(3.0, abs=1e-10)
-
-
-def test_running_cost_converges_to_orbit_average(symmetric_params, symmetric_pe):
-    psi = pc.linear_cost([1.0, 1.0])
-    traj = pc.simulate_fluid(
-        symmetric_params, symmetric_pe.control, [12.0, 0.0], horizon=2000.0
-    )
-    _, averages = pc.trajectory_running_cost(traj, psi)
-    assert averages[-1] == pytest.approx(3.0, abs=2e-2)
 
 
 # -- randomized properties -------------------------------------------------------

@@ -428,7 +428,7 @@ def test_linear_cost_matches_custom_cost_of_same_function(revisit_params, contro
         )
         for psi in (
             pc.linear_cost(weights),
-            pc.CustomCost(lambda x: x @ weights, growth_order=1.0),
+            pc.CustomCost(lambda x: x @ weights),
         )
     ]
     closed, joint = runs
@@ -480,9 +480,7 @@ COSTS = {
     "polynomial": pc.polynomial_cost(
         [[0.0, 1.0, 0.5], [0.5, 1.0], [0.0, 2.0, 0.0, 0.3]]
     ),
-    "custom": pc.CustomCost(
-        lambda x: x @ WEIGHTS + 0.2 * x[..., 0] * x[..., 2], growth_order=2.0
-    ),
+    "custom": pc.CustomCost(lambda x: x @ WEIGHTS + 0.2 * x[..., 0] * x[..., 2]),
 }
 
 
@@ -559,6 +557,49 @@ def test_draws_that_are_not_finite_are_a_runtime_error(
             pc.linear_cost([1.0, 1.0, 8.0]),
             warmup_cycles=0,
             measured_cycles=5,
+        )
+
+
+@dataclass(frozen=True)
+class ShiftedDown(Distribution):
+    """Exponential moved down by 5 % of its mean, so that about one draw in
+    twenty is negative; with ``refill`` set, only in fills of that size."""
+
+    refill: int = 0
+
+    def fill(self, gen, out):
+        gen.standard_exponential(out=out)
+        out *= self.mean
+        if self.refill in (0, out.size):
+            out -= 0.05 * self.mean
+
+
+@pytest.mark.parametrize(
+    "field, index, scale, cpus, refill",
+    # a stage-1 switchover; a queue-1 service drawn inline, and drawn ahead
+    # with negative draws only in the refills the worker draws
+    [
+        ("switchover", 1, 2, 1, 0),
+        ("service", 0, 2, 1, 0),
+        ("service", 0, 500, 2, des.AHEAD_REFILL),
+    ],
+)
+def test_negative_draws_are_a_runtime_error(
+    revisit_params, field, index, scale, cpus, refill
+):
+    scaled = pc.scaled_system(revisit_params, scale)
+    control = exhaustive(revisit_params)
+    assert des._drawn_ahead(scaled, control, cpus)[0] == (cpus > 1)
+    dists = list(getattr(scaled, field))
+    dists[index] = ShiftedDown(dists[index].mean, refill)
+    with pytest.raises(RuntimeError, match="drew a negative time"):
+        pc.run(
+            replace(scaled, **{field: tuple(dists)}),
+            control,
+            pc.linear_cost([1.0, 1.0, 8.0]),
+            warmup_cycles=0,
+            measured_cycles=5,
+            cpus=cpus,
         )
 
 

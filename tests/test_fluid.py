@@ -334,6 +334,28 @@ def test_simulate_fluid_reaches_horizon_with_cut(symmetric_params):
     assert np.all(traj.levels >= -1e-12)
 
 
+def test_the_horizon_cuts_the_longer_path(symmetric_params):
+    # inside a busy period, on a departure, inside a switchover, on a tour start
+    ctrl = pc.ControlParams.exhaustive(symmetric_params)
+    whole = pc.simulate_fluid(symmetric_params, ctrl, [5.0, 2.0], horizon=30.0)
+    depart, poll, tour = whole.times[1], whole.times[2], whole.cycle_start_times[1]
+    for horizon in (0.5 * depart, depart, 0.5 * (depart + poll), tour):
+        traj = pc.simulate_fluid(symmetric_params, ctrl, [5.0, 2.0], horizon=horizon)
+        kept = int(whole.times.searchsorted(horizon, side="right"))
+        cut = (("cut", 0),) if horizon != tour else ()
+        assert traj.markers == whole.markers[:kept] + cut
+        np.testing.assert_array_equal(
+            traj.times, np.append(whole.times[:kept], [horizon] * len(cut))
+        )
+        np.testing.assert_allclose(
+            traj.levels, whole.value_at(traj.times), rtol=1e-15, atol=1e-15
+        )
+        np.testing.assert_array_equal(
+            traj.cycle_start_times,
+            whole.cycle_start_times[whole.cycle_start_times <= horizon],
+        )
+
+
 def test_trajectory_started_at_pe_stays_on_orbit(symmetric_params, symmetric_pe):
     ctrl = symmetric_pe.control
     traj = pc.simulate_fluid(

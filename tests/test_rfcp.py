@@ -195,7 +195,7 @@ def test_shortcut_declines_revisit_tables_and_joint_costs(
     symmetric_params, revisit_params
 ):
     assert pc.exhaustive_shortcut(revisit_params, pc.linear_cost([1.0] * 3)) is None
-    joint = pc.CustomCost(lambda q: q.sum(axis=-1), growth_order=1.0)
+    joint = pc.CustomCost(lambda q: q.sum(axis=-1))
     assert pc.exhaustive_shortcut(symmetric_params, joint) is None
 
 
@@ -253,7 +253,7 @@ def test_bound_rejects_bad_inputs(symmetric_params, revisit_params):
     psi = pc.linear_cost([1.0, 1.0, 1.0])
     with pytest.raises(pc.InvalidControl, match="each queue once"):
         pc.relaxation_bound_cyclic(revisit_params, 1, psi)
-    joint = pc.CustomCost(lambda q: q.sum(axis=-1), growth_order=1.0)
+    joint = pc.CustomCost(lambda q: q.sum(axis=-1))
     with pytest.raises(ValueError, match="separable"):
         pc.relaxation_bound_cyclic(symmetric_params, 1, joint)
     smooth = pc.polynomial_cost([[0.0, 0.0, 1.0], [0.0, 1.0]])
@@ -318,7 +318,7 @@ def test_search_accounts_for_every_evaluation(revisit_params):
 
 def test_solve_with_custom_cost_reaches_linear_optimum(revisit_params, monkeypatch):
     slopes = np.array([1.0, 1.0, 8.0])
-    custom = pc.CustomCost(lambda q: q @ slopes, growth_order=1.0)
+    custom = pc.CustomCost(lambda q: q @ slopes)
     linear = pc.solve_rfcp(revisit_params, pc.linear_cost(slopes), (1,), budget=2)
     orbits = []
     orbit = pc.VisitRecursion.orbit
@@ -339,7 +339,7 @@ def test_solve_with_custom_cost_reaches_linear_optimum(revisit_params, monkeypat
 
 
 def test_custom_cost_search_builds_one_recursion_per_table(revisit_params, monkeypatch):
-    custom = pc.CustomCost(lambda q: q @ np.array([1.0, 1.0, 8.0]), growth_order=1.0)
+    custom = pc.CustomCost(lambda q: q @ np.array([1.0, 1.0, 8.0]))
     builds = []
     init, orbit = fluid.VisitRecursion.__init__, fluid.VisitRecursion.orbit
 
@@ -373,7 +373,7 @@ def scaled_costs(scale: float) -> dict[str, pc.CostFunction]:
         "piecewise-linear": pc.piecewise_linear_cost(
             [[0.0, 3.0]] * 3, [[scale * a, 3 * scale * a] for a in slopes]
         ),
-        "custom": pc.CustomCost(lambda q: scale * (q @ slopes), growth_order=1.0),
+        "custom": pc.CustomCost(lambda q: scale * (q @ slopes)),
     }
 
 
@@ -420,7 +420,7 @@ def random_revisit_problem(gen: np.random.Generator, kind: str):
             for w, a in zip(weights, thresholds)
         ]
         return params, pc.piecewise_linear_cost(thresholds, slopes)
-    return params, pc.CustomCost(lambda q: q @ weights, growth_order=1.0)
+    return params, pc.CustomCost(lambda q: q @ weights)
 
 
 def test_solve_is_never_worse_than_slsqp_on_random_revisit_systems():
