@@ -43,29 +43,46 @@ alone, and a stream may be drawn before it is needed.  Every stream, a
 stage's switchovers too, and each queue's completion epochs in the open
 block live in reused arrays (``_Store``): values are drawn, cumulated and
 accumulated straight into them and read as views, each valid until the
-owner's next request.  With a CPU to spare, a queue whose tours are expected
-to hold ``AHEAD_GATE`` arrivals or more keeps the next ``AHEAD_REFILL``
-values of both its streams in flight on one worker thread per run, written
-into the free tails of their stores, where NumPy fills and cumsums run
-without the interpreter lock; the simulator thread keeps the busy-period
-``accumulate``, the first-passage comparison, the binomials and switchovers
-and ``_flush``, and moves a store's values only while no refill is in
-flight.  Other queues, and runs with a single CPU, draw their streams
-inline: at smaller scales the simulator makes many small NumPy calls, and
-handing the interpreter lock to the worker between them costs more than the
-overlap saves.  Either way every value keeps its bits.  The worker is
-started on the first refill sent to it and stopped when ``run`` returns or
-raises; an error in a refill the run reads is raised by ``run`` unchanged.
+owner's next request.
+
+Each queue reads its streams in one of three modes, chosen once per run by
+``_stream_modes`` from the arrivals its tours are expected to hold:
+
+- ``WALK``, below ``WALK_GATE``: a busy period there takes a few dozen
+  services, and a dozen NumPy calls on arrays that short cost more than the
+  work.  The queue's services are read as Python floats, ``CHUNK`` at a
+  time, its arrival epochs are mirrored as a list, and a busy period walks
+  each chunk on floats (``itertools.accumulate``, ``bisect`` and a loop that
+  stops at the first passage), with the same chunks, sums, comparisons and
+  ties as the arrays, so every value keeps its bits.
+- ``AHEAD``, from ``AHEAD_GATE`` on with a CPU to spare: the queue keeps the
+  next ``AHEAD_REFILL`` values of both its streams in flight on one worker
+  thread per run, written into the free tails of their stores, where NumPy
+  fills and cumsums run without the interpreter lock; the simulator thread
+  keeps the busy-period ``accumulate``, the first-passage comparison, the
+  binomials and switchovers and ``_flush``, and moves a store's values only
+  while no refill is in flight.
+- ``INLINE`` otherwise, and for every queue of a run with a single CPU: the
+  streams are drawn as arrays on the simulator thread.  Below ``AHEAD_GATE``
+  the simulator makes many small NumPy calls, and handing the interpreter
+  lock to the worker between them costs more than the overlap saves.
+
+The worker is started on the first refill sent to it and stopped when
+``run`` returns or raises; an error in a refill the run reads is raised by
+``run`` unchanged.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import struct
 import time
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -89,6 +106,19 @@ def _first_passage(pending, t0: float, completions, shift: int) -> int:
         if reached[j]:
             return lo + j
     return lo + n if lo + n < completions.size else -1
+
+
+def _walk_first_passage(pending: list, t0: float, completions: list, shift: int) -> int:
+    """``_first_passage`` on lists of Python floats, stopping at the first
+    hit."""
+    lo, first = max(shift, 0), max(-shift, 0)
+    n = max(min(len(completions) - lo, len(pending) - first), 0)
+    j = lo
+    for arrival in islice(pending, first, first + n):
+        if arrival - t0 >= completions[j]:
+            return j
+        j += 1
+    return j if j < len(completions) else -1
 
 
 def process_cpus() -> int:
@@ -153,18 +183,34 @@ AHEAD_REFILL = 32768
 #: ahead: on the README system the worker loses below 3 200 arrivals per tour
 #: and wins from 6 400 on
 AHEAD_GATE = 4096
+#: arrivals a queue's tours are expected to hold below which it is walked on
+#: Python floats: walking every queue of the ``cyclic-pwl-s1`` benchmark
+#: system won at scale 1 (16 to 32 arrivals per tour) and lost at scale 2
+#: (32 to 64); on the README system it tied at scale 1 (80) and lost from 2
+WALK_GATE = 40
+
+#: how a queue's streams are read: walked on Python floats, or as arrays
+#: drawn inline or ahead on the worker thread
+WALK, INLINE, AHEAD = "walk", "inline", "ahead"
 
 
-def _drawn_ahead(scaled: ScaledSystem, control: ControlParams, cpus: int) -> list[bool]:
-    """Per queue, whether its streams are drawn ahead on a worker thread: with
-    a CPU to spare, once its tours are expected to hold ``AHEAD_GATE``
-    arrivals, and so as many services.  At scale ``n`` a tour lasts ``n``
-    fluid tour lengths in equilibrium, whatever the ratios."""
+def _stream_modes(scaled: ScaledSystem, control: ControlParams, cpus: int) -> list[str]:
+    """Per queue, how its streams are read, from the arrivals its tours are
+    expected to hold: ``WALK`` below ``WALK_GATE``; from ``AHEAD_GATE`` on,
+    with a CPU to spare, ``AHEAD``; else ``INLINE``.  At scale ``n`` a tour
+    lasts ``n`` fluid tour lengths in equilibrium, whatever the ratios."""
     params = scaled.params
-    if cpus < 2:
-        return [False] * params.num_queues
     tour = scaled.scale * cycle_length(params, control.repetitions)
-    return [rate * tour >= AHEAD_GATE for rate in params.arrival_rates]
+    modes = []
+    for rate in params.arrival_rates:
+        arrivals = rate * tour
+        if arrivals < WALK_GATE:
+            modes.append(WALK)
+        elif cpus >= 2 and arrivals >= AHEAD_GATE:
+            modes.append(AHEAD)
+        else:
+            modes.append(INLINE)
+    return modes
 
 
 class _Store:
@@ -288,6 +334,32 @@ def _floats(dist: Distribution, gen: np.random.Generator):
         yield from buffer.take(buffer.CHUNK).tolist()
 
 
+class _FloatBuffer:
+    """A ``_SampleBuffer`` read as Python floats: ``take`` returns the next
+    ``count`` draws as a list, read from the buffer ``CHUNK`` or more at a
+    time, and ``rollback`` moves the read pointer back as the buffer's does."""
+
+    def __init__(self, dist: Distribution, gen: np.random.Generator):
+        self._buffer = _SampleBuffer(dist, gen)
+        self._values: list[float] = []
+        self._ptr = 0
+
+    def take(self, count: int) -> list[float]:
+        ptr, end = self._ptr, self._ptr + count
+        values = self._values
+        if end > len(values):
+            more = self._buffer.take(max(end - len(values), self._buffer.CHUNK))
+            values = self._values = values[ptr:] + more.tolist()
+            ptr, end = 0, count
+        self._ptr = end
+        return values[ptr:end]
+
+    def rollback(self, count: int) -> None:
+        if not 0 <= count <= self._ptr:
+            raise RuntimeError(f"cannot roll back {count} of {self._ptr} draws")
+        self._ptr -= count
+
+
 def _cumulate(rows: np.ndarray, gen: np.random.Generator, scale: float, head: float):
     """Fill ``rows`` (blocks, BLOCK) with the arrival epochs after ``head``:
     a row-wise cumsum of scaled exponential gaps, then the heads folded in
@@ -322,21 +394,28 @@ class _ArrivalClock(_Store):
     ``AHEAD_REFILL`` epochs in flight, cumulated on the worker straight into
     the store; a request they leave short is topped up inline, and the next
     refill sent.  Either way the clock reuses its store, and a view holds its
-    epochs until the next request.  Every epoch the simulator reaches is
-    asked for here, a busy period's chunks and the tours' ends among them,
-    so one that is not finite, from a draw that is not, raises
-    ``RuntimeError``.
+    epochs until the next request.  With ``walk``, the live epochs are also
+    kept as a list of Python floats, ``_epochs``, extended at each refill and
+    cut at each tour mark, and ``advance_to`` bisects it.  Every epoch the
+    simulator reaches is asked for here, a busy period's chunks and the
+    tours' ends among them, so one that is not finite, from a draw that is
+    not, raises ``RuntimeError``.
     """
 
     BLOCK = 4096
 
     def __init__(
-        self, rate: float, gen: np.random.Generator, worker: _RefillThread | None = None
+        self,
+        rate: float,
+        gen: np.random.Generator,
+        worker: _RefillThread | None = None,
+        walk: bool = False,
     ):
         super().__init__(worker)
         self._scale = 1.0 / float(rate)
         self._gen = gen
         self._times = self._store
+        self._epochs: list[float] | None = [] if walk else None
         self._ptr = 0
         self._horizon = 0.0
 
@@ -368,19 +447,28 @@ class _ArrivalClock(_Store):
                 _cumulate, rows, self._gen, self._scale, self._horizon
             )
         self._times = self._store[self._start : self._end]
+        if self._epochs is not None:
+            self._epochs += self._times[len(self._epochs) :].tolist()
 
     def peek_until(self, t: float) -> np.ndarray:
         self._ensure(t)
         return self._times[self._ptr : self._times.searchsorted(t, "left")]
 
     def advance_to(self, t: float) -> int:
-        self._ensure(t)
-        ptr, self._ptr = self._ptr, int(self._times.searchsorted(t, "left"))
+        if not self._horizon > t:
+            self._ensure(t)
+        ptr = self._ptr
+        if self._epochs is None:
+            self._ptr = int(self._times.searchsorted(t, "left"))
+        else:
+            self._ptr = bisect_left(self._epochs, t, ptr)
         return self._ptr - ptr
 
     def take_tour(self) -> np.ndarray:
         ptr = self._ptr
         view, self._times = self._times[:ptr], self._times[ptr:]
+        if self._epochs is not None:
+            del self._epochs[:ptr]
         self._start += ptr
         self._ptr = 0
         return view
@@ -448,6 +536,20 @@ class _PathRecorder:
         )
 
 
+def _first_chunk(load: float, drop: int) -> int:
+    """Services a busy period that clears ``drop`` jobs draws first: the mean
+    plus four standard deviations of an M/M/1 busy period's services."""
+    expected = drop / (1.0 - load)
+    spread = math.sqrt(expected * load / (1.0 - load) ** 2 + 1.0)
+    return max(32, int(expected + 4.0 * spread) + 8)
+
+
+def _doubles(values: list[float]) -> np.ndarray:
+    """``values`` as a float64 array: packed by ``struct``, which is two to
+    three times faster than ``np.array`` on a list of Python floats."""
+    return np.frombuffer(struct.pack(f"{len(values)}d", *values))
+
+
 def _served_before(served: np.ndarray) -> np.ndarray:
     """Services of each queue before every stage of a block and at its end:
     the exclusive cumsum of ``served`` (stages, queues) down the stages."""
@@ -458,10 +560,11 @@ def _served_before(served: np.ndarray) -> np.ndarray:
 
 class _Engine:
     """The simulator between tours.  Its stores: per queue an ``_ArrivalClock``,
-    a ``_SampleBuffer`` of services and the block's completion epochs; per
-    stage a ``_SampleBuffer`` of switchovers, read through ``_floats``.
-    ``cycle`` runs the dynamics and logs them; ``_flush`` turns a block's log
-    into its tours' record fields and path."""
+    a ``_SampleBuffer`` of services and the block's completion epochs (for a
+    queue walked on Python floats, a ``_FloatBuffer`` and lists); per stage a
+    ``_SampleBuffer`` of switchovers, read through ``_floats``.  ``cycle``
+    runs the dynamics and logs them; ``_flush`` turns a block's log into its
+    tours' record fields and path."""
 
     #: arrivals plus completions a block of tours may hold before its costs
     #: are integrated and its columns built; bounds the memory the block keeps
@@ -483,20 +586,22 @@ class _Engine:
         k_range = range(params.num_queues)
         #: the worker that draws the streams of some queues ahead
         self.refill_thread = _RefillThread()
-        workers = [
-            self.refill_thread if ahead else None
-            for ahead in _drawn_ahead(scaled, control, cpus)
-        ]
+        modes = _stream_modes(scaled, control, cpus)
+        self._walks = [mode == WALK for mode in modes]
+        workers = [self.refill_thread if mode == AHEAD else None for mode in modes]
         self._clocks = [
             _ArrivalClock(
                 params.arrival_rates[k],
                 rng.substream(seed, rng.ARRIVALS, k),
                 worker=workers[k],
+                walk=self._walks[k],
             )
             for k in k_range
         ]
         self._services = [
-            _SampleBuffer(
+            _FloatBuffer(scaled.service[k], rng.substream(seed, rng.SERVICES, k))
+            if self._walks[k]
+            else _SampleBuffer(
                 scaled.service[k],
                 rng.substream(seed, rng.SERVICES, k),
                 worker=workers[k],
@@ -506,9 +611,12 @@ class _Engine:
         self._loads = [
             params.arrival_rates[k] / params.service_rates[k] for k in k_range
         ]
+        #: per walked queue, the first chunk of a busy period by its drop
+        self._chunks: list[dict[int, int]] = [{} for _ in k_range]
         basic = len(table.basic)
         self._polled = table.polled
-        #: per stage: polled queue, ratio, binomial substream, switchovers
+        #: per stage: polled queue, ratio, binomial substream, switchovers,
+        #: and the ``_Engine`` function that serves its busy period
         self._stages = [
             (
                 int(self._polled[i]),
@@ -518,6 +626,7 @@ class _Engine:
                     scaled.switchover[i % basic],
                     rng.substream(seed, rng.SWITCHOVERS, i),
                 ),
+                _Engine._walk if self._walks[self._polled[i]] else _Engine._busy_period,
             )
             for i, ratio in enumerate(control.ratio_array)
         ]
@@ -536,7 +645,7 @@ class _Engine:
         self._log: list[tuple[float, int, int, float, float]] = []
         self._tours: list[tuple[tuple[int, ...], bool]] = []
         self._block_events = 0
-        self._downs = [_Store() for _ in k_range]
+        self._downs = [([], [], []) if walk else _Store() for walk in self._walks]
         #: per block flushed since ``take_columns``, its tours' record fields
         self._blocks: list[tuple[np.ndarray, ...]] = []
 
@@ -559,11 +668,7 @@ class _Engine:
         buffer = self._services[queue]
         downs = self._downs[queue]
         first = downs._end
-        load = self._loads[queue]
-        # mean plus four standard deviations of an M/M/1 busy period's services
-        expected = drop / (1.0 - load)
-        spread = math.sqrt(expected * load / (1.0 - load) ** 2 + 1.0)
-        chunk = max(32, int(expected + 4.0 * spread) + 8)
+        chunk = _first_chunk(self._loads[queue], drop)
         done = 0
         tail = 0.0
         while True:
@@ -586,6 +691,45 @@ class _Engine:
                 raise RuntimeError("busy period failed to terminate")
             chunk = min(chunk * 2, 1 << 22)
 
+    def _walk(self, queue: int, drop: int, t0: float) -> tuple[float, int]:
+        """``_busy_period`` on Python floats: the same chunks, completions
+        and first passage, with the pending arrivals read from the clock's
+        ``_epochs``.  The completions relative to ``t0`` go to the queue's
+        lists of the block, with ``t0`` and their count, for ``_flush`` to
+        add up as the vector path does."""
+        clock = self._clocks[queue]
+        buffer = self._services[queue]
+        relative, starts, counts = self._downs[queue]
+        chunks = self._chunks[queue]
+        chunk = chunks.get(drop) or chunks.setdefault(
+            drop, _first_chunk(self._loads[queue], drop)
+        )
+        done = 0
+        tail = 0.0
+        while True:
+            draws = buffer.take(chunk)
+            completions = list(accumulate(draws))
+            if tail:
+                completions = [c + tail for c in completions]
+            horizon = t0 + completions[-1]
+            if not clock._horizon > horizon:
+                clock._ensure(horizon)
+            epochs, ptr = clock._epochs, clock._ptr
+            pending = epochs[ptr : bisect_left(epochs, horizon, ptr)]
+            hit = _walk_first_passage(pending, t0, completions, drop - done - 1)
+            if hit >= 0:
+                buffer.rollback(len(draws) - hit - 1)
+                relative += completions[: hit + 1]
+                starts.append(t0)
+                counts.append(done + hit + 1)
+                return completions[hit], done + hit + 1
+            done += len(draws)
+            relative += completions
+            tail = completions[-1]
+            if done > 100_000_000:
+                raise RuntimeError("busy period failed to terminate")
+            chunk = min(chunk * 2, 1 << 22)
+
     def _flush(self) -> None:
         """Build the block's record columns from its log: rebuild every
         queue's polling levels, add the recorded tours to the path (starting
@@ -595,17 +739,26 @@ class _Engine:
         tours, self._tours, self._block_events = self._tours, [], 0
         if not tours:
             return
-        log, self._log = np.array(self._log), []
+        log, self._log = np.array(self._log, dtype=float), []
         epochs = np.append(log[:, 0], self._t)
         stages = np.arange(log.shape[0])
         polled = self._polled[stages % self._polled.size]
         served = np.zeros((stages.size, len(self._clocks)), dtype=np.int64)
         served[stages, polled] = log[:, 2]
         ups = [clock.take_tour() for clock in self._clocks]
-        # views of the reused stores: nothing below keeps one
-        downs = [store._store[: store._end] for store in self._downs]
-        for store in self._downs:
-            store._end = 0
+        # views of the reused stores, and the walked queues' epochs, each a
+        # busy period's start plus its relative completions: nothing below
+        # keeps one
+        downs = []
+        for walk, store in zip(self._walks, self._downs):
+            if walk:
+                relative, starts, counts = store
+                downs.append(_doubles(relative) + np.repeat(starts, counts))
+                for part in store:
+                    part.clear()
+            else:
+                downs.append(store._store[: store._end])
+                store._end = 0
         # every queue's level at every polling epoch and at the block's end:
         # arrivals before it (one at the epoch comes after it, as in
         # ``advance_to``) minus services in the stages before it
@@ -674,7 +827,7 @@ class _Engine:
         clocks = self._clocks
         log = self._log
         served = 0
-        for i, (queue, ratio, binomials, pauses) in enumerate(self._stages):
+        for i, (queue, ratio, binomials, pauses, serve) in enumerate(self._stages):
             clock = clocks[queue]
             epoch = t
             level = levels[queue] + clock.advance_to(t)
@@ -685,7 +838,7 @@ class _Engine:
                 cleared = int(binomials.binomial(level, ratio))
             duration, done = 0.0, 0
             if cleared > 0:
-                duration, done = self._busy_period(queue, cleared, t)
+                duration, done = serve(self, queue, cleared, t)
                 t += duration
                 left = level + clock.advance_to(t) - done
                 if left != level - cleared:

@@ -337,11 +337,6 @@ class FluidTrajectory:
         t = np.clip(np.asarray(t, dtype=float), self.times[0], self.times[-1])
         return _interpolate(self.times, self.levels, t)
 
-    def cycle_start_levels(self) -> np.ndarray:
-        """Level vectors at each tour-start polling epoch."""
-        starts = np.searchsorted(self.times, self.cycle_start_times, side="left")
-        return self.levels[starts]
-
 
 def simulate_fluid(
     params: SystemParameters,

@@ -302,6 +302,13 @@ def walk_first_hit(
     return int(hits[0]) if hits.size else -1
 
 
+def cycle_start_levels(trajectory) -> np.ndarray:
+    """Level vectors of a ``FluidTrajectory`` at each tour-start polling
+    epoch: the first breakpoint at each tour's start time."""
+    starts = np.searchsorted(trajectory.times, trajectory.cycle_start_times, "left")
+    return trajectory.levels[starts]
+
+
 def arrival_epochs(rate: float, gen: np.random.Generator, count: int) -> np.ndarray:
     """The first ``count`` epochs of an arrival clock on ``gen``, from one long
     draw of whole 4 096-gap blocks: each block's gap cumsum plus its head, the

@@ -19,7 +19,7 @@ import pytest
 
 import pollctl as pc
 from conftest import random_cyclic_params, random_instance, random_pwl_cost
-from oracles import pe_fixed_point
+from oracles import cycle_start_levels, pe_fixed_point
 from pollctl.config import resolve_config, system_from
 
 SEED = 0
@@ -159,7 +159,7 @@ def test_ac01_cycle_map_contraction(request, capsys):
             inverse = np.linalg.inv(basis)
             errors = [
                 float(np.abs(inverse @ (lv - fixed)).max())
-                for lv in traj.cycle_start_levels()
+                for lv in cycle_start_levels(traj)
             ]
             assert len(errors) >= 5
             for before, after in zip(errors, errors[1:]):

@@ -260,8 +260,9 @@ def test_simulate_reports_refills_ahead(tmp_path, monkeypatch):
     monkeypatch.setattr(des._RefillThread, "result", from_worker)
     trees, counters = {}, {}
     for ahead in (True, False):
+        mode = des.AHEAD if ahead else des.INLINE
         monkeypatch.setattr(
-            des, "_drawn_ahead", lambda scaled, control, cpus: [ahead] * 3
+            des, "_stream_modes", lambda scaled, control, cpus: [mode] * 3
         )
         out = tmp_path / f"ahead-{ahead}"
         args = ["simulate", "--config", str(config), "--out", str(out)]
@@ -456,20 +457,31 @@ def test_numerical_breakdown_exits_as_runtime_failure(
 def test_simulator_level_mismatch_exits_as_runtime_failure(
     tmp_path, capsys, monkeypatch
 ):
-    # stop the busy period at the walk's first passage of drop + 1
-    found = des._first_passage
-    monkeypatch.setattr(
-        des,
-        "_first_passage",
-        lambda p, t0, c, shift: found(p, t0, c, shift + 1),
-    )
-    config = write_config(
-        tmp_path,
-        {"simulation": {"warmup_cycles": 0, "measured_cycles": 5, "batches": 5}},
-    )
-    args = ["simulate", "--config", str(config), "--out", str(tmp_path / "s")]
-    assert main(args) == 1
-    assert "runtime failure: stage" in capsys.readouterr().err
+    # stop the busy period at the walk's first passage of drop + 1, on queues
+    # walked on Python floats (scale 1, 4 arrivals per tour) and on queues
+    # read as arrays (scale 20, 80 arrivals per tour)
+    for scale, name in [(1, "_walk_first_passage"), (20, "_first_passage")]:
+        found = getattr(des, name)
+        config = write_config(
+            tmp_path,
+            {
+                "simulation": {
+                    "scale": scale,
+                    "warmup_cycles": 0,
+                    "measured_cycles": 5,
+                    "batches": 5,
+                }
+            },
+        )
+        args = ["simulate", "--config", str(config), "--out", str(tmp_path / "s")]
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                des,
+                name,
+                lambda p, t0, c, shift, found=found: found(p, t0, c, shift + 1),
+            )
+            assert main(args) == 1
+        assert "runtime failure: stage" in capsys.readouterr().err
 
 
 PIECEWISE = {

@@ -177,6 +177,11 @@ def test_first_passage_equals_the_walk_oracle(data):
     pending = t0 + arrivals
     hit = des._first_passage(pending, t0, completions, drop - done - 1)
     assert hit == walk_first_hit(pending, t0, completions, done, drop)
+    # the walk's first passage, on the same values as Python floats
+    walked = des._walk_first_passage(
+        pending.tolist(), t0, completions.tolist(), drop - done - 1
+    )
+    assert walked == hit
 
 
 def test_first_passage_when_pending_arrivals_run_out():
@@ -188,6 +193,9 @@ def test_first_passage_when_pending_arrivals_run_out():
     # a drop beyond the chunk's reach
     assert des._first_passage(pending, 10.0, completions, 5) == -1
     assert walk_first_hit(pending, 10.0, completions, 0, 6) == -1
+    as_floats = pending.tolist(), 10.0, completions.tolist()
+    assert des._walk_first_passage(*as_floats, 1) == 3
+    assert des._walk_first_passage(*as_floats, 5) == -1
 
 
 def consume(clock, requests, tour_every=0):
@@ -471,6 +479,12 @@ def test_costs_do_not_depend_on_path_recording(revisit_params, psi):
 
 
 BINOMIAL = pc.ControlParams(1, (0.7, 0.5, 1.0, 0.6, 0.9))
+#: the revisit table at a quarter of its rates and switchovers: tours of 10
+#: at scale 1, with 5 arrivals per queue, so every queue is walked up to
+#: scale 7; the revisit system itself holds 80 per tour from scale 1 on
+SLOW_REVISIT = pc.SystemParameters(
+    (0.5, 0.5, 0.5), (2.0, 2.0, 2.0), (0, 1, 2, 1, 2), (0.5,) * 5
+)
 WEIGHTS = np.array([1.0, 1.0, 8.0])
 COSTS = {
     "linear": pc.linear_cost(WEIGHTS),
@@ -547,17 +561,22 @@ class Drawing(Distribution):
 def test_draws_that_are_not_finite_are_a_runtime_error(
     revisit_params, field, index, value
 ):
-    scaled = pc.scaled_system(revisit_params, 2)
-    dists = list(getattr(scaled, field))
-    dists[index] = Drawing(dists[index].mean, value)
-    with pytest.raises(RuntimeError, match="epoch .* is not finite"):
-        pc.run(
-            replace(scaled, **{field: tuple(dists)}),
-            exhaustive(revisit_params),
-            pc.linear_cost([1.0, 1.0, 8.0]),
-            warmup_cycles=0,
-            measured_cycles=5,
-        )
+    # the revisit system at scale 2, read as arrays, and ``SLOW_REVISIT``,
+    # walked on Python floats
+    for params, mode in [(revisit_params, des.INLINE), (SLOW_REVISIT, des.WALK)]:
+        scaled = pc.scaled_system(params, 2)
+        control = exhaustive(params)
+        assert des._stream_modes(scaled, control, 1) == [mode] * 3
+        dists = list(getattr(scaled, field))
+        dists[index] = Drawing(dists[index].mean, value)
+        with pytest.raises(RuntimeError, match="epoch .* is not finite"):
+            pc.run(
+                replace(scaled, **{field: tuple(dists)}),
+                control,
+                pc.linear_cost([1.0, 1.0, 8.0]),
+                warmup_cycles=0,
+                measured_cycles=5,
+            )
 
 
 @dataclass(frozen=True)
@@ -589,7 +608,8 @@ def test_negative_draws_are_a_runtime_error(
 ):
     scaled = pc.scaled_system(revisit_params, scale)
     control = exhaustive(revisit_params)
-    assert des._drawn_ahead(scaled, control, cpus)[0] == (cpus > 1)
+    mode = des.AHEAD if cpus > 1 else des.INLINE
+    assert des._stream_modes(scaled, control, cpus)[0] == mode
     dists = list(getattr(scaled, field))
     dists[index] = ShiftedDown(dists[index].mean, refill)
     with pytest.raises(RuntimeError, match="drew a negative time"):
@@ -604,23 +624,26 @@ def test_negative_draws_are_a_runtime_error(
 
 
 def test_level_mismatch_after_busy_period_is_a_runtime_error(
-    symmetric_scaled, symmetric_params, monkeypatch
+    symmetric_params, monkeypatch
 ):
-    # stop the busy period at the walk's first passage of drop + 1
-    found = des._first_passage
-    monkeypatch.setattr(
-        des,
-        "_first_passage",
-        lambda p, t0, c, shift: found(p, t0, c, shift + 1),
-    )
-    with pytest.raises(RuntimeError, match="holds .* jobs, not"):
-        pc.run(
-            symmetric_scaled,
-            exhaustive(symmetric_params),
-            warmup_cycles=0,
-            measured_cycles=5,
-            seed=0,
-        )
+    # stop the busy period at the walk's first passage of drop + 1, on queues
+    # walked on Python floats (scale 1) and on queues read as arrays (scale 20)
+    control = exhaustive(symmetric_params)
+    for scale, mode, name in [
+        (1, des.WALK, "_walk_first_passage"),
+        (20, des.INLINE, "_first_passage"),
+    ]:
+        scaled = pc.scaled_system(symmetric_params, scale)
+        assert des._stream_modes(scaled, control, 2) == [mode] * 2
+        found = getattr(des, name)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                des,
+                name,
+                lambda p, t0, c, shift, found=found: found(p, t0, c, shift + 1),
+            )
+            with pytest.raises(RuntimeError, match="holds .* jobs, not"):
+                pc.run(scaled, control, warmup_cycles=0, measured_cycles=5, seed=0)
 
 
 def test_corrupted_polling_levels_are_a_runtime_error(revisit_params, monkeypatch):
@@ -724,17 +747,15 @@ def test_clock_advances_per_tour_are_bounded(revisit_params, monkeypatch):
 
     monkeypatch.setattr(des._ArrivalClock, "advance_to", counted)
     tours = 50
-    pc.run(
-        pc.scaled_system(revisit_params, 1),
-        BINOMIAL,
-        warmup_cycles=0,
-        measured_cycles=tours,
-        seed=1,
-    )
-    stages, queues = 5, 3
-    # the polled queue at its polling epoch and after its busy period, then
-    # every queue at the tour's end
-    assert stages + queues <= len(calls) / tours <= 2 * stages + queues
+    for params, mode in [(SLOW_REVISIT, des.WALK), (revisit_params, des.INLINE)]:
+        scaled = pc.scaled_system(params, 1)
+        assert des._stream_modes(scaled, BINOMIAL, 2) == [mode] * 3
+        calls.clear()
+        pc.run(scaled, BINOMIAL, warmup_cycles=0, measured_cycles=tours, seed=1)
+        stages, queues = 5, 3
+        # the polled queue at its polling epoch and after its busy period,
+        # then every queue at the tour's end
+        assert stages + queues <= len(calls) / tours <= 2 * stages + queues
 
 
 def test_rolling_back_more_than_was_taken_is_a_runtime_error():
@@ -805,12 +826,14 @@ def test_services_equal_the_seed_only_oracle(worker_type, dist, oracle):
 
 
 def use_refills(monkeypatch, mode):
-    """Refills of the runs that follow, whatever the scale and the CPUs: all
-    inline, all ahead, or all ahead with every refill read from the worker."""
+    """Stream modes of the runs that follow, whatever the scale and the CPUs:
+    every queue walked on Python floats, drawn inline, drawn ahead, or drawn
+    ahead with every refill read from the worker."""
+    stream_mode = des.AHEAD if mode == "worker" else mode
     monkeypatch.setattr(
         des,
-        "_drawn_ahead",
-        lambda scaled, control, cpus: [mode != "inline"] * scaled.params.num_queues,
+        "_stream_modes",
+        lambda scaled, control, cpus: [stream_mode] * scaled.params.num_queues,
     )
     if mode == "worker":
         monkeypatch.setattr(des, "_RefillThread", WorkerOnly)
@@ -859,7 +882,7 @@ def test_refills_ahead_keep_every_bit(
     )
     for control in (exhaustive(revisit_params), BINOMIAL):
         runs = {}
-        for mode in ("inline", "ahead", "worker"):
+        for mode in ("walk", "inline", "ahead", "worker"):
             with monkeypatch.context() as patch:
                 use_refills(patch, mode)
                 runs[mode] = pc.run(
@@ -871,12 +894,42 @@ def test_refills_ahead_keep_every_bit(
                     seed=3,
                     record_path_cycles=2,
                 )
-        # every stream goes ahead, and the worker makes the refills
-        assert runs["inline"].refills_ahead == 0
+        # every queue takes the forced mode, whatever mode its tours would
+        # choose: no stream goes ahead but when forced, and the worker makes
+        # the refills
+        assert runs["walk"].refills_ahead == runs["inline"].refills_ahead == 0
         assert runs["worker"].refills_ahead >= 6
         expected = run_bytes(runs["inline"])
+        assert run_bytes(runs["walk"]) == expected
         assert run_bytes(runs["ahead"]) == expected
         assert run_bytes(runs["worker"]) == expected
+
+
+@pytest.mark.parametrize("scale", [1, 7])
+def test_walked_busy_periods_keep_every_bit_across_chunks(
+    revisit_params, monkeypatch, scale
+):
+    # every busy period starts with a chunk of one service, so it runs to
+    # several chunks, each doubling, with completions past the first chunk's
+    # shifted by the tail before them
+    monkeypatch.setattr(des, "_first_chunk", lambda load, drop: 1)
+    scaled = pc.scaled_system(
+        revisit_params, scale, service_kind="lognormal", service_options={"cv": 1.5}
+    )
+    runs = {}
+    for mode in ("walk", "inline"):
+        with monkeypatch.context() as patch:
+            use_refills(patch, mode)
+            runs[mode] = pc.run(
+                scaled,
+                BINOMIAL,
+                COSTS["piecewise"],
+                warmup_cycles=2,
+                measured_cycles=60,
+                seed=scale,
+                record_path_cycles=3,
+            )
+    assert run_bytes(runs["walk"]) == run_bytes(runs["inline"])
 
 
 def test_refills_ahead_keep_every_bit_under_fast_thread_switches(
@@ -943,6 +996,22 @@ def pinned_run(name, revisit_params):
             record_path_cycles=2,
             cpus=1,
         )
+    if name == "mixed-s100":
+        # three queues whose tours hold about 15, 760 and 4 560 arrivals: one
+        # walked, one drawn inline and one drawn ahead in the same run
+        params = pc.SystemParameters(
+            (0.02, 1.0, 6.0), (4.0, 10.0, 12.0), (0, 1, 2), (1.0, 1.0, 1.0)
+        )
+        return pc.run(
+            pc.scaled_system(params, 100),
+            pc.ControlParams(1, (0.7, 0.5, 1.0)),
+            COSTS["linear"],
+            warmup_cycles=0,
+            measured_cycles=40,
+            seed=13,
+            record_path_cycles=2,
+            cpus=2,
+        )
     kind, scale = name.split("-s")
     options = {"gamma": {"shape": 0.5}, "uniform": {"width": 0.5}}.get(kind)
     scaled = pc.scaled_system(
@@ -965,10 +1034,11 @@ def pinned_run(name, revisit_params):
 
 #: SHA-256 of ``run_bytes`` from the simulator that drew switchovers from a
 #: generator of their own: random switchover kinds at scale 1, scale 60 with
-#: every stream drawn ahead, and the ``cyclic-pwl-s1`` benchmark run; and a
-#: run with the default warmup, pinned where it equalled the same run with
+#: every stream drawn ahead, and the ``cyclic-pwl-s1`` benchmark run; a run
+#: with the default warmup, pinned where it equalled the same run with
 #: ``warmup_cycles=23`` on the simulator before the warmup was counted from
-#: the fluid
+#: the fluid; and a run whose queues take each stream mode, pinned on the
+#: simulator before any queue was walked
 PINNED_RUNS = {
     "exponential-s1": (
         "c24906a6df7a58833070414509dee15e"
@@ -998,14 +1068,21 @@ PINNED_RUNS = {
         "0f366c75bda0eb46c9f4c6c1d3913f0b"
         "f698ad68529a6c6134277b5705f6bd7b"
     ),
+    "mixed-s100": (
+        "69cff22cab509b20f321efecf5f6dd9a"
+        "898215745acf29ba1a709d42564965a1"
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(PINNED_RUNS))
 def test_runs_keep_their_pinned_bits(revisit_params, name):
     result = pinned_run(name, revisit_params)
-    if name == "gamma-s60":
+    if name in ("gamma-s60", "mixed-s100"):
         assert result.refills_ahead > 0
+    if name == "mixed-s100":
+        modes = des._stream_modes(result.scaled, result.control, 2)
+        assert modes == [des.WALK, des.INLINE, des.AHEAD]
     if name == "adaptive-s1":
         assert result.warmup_cycles == 23
     assert hashlib.sha256(run_bytes(result)).hexdigest() == PINNED_RUNS[name]
@@ -1114,22 +1191,42 @@ def test_streams_go_ahead_from_the_gate_with_a_cpu_to_spare(revisit_params):
     # the ratios, and holds 80 * scale arrivals per queue: the gate's 4 096
     # from scale 52 on, and from 26 on with the table run twice per tour
     twice = pc.ControlParams(2, BINOMIAL.ratios * 2)
-    for control, scale, cpus, ahead in [
-        (BINOMIAL, 51, 2, False),
-        (BINOMIAL, 52, 2, True),
-        (exhaustive(revisit_params), 52, 2, True),
-        (twice, 25, 2, False),
-        (twice, 26, 2, True),
-        (BINOMIAL, 500, 1, False),
-        (BINOMIAL, 500, 64, True),
+    for control, scale, cpus, mode in [
+        (BINOMIAL, 51, 2, des.INLINE),
+        (BINOMIAL, 52, 2, des.AHEAD),
+        (exhaustive(revisit_params), 52, 2, des.AHEAD),
+        (twice, 25, 2, des.INLINE),
+        (twice, 26, 2, des.AHEAD),
+        (BINOMIAL, 500, 1, des.INLINE),
+        (BINOMIAL, 500, 64, des.AHEAD),
     ]:
         scaled = pc.scaled_system(revisit_params, scale)
-        assert des._drawn_ahead(scaled, control, cpus) == [ahead] * 3
+        assert des._stream_modes(scaled, control, cpus) == [mode] * 3
     params = pc.SystemParameters((1.0, 3.0), (4.0, 6.0), (0, 1), (1.0, 1.0))
     # tours of 8 * scale at load 3/4: queue 2 reaches the gate from scale 171
     scaled = pc.scaled_system(params, 171)
     control = pc.ControlParams.exhaustive(params)
-    assert des._drawn_ahead(scaled, control, 2) == [False, True]
+    assert des._stream_modes(scaled, control, 2) == [des.INLINE, des.AHEAD]
+
+
+def test_short_tours_walk_below_the_gate(revisit_params):
+    # tours of 8 * scale at load 3/4 hold 8 * scale and 24 * scale arrivals:
+    # below the walk gate of 40 a queue walks, whatever the CPUs
+    params = pc.SystemParameters((1.0, 3.0), (4.0, 6.0), (0, 1), (1.0, 1.0))
+    control = pc.ControlParams.exhaustive(params)
+    assert des.WALK_GATE == 40
+    for scale, cpus, modes in [
+        (1, 1, [des.WALK, des.WALK]),
+        (1, 64, [des.WALK, des.WALK]),
+        (2, 2, [des.WALK, des.INLINE]),
+        (4, 2, [des.WALK, des.INLINE]),
+        (5, 2, [des.INLINE, des.INLINE]),
+    ]:
+        scaled = pc.scaled_system(params, scale)
+        assert des._stream_modes(scaled, control, cpus) == modes
+    # the revisit system's tours hold 80 arrivals per queue from scale 1 on
+    scaled = pc.scaled_system(revisit_params, 1)
+    assert des._stream_modes(scaled, BINOMIAL, 1) == [des.INLINE] * 3
 
 
 def test_small_tours_start_no_refill_thread(revisit_params, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pollctl as pc
 from conftest import random_instance
-from oracles import pe_fixed_point
+from oracles import cycle_start_levels, pe_fixed_point
 
 
 @pytest.fixture
@@ -159,7 +159,7 @@ def test_contraction_rate_in_eigenbasis():
         traj = pc.simulate_fluid(
             params, control, fixed + offset, horizon=6.5 * pe.cycle_time
         )
-        starts = traj.cycle_start_levels()
+        starts = cycle_start_levels(traj)
         inverse = np.linalg.inv(basis)
         errors = [np.abs(inverse @ (lv - fixed)).max() for lv in starts]
         for before, after in zip(errors, errors[1:]):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import re
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -57,8 +59,31 @@ def names_read(source: str) -> set[str]:
     }
 
 
+def exported_members() -> dict[str, str]:
+    """``Class.member`` of every public method and property of the exported
+    classes, those they inherit from the package's classes included, mapped
+    to the member's name."""
+    descriptors = (staticmethod, classmethod, property, cached_property)
+    members = {}
+    for name in pollctl.__all__:
+        exported = getattr(pollctl, name)
+        if not inspect.isclass(exported):
+            continue
+        for base in exported.__mro__:
+            if not base.__module__.startswith("pollctl."):
+                continue
+            for attr, value in vars(base).items():
+                method = inspect.isfunction(value) or isinstance(value, descriptors)
+                if method and not attr.startswith("_"):
+                    members[f"{name}.{attr}"] = attr
+    return members
+
+
 def test_every_exported_name_is_read_outside_the_tests():
     read = set().union(*(names_read(path.read_text("utf-8")) for path in MODULES))
     for path in [*sorted(ROOT.glob("bench/*.py")), ROOT / "README.md"]:
         read |= set(re.findall(r"\w+", path.read_text("utf-8")))
     assert sorted(set(pollctl.__all__) - read) == []
+    members = exported_members()
+    assert "FluidTrajectory.value_at" in members
+    assert sorted(key for key, attr in members.items() if attr not in read) == []
