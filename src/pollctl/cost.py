@@ -8,10 +8,11 @@ activated linear terms.  Simulated paths are integrated a block of tours at a
 time.  ``block_path`` is the one merge of a queue's simulated jumps: one
 stable sort merges its completions and arrivals in linear time, and the tour
 bounds are slotted in.  A separable cost integrates each queue on its own
-merged path; any other cost reads every queue's count on the union of their
-paths' epochs.  Either way the cost is evaluated once per block and the
-pieces are summed per tour.  A linear cost needs no step path at all: its
-integral is the total time the jobs spend in the queue.  Fluid paths are
+merged path, where it is evaluated once per job count the path takes and
+read back per piece; any other cost reads every queue's count on the union
+of their paths' epochs, evaluated once per block.  Either way the pieces are
+summed per tour.  A linear cost needs no step path at all: its integral is
+the total time the jobs spend in the queue.  Fluid paths are
 integrated through one method of every cost, ``integrals(start, end, dt)``
 over arrays of linear pieces; a ``CustomCost`` of an arbitrary callable
 loops adaptive Gauss-Legendre quadrature with a 1e-10 relative target over
@@ -103,9 +104,16 @@ class ScalarCost:
         epochs).  An arrival at a bound belongs to the later tour.
         Completions go to the tours in order, as many to each as ``levels``
         implies: one at a bound can close the earlier tour or open the later.
+        The path moves one job at a time, so its counts span at most one more
+        value than it has jumps: ``value`` is taken once per count in that
+        span and read back per piece, with the bits it has per piece, since
+        it works element by element.
         """
         times, path, slots = block_path(levels, ups, downs, bounds)
-        pieces = self.value(path[:-1] / scale) * np.diff(times)
+        counts = path[:-1]
+        low = counts.min()
+        table = self.value(np.arange(low, counts.max() + 1) / scale)
+        pieces = table[counts - low] * np.diff(times)
         return np.add.reduceat(pieces, slots[:-1])
 
 

@@ -52,9 +52,12 @@ Each queue reads its streams in one of three modes, chosen once per run by
   services, and a dozen NumPy calls on arrays that short cost more than the
   work.  The queue's services are read as Python floats, ``CHUNK`` at a
   time, its arrival epochs are mirrored as a list, and a busy period walks
-  each chunk on floats (``itertools.accumulate``, ``bisect`` and a loop that
-  stops at the first passage), with the same chunks, sums, comparisons and
-  ties as the arrays, so every value keeps its bits.
+  each chunk on floats: ``itertools.accumulate`` sums the services that
+  cannot end it, then a loop adds one completion at a time and compares it
+  with its arrival, stopping at the first passage.  The chunks, sums,
+  comparisons and ties are those of the arrays, so every value keeps its
+  bits; only an arrival within rounding of the window's end falls back to
+  the whole chunk's comparison.
 - ``AHEAD``, from ``AHEAD_GATE`` on with a CPU to spare: the queue keeps the
   next ``AHEAD_REFILL`` values of both its streams in flight on one worker
   thread per run, written into the free tails of their stores, where NumPy
@@ -108,17 +111,54 @@ def _first_passage(pending, t0: float, completions, shift: int) -> int:
     return lo + n if lo + n < completions.size else -1
 
 
-def _walk_first_passage(pending: list, t0: float, completions: list, shift: int) -> int:
-    """``_first_passage`` on lists of Python floats, stopping at the first
-    hit."""
-    lo, first = max(shift, 0), max(-shift, 0)
-    n = max(min(len(completions) - lo, len(pending) - first), 0)
-    j = lo
-    for arrival in islice(pending, first, first + n):
-        if arrival - t0 >= completions[j]:
-            return j
-        j += 1
-    return j if j < len(completions) else -1
+def _walk_first_passage(
+    draws: list, tail: float, t0: float, clock: _ArrivalClock, shift: int
+) -> tuple[list, int]:
+    """The first passage in a chunk of services ``draws`` walked on Python
+    floats: ``_first_passage`` of its completions, summed only up to it.
+
+    Returns the completions relative to ``t0``, ``tail`` plus the running
+    sums of ``draws``, up to the passage and its index; or all of them and
+    -1.  Completion ``c_j`` is compared with arrival ``a``, number
+    ``j - shift`` past the clock's ``_ptr`` in its ``_epochs``, drawn as
+    needed.  ``_first_passage`` reads the arrivals before the window's end,
+    ``t0`` plus the chunk's last completion, and ends the busy period at the
+    first ``j`` where ``a - t0 >= c_j`` or ``a`` is not in the window.  So
+    ``a - t0 >= c_j`` ends it, and otherwise ``a < t0 + c_j``, which puts
+    ``a`` in the window (rounding is monotone and services nonnegative),
+    does not.  Only an arrival within rounding of ``t0 + c_j`` needs the
+    window's end: the chunk's sums are finished and ``_first_passage``
+    decides on them.
+    """
+    sums = accumulate(draws)
+    if tail:
+        sums = map(tail.__add__, sums)
+    completions = list(islice(sums, max(shift, 0)))
+    add = completions.append
+    epochs = clock._epochs
+    # the arrival that completion 0 is compared with, and the chunk's end
+    first, size = clock._ptr - shift, len(draws)
+    while len(completions) < size:
+        at = first + len(completions)
+        if at >= len(epochs):
+            clock._ensure(clock._horizon)
+            continue
+        for a, c in zip(epochs[at : first + size], sums):
+            add(c)
+            if a - t0 >= c:
+                return completions, len(completions) - 1
+            if not a < t0 + c:
+                completions += sums
+                horizon = t0 + completions[-1]
+                if not clock._horizon > horizon:
+                    clock._ensure(horizon)
+                ptr = clock._ptr
+                pending = epochs[ptr : bisect_left(epochs, horizon, ptr)]
+                hit = _first_passage(
+                    np.array(pending), t0, np.array(completions), shift
+                )
+                return (completions[: hit + 1] if hit >= 0 else completions), hit
+    return completions, -1
 
 
 def process_cpus() -> int:
@@ -397,9 +437,12 @@ class _ArrivalClock(_Store):
     epochs until the next request.  With ``walk``, the live epochs are also
     kept as a list of Python floats, ``_epochs``, extended at each refill and
     cut at each tour mark, and ``advance_to`` bisects it.  Every epoch the
-    simulator reaches is asked for here, a busy period's chunks and the
-    tours' ends among them, so one that is not finite, from a draw that is
-    not, raises ``RuntimeError``.
+    simulator reaches is asked for here: the tours' ends, the ends of busy
+    periods, and the window end of every chunk of services a busy period
+    reads whole (a walked chunk that holds the first passage is read only up
+    to it, and is asked for only at the window's edge).  So an epoch that is
+    not finite, from a draw that is not, raises ``RuntimeError`` once the
+    simulator reads it.
     """
 
     BLOCK = 4096
@@ -534,6 +577,10 @@ class _PathRecorder:
             times=tuple((np.concatenate(t) - self.origin) / scale for t, _ in queues),
             values=tuple(np.concatenate(v) / scale for _, v in queues),
         )
+
+
+#: services a busy period may use before it is taken not to terminate
+BUSY_LIMIT = 100_000_000
 
 
 def _first_chunk(load: float, drop: int) -> int:
@@ -687,16 +734,18 @@ class _Engine:
             done += draws.size
             downs._end += draws.size
             tail = float(completions[-1])
-            if done > 100_000_000:
+            if done > BUSY_LIMIT:
                 raise RuntimeError("busy period failed to terminate")
             chunk = min(chunk * 2, 1 << 22)
 
     def _walk(self, queue: int, drop: int, t0: float) -> tuple[float, int]:
         """``_busy_period`` on Python floats: the same chunks, completions
-        and first passage, with the pending arrivals read from the clock's
-        ``_epochs``.  The completions relative to ``t0`` go to the queue's
-        lists of the block, with ``t0`` and their count, for ``_flush`` to
-        add up as the vector path does."""
+        and first passage, found by ``_walk_first_passage`` from the clock's
+        ``_epochs`` with each chunk summed only up to it.  The completions
+        relative to ``t0`` go to the queue's lists of the block, with ``t0``
+        and their count, for ``_flush`` to add up as the vector path does.  A
+        chunk without the passage asks the clock for its window's end, as
+        the vector path does, so a completion that is not finite raises."""
         clock = self._clocks[queue]
         buffer = self._services[queue]
         relative, starts, counts = self._downs[queue]
@@ -708,25 +757,21 @@ class _Engine:
         tail = 0.0
         while True:
             draws = buffer.take(chunk)
-            completions = list(accumulate(draws))
-            if tail:
-                completions = [c + tail for c in completions]
-            horizon = t0 + completions[-1]
-            if not clock._horizon > horizon:
-                clock._ensure(horizon)
-            epochs, ptr = clock._epochs, clock._ptr
-            pending = epochs[ptr : bisect_left(epochs, horizon, ptr)]
-            hit = _walk_first_passage(pending, t0, completions, drop - done - 1)
+            completions, hit = _walk_first_passage(
+                draws, tail, t0, clock, drop - done - 1
+            )
+            relative += completions
             if hit >= 0:
                 buffer.rollback(len(draws) - hit - 1)
-                relative += completions[: hit + 1]
                 starts.append(t0)
                 counts.append(done + hit + 1)
                 return completions[hit], done + hit + 1
             done += len(draws)
-            relative += completions
             tail = completions[-1]
-            if done > 100_000_000:
+            horizon = t0 + tail
+            if not clock._horizon > horizon:
+                clock._ensure(horizon)
+            if done > BUSY_LIMIT:
                 raise RuntimeError("busy period failed to terminate")
             chunk = min(chunk * 2, 1 << 22)
 

@@ -50,7 +50,8 @@ class Exponential(Distribution):
 
 @dataclass(frozen=True)
 class Gamma(Distribution):
-    """Gamma with given mean and shape > 0; variance = mean^2 / shape."""
+    """Gamma with given mean and shape > 0; variance = mean^2 / shape.
+    Standard gammas scaled in place equal ``gen.gamma`` bit for bit."""
 
     shape: float = 2.0
 
@@ -59,7 +60,8 @@ class Gamma(Distribution):
             raise ValueError(f"shape must be finite and > 0, got {self.shape}")
 
     def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
-        out[:] = gen.gamma(self.shape, self.mean / self.shape, out.size)
+        gen.standard_gamma(self.shape, out=out)
+        out *= self.mean / self.shape
 
 
 @dataclass(frozen=True)
@@ -76,12 +78,15 @@ class LogNormal(Distribution):
     def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
         log_var = math.log1p(self.cv**2)
         mu = math.log(self.mean) - 0.5 * log_var
+        # drawn whole: NumPy takes its exp from the C library, which
+        # ``np.exp`` on normals drawn in place need not match bit for bit
         out[:] = gen.lognormal(mu, math.sqrt(log_var), out.size)
 
 
 @dataclass(frozen=True)
 class Uniform(Distribution):
-    """Uniform on [mean*(1-width), mean*(1+width)], width in [0, 1]."""
+    """Uniform on [mean*(1-width), mean*(1+width)], width in [0, 1].  Unit
+    uniforms scaled and shifted in place equal ``gen.uniform`` bit for bit."""
 
     width: float = 1.0
 
@@ -91,7 +96,10 @@ class Uniform(Distribution):
 
     def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
         half = self.mean * self.width
-        out[:] = gen.uniform(self.mean - half, self.mean + half, out.size)
+        low, high = self.mean - half, self.mean + half
+        gen.random(out=out)
+        out *= high - low
+        out += low
 
 
 _KINDS = {

@@ -8,6 +8,7 @@ import numpy as np
 
 import pollctl as pc
 from pollctl import des
+from pollctl.cost import block_path
 from pollctl.fluid import _clamp_levels
 from pollctl.model import check_ratios
 
@@ -232,6 +233,16 @@ def step_path(
     )
     order = np.argsort(times, kind="stable")
     return times[order], start + np.cumsum(deltas[order])
+
+
+def scalar_tour_integrals(
+    scalar, levels: np.ndarray, ups, downs, bounds: np.ndarray, scale: int
+) -> np.ndarray:
+    """``ScalarCost.tour_integrals`` as first written: the cost evaluated on
+    every piece of the block's merged path, not once per job count."""
+    times, path, slots = block_path(levels, ups, downs, bounds)
+    pieces = scalar.value(path[:-1] / scale) * np.diff(times)
+    return np.add.reduceat(pieces, slots[:-1])
 
 
 def joint_tour_integrals(

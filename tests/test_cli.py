@@ -457,9 +457,9 @@ def test_numerical_breakdown_exits_as_runtime_failure(
 def test_simulator_level_mismatch_exits_as_runtime_failure(
     tmp_path, capsys, monkeypatch
 ):
-    # stop the busy period at the walk's first passage of drop + 1, on queues
-    # walked on Python floats (scale 1, 4 arrivals per tour) and on queues
-    # read as arrays (scale 20, 80 arrivals per tour)
+    # stop the busy period at the first passage of drop + 1, on queues walked
+    # on Python floats (scale 1, 4 arrivals per tour) and on queues read as
+    # arrays (scale 20, 80 arrivals per tour)
     for scale, name in [(1, "_walk_first_passage"), (20, "_first_passage")]:
         found = getattr(des, name)
         config = write_config(
@@ -478,10 +478,33 @@ def test_simulator_level_mismatch_exits_as_runtime_failure(
             patch.setattr(
                 des,
                 name,
-                lambda p, t0, c, shift, found=found: found(p, t0, c, shift + 1),
+                lambda *args, found=found: found(*args[:-1], args[-1] + 1),
             )
             assert main(args) == 1
         assert "runtime failure: stage" in capsys.readouterr().err
+
+
+def test_busy_period_limit_exits_as_runtime_failure(tmp_path, capsys, monkeypatch):
+    # busy periods drawn one service first and allowed no more, walked on
+    # Python floats (scale 1) and read as arrays (scale 20)
+    monkeypatch.setattr(des, "BUSY_LIMIT", 0)
+    monkeypatch.setattr(des, "_first_chunk", lambda load, drop: 1)
+    for scale in (1, 20):
+        config = write_config(
+            tmp_path,
+            {
+                "simulation": {
+                    "scale": scale,
+                    "warmup_cycles": 0,
+                    "measured_cycles": 5,
+                    "batches": 5,
+                }
+            },
+        )
+        args = ["simulate", "--config", str(config), "--out", str(tmp_path / "s")]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "runtime failure: busy period failed to terminate" in err
 
 
 PIECEWISE = {

@@ -7,8 +7,18 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import pollctl as pc
-from oracles import joint_tour_integrals, step_path, window_integral
-from pollctl.cost import LinearScalar, PiecewiseLinearScalar, PolynomialScalar
+from oracles import (
+    joint_tour_integrals,
+    scalar_tour_integrals,
+    step_path,
+    window_integral,
+)
+from pollctl.cost import (
+    LinearScalar,
+    PiecewiseLinearScalar,
+    PolynomialScalar,
+    ScalarCost,
+)
 
 
 def quad_oracle(scalar, x0: float, x1: float, duration: float) -> float:
@@ -277,6 +287,47 @@ def test_tour_integrals_match_the_per_tour_oracle(seed, tours, events, scale, na
             scalar, levels[j], tour_ups - lo, tour_downs - lo, hi - lo, scale
         )
         assert block[j] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def scalars_on_job_counts(scale: int) -> dict[str, ScalarCost]:
+    """Every scalar kind, the piecewise-linear one with thresholds that job
+    counts at ``scale`` (as ``queue_block`` draws them) land on exactly."""
+    counts = np.unique([0, 1, 3, scale + 1, 2 * scale, 3 * scale + 2])
+    return {
+        "linear": LinearScalar(1.5),
+        "piecewise": PiecewiseLinearScalar(
+            counts / scale, 0.5 * np.arange(1, counts.size + 1)
+        ),
+        "polynomial": PolynomialScalar([0.5, 1.0, 0.0, 0.25]),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tours=st.integers(1, 6),
+    events=st.integers(0, 80),
+    scale=st.sampled_from([1, 7, 500]),
+    name=st.sampled_from(list(SCALARS)),
+)
+def test_tour_integrals_keep_the_bits_of_pricing_every_piece(
+    seed, tours, events, scale, name
+):
+    # the cost read from one value per job count equals the cost evaluated on
+    # every piece bit for bit, tour by tour; one tour of each block holds no
+    # jumps.  The base method is called, since a linear cost overrides it.
+    gen = np.random.default_rng(seed)
+    scalar = scalars_on_job_counts(scale)[name]
+    grid = bool(gen.random() < 0.5)
+    if grid:
+        bounds = np.cumsum(gen.integers(0, 12, tours + 1)) / 4.0
+    else:
+        bounds = np.cumsum(gen.uniform(0.0, 8.0, tours + 1))
+    empty = int(gen.integers(0, tours))
+    levels, ups, downs = queue_block(gen, bounds, events, scale, grid, empty)
+    block = ScalarCost.tour_integrals(scalar, levels, ups, downs, bounds, scale)
+    expected = scalar_tour_integrals(scalar, levels, ups, downs, bounds, scale)
+    assert block.tobytes() == expected.tobytes()
 
 
 JOINT = pc.CustomCost(lambda x: np.max(x, axis=-1) ** 2 + x[..., 0] * x[..., 1])

@@ -26,6 +26,7 @@ from pollctl.distributions import (
     Distribution,
     Exponential,
     Gamma,
+    LogNormal,
 )
 
 
@@ -118,6 +119,44 @@ def test_exponential_draws_equal_numpys_exponential_bitwise():
             assert scalar.tolist() == [ref.exponential(mean) for _ in range(50)]
 
 
+def numpy_draws(dist, gen, size):
+    """``size`` values of ``dist`` from NumPy's own sampler of its kind."""
+    if isinstance(dist, Deterministic):
+        return np.full(size, dist.mean)
+    if isinstance(dist, Exponential):
+        return gen.exponential(dist.mean, size)
+    if isinstance(dist, Gamma):
+        return gen.gamma(dist.shape, dist.mean / dist.shape, size)
+    if isinstance(dist, LogNormal):
+        log_var = math.log1p(dist.cv**2)
+        mu = math.log(dist.mean) - 0.5 * log_var
+        return gen.lognormal(mu, math.sqrt(log_var), size)
+    half = dist.mean * dist.width
+    return gen.uniform(dist.mean - half, dist.mean + half, size)
+
+
+@pytest.mark.parametrize(
+    "kind, options",
+    [
+        ("deterministic", {}),
+        ("exponential", {}),
+        *[("gamma", {"shape": shape}) for shape in (1e-3, 0.02, 0.5, 1.0, 2.0, 4.0)],
+        *[("lognormal", {"cv": cv}) for cv in (0.0, 0.5, 2.0)],
+        *[("uniform", {"width": width}) for width in (0.0, 0.3, 1.0)],
+    ],
+)
+def test_every_kind_draws_equal_numpys_sampler_bitwise(kind, options):
+    # in one call, and in parts of 7 as the stores' refills split a stream
+    size = 5000
+    for seed in range(3):
+        for mean in (1e-3, 0.25, 2.5, 7.0e4):
+            dist = pc.make_distribution(kind, mean, **options)
+            expected = numpy_draws(dist, np.random.default_rng(seed), size)
+            for part in (None, 7):
+                drawn = draws(dist, np.random.default_rng(seed), size, part)
+                assert drawn.tobytes() == expected.tobytes()
+
+
 def test_make_distribution_rejects_bad_requests():
     with pytest.raises(ValueError, match="unknown distribution"):
         pc.make_distribution("cauchy", 1.0)
@@ -162,6 +201,42 @@ def test_scaled_system_checks_means(symmetric_params):
 quarters = st.integers(0, 40).map(lambda v: v / 4.0)
 
 
+class ListClock:
+    """What ``des._walk_first_passage`` reads of an ``_ArrivalClock``: the
+    mirror ``_epochs`` of ``epochs``, its first ``shown`` entries drawn and
+    one more per ``_ensure`` until the horizon, the last drawn, passes ``t``;
+    ``_ptr`` counts the epochs consumed before the busy period."""
+
+    def __init__(self, epochs, shown: int, ptr: int):
+        self._all = list(epochs)
+        self._epochs = self._all[:shown]
+        self._horizon = self._epochs[-1] if self._epochs else -math.inf
+        self._ptr = ptr
+
+    def _ensure(self, t: float) -> None:
+        while not self._horizon > t:
+            self._horizon = self._all[len(self._epochs)]
+            self._epochs.append(self._horizon)
+
+
+def walk_chunk(services, tail, t0, arrivals, shift, shown=0):
+    """``des._walk_first_passage`` of one chunk against a ``ListClock`` that
+    holds ``arrivals`` after two consumed epochs, then none before
+    ``t0 + 1e6``, and has drawn ``shown`` of the arrivals."""
+    consumed = [t0 - 2.0, t0 - 1.0]
+    later = [t0 + 1e6 + i for i in range(len(services) + 16)]
+    clock = ListClock(consumed + list(arrivals) + later, 2 + shown, 2)
+    return des._walk_first_passage(list(services), tail, t0, clock, shift)
+
+
+def whole_chunk(completions, t0, arrivals, shift) -> int:
+    """The first passage over the whole chunk, from the arrivals before its
+    window's end, as every chunk was decided before the walk stopped at it."""
+    arrivals = np.asarray(arrivals, dtype=float)
+    pending = arrivals[arrivals < t0 + completions[-1]]
+    return des._first_passage(pending, t0, np.asarray(completions), shift)
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_first_passage_equals_the_walk_oracle(data):
@@ -175,13 +250,17 @@ def test_first_passage_equals_the_walk_oracle(data):
     first = int(np.searchsorted(arrivals, completions[0], side="left"))
     done = data.draw(st.integers(0, first + drop - 1))
     pending = t0 + arrivals
-    hit = des._first_passage(pending, t0, completions, drop - done - 1)
+    shift = drop - done - 1
+    hit = des._first_passage(pending, t0, completions, shift)
     assert hit == walk_first_hit(pending, t0, completions, done, drop)
-    # the walk's first passage, on the same values as Python floats
-    walked = des._walk_first_passage(
-        pending.tolist(), t0, completions.tolist(), drop - done - 1
-    )
-    assert walked == hit
+    # the walk's decision on services that sum to the same completions after
+    # a tail, with part of the arrivals drawn: it stops at the same passage
+    tail = data.draw(st.integers(0, int(4 * completions[0]))) / 4.0
+    services = np.diff(completions, prepend=tail)
+    shown = data.draw(st.integers(0, arrivals.size))
+    walked, passage = walk_chunk(services, tail, t0, pending, shift, shown)
+    assert passage == whole_chunk(completions, t0, pending, shift)
+    assert walked == completions[: passage + 1 if passage >= 0 else None].tolist()
 
 
 def test_first_passage_when_pending_arrivals_run_out():
@@ -193,9 +272,66 @@ def test_first_passage_when_pending_arrivals_run_out():
     # a drop beyond the chunk's reach
     assert des._first_passage(pending, 10.0, completions, 5) == -1
     assert walk_first_hit(pending, 10.0, completions, 0, 6) == -1
-    as_floats = pending.tolist(), 10.0, completions.tolist()
-    assert des._walk_first_passage(*as_floats, 1) == 3
-    assert des._walk_first_passage(*as_floats, 5) == -1
+    services = [1.0] * 4
+    assert walk_chunk(services, 0.0, 10.0, pending, 1) == ([1.0, 2.0, 3.0, 4.0], 3)
+    assert walk_chunk(services, 0.0, 10.0, pending, 5) == ([1.0, 2.0, 3.0, 4.0], -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_walk_equals_the_whole_chunk_rule_under_rounding(data):
+    # services of up to a few ulps of a large t0: t0 plus a completion
+    # rounds, often onto an arrival, and the walk must still stop where the
+    # whole chunk's comparison does
+    t0 = 2.0 ** data.draw(st.integers(40, 56))
+    ulp = math.ulp(t0)
+    units = st.floats(0.0, 4.0, allow_subnormal=False)
+    services = [ulp * u for u in data.draw(st.lists(units, min_size=1, max_size=30))]
+    arrivals = sorted(
+        t0 + ulp * u for u in data.draw(st.lists(st.floats(0.0, 60.0), max_size=40))
+    )
+    shift = data.draw(st.integers(-5, len(services)))
+    tail = ulp * data.draw(st.sampled_from([0.0, 0.5, 3.0]))
+    completions = [tail + c for c in itertools.accumulate(services)]
+    expected = whole_chunk(completions, t0, arrivals, shift)
+    walked, passage = walk_chunk(services, tail, t0, arrivals, shift)
+    assert passage == expected
+    assert walked == completions[: passage + 1 if passage >= 0 else None]
+
+
+@pytest.mark.parametrize(
+    "services, passage",
+    [
+        # t0 + 1.25 and the window's end t0 + 1.75 round to t0 + 1 and t0 + 2:
+        # the arrival at t0 + 1 is in the window, so the next completion ends
+        ([1.25, 0.5], 1),
+        # both round to t0 + 1: the arrival is not in the window, and the
+        # first completion ends the busy period
+        ([1.25, 0.0], 0),
+    ],
+)
+def test_walk_decides_at_the_windows_edge_on_the_whole_chunk(
+    services, passage, monkeypatch
+):
+    # t0 = 2**52, whose ulp is 1: the arrival at t0 + 1 lies before the first
+    # completion, 1.25, relative to t0, but not before t0 + 1.25 = t0 + 1
+    t0 = 2.0**52
+    arrivals = [t0 + 1.0]
+    completions = list(itertools.accumulate(services))
+    expected = whole_chunk(completions, t0, arrivals, 0)
+    assert expected == passage
+    decided = []
+    found = des._first_passage
+
+    def deciding(*args):
+        decided.append(found(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(des, "_first_passage", deciding)
+    for shown in (0, 1):
+        walked, hit = walk_chunk(services, 0.0, t0, arrivals, 0, shown)
+        assert (walked, hit) == (completions[: passage + 1], passage)
+    assert decided == [passage, passage]
 
 
 def consume(clock, requests, tour_every=0):
@@ -555,8 +691,14 @@ class Drawing(Distribution):
 @pytest.mark.parametrize(
     "field, index, value",
     # an infinite switchover before the tour's last stage gives the next
-    # stage an epoch that no refill of an arrival clock passes
-    [("service", 0, math.nan), ("switchover", 1, math.inf)],
+    # stage an epoch that no refill of an arrival clock passes; a walked
+    # chunk reaches a NaN service's window edge, and ends with no passage
+    # after an infinite one
+    [
+        ("service", 0, math.nan),
+        ("service", 0, math.inf),
+        ("switchover", 1, math.inf),
+    ],
 )
 def test_draws_that_are_not_finite_are_a_runtime_error(
     revisit_params, field, index, value
@@ -626,8 +768,8 @@ def test_negative_draws_are_a_runtime_error(
 def test_level_mismatch_after_busy_period_is_a_runtime_error(
     symmetric_params, monkeypatch
 ):
-    # stop the busy period at the walk's first passage of drop + 1, on queues
-    # walked on Python floats (scale 1) and on queues read as arrays (scale 20)
+    # stop the busy period at the first passage of drop + 1, on queues walked
+    # on Python floats (scale 1) and on queues read as arrays (scale 20)
     control = exhaustive(symmetric_params)
     for scale, mode, name in [
         (1, des.WALK, "_walk_first_passage"),
@@ -640,10 +782,24 @@ def test_level_mismatch_after_busy_period_is_a_runtime_error(
             patch.setattr(
                 des,
                 name,
-                lambda p, t0, c, shift, found=found: found(p, t0, c, shift + 1),
+                lambda *args, found=found: found(*args[:-1], args[-1] + 1),
             )
             with pytest.raises(RuntimeError, match="holds .* jobs, not"):
                 pc.run(scaled, control, warmup_cycles=0, measured_cycles=5, seed=0)
+
+
+def test_busy_period_limit_is_a_runtime_error(symmetric_params, monkeypatch):
+    # busy periods drawn one service first and allowed no more: on queues
+    # walked on Python floats (scale 1) and on queues read as arrays
+    # (scale 20), the first that needs a second chunk gives up
+    monkeypatch.setattr(des, "BUSY_LIMIT", 0)
+    monkeypatch.setattr(des, "_first_chunk", lambda load, drop: 1)
+    control = exhaustive(symmetric_params)
+    for scale, mode in [(1, des.WALK), (20, des.INLINE)]:
+        scaled = pc.scaled_system(symmetric_params, scale)
+        assert des._stream_modes(scaled, control, 2) == [mode] * 2
+        with pytest.raises(RuntimeError, match="busy period failed to terminate"):
+            pc.run(scaled, control, warmup_cycles=0, measured_cycles=5, seed=0)
 
 
 def test_corrupted_polling_levels_are_a_runtime_error(revisit_params, monkeypatch):
