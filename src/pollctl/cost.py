@@ -168,9 +168,11 @@ def block_path(
     Returns the epoch of every slot, the job count from every slot on, and
     the slot of each tour bound (its last entry is the final slot, the
     block's end); every other slot is a jump.  Slots hold the bounds and the
-    jumps in time order, downs before ups at equal epochs and bound ``j``
-    before the jumps of tour ``j``: a stable sort of the downs then the ups
-    ranks the jumps, which then move past the bounds before them.  A path
+    jumps in time order, and at an equal epoch in the simulator's order:
+    completions, then tour bounds, then arrivals.  So downs come before ups,
+    and bound ``j`` after the jumps of the tours before it and before those
+    of tour ``j``: a stable sort of the downs then the ups ranks the jumps,
+    which then move past the bounds before them.  A path
     that misses a tour's start level, goes negative or runs backwards in time
     raises ``RuntimeError``.
     """

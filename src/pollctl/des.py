@@ -25,11 +25,12 @@ block by ``CostFunction.tour_integrals``, from the block's arrival epochs
 recorded path keeps the jumps of each queue's ``cost.block_path`` over the
 recorded tours, so every simulated path is merged in one place.
 
-Event-order convention at coincident epochs: service completions precede
-arrivals (the ``>=`` above), which precede switchover ends.  All sampled
-epochs are continuous, so ties have probability zero; the convention only
-pins down the semantics of window and tour boundaries (an arrival exactly at
-a boundary belongs to the next window, and so to the next tour).
+Event order at an equal epoch, as rounded: service completions, then window
+ends and tour bounds, then arrivals.  So completion ``j`` of a busy period
+from ``t0`` precedes an arrival at ``t0 + c_j`` (the ``>=`` above), and an
+arrival at a polling epoch or a tour bound comes after it, in the next
+window and the next tour.  All sampled epochs are continuous, so ties have
+probability zero, but rounding at large epochs makes them.
 
 Randomness is split into named substreams per source (queue arrivals, queue
 services, per-stage switchovers and binomial thinnings), so runs are
@@ -56,8 +57,7 @@ Each queue reads its streams in one of three modes, chosen once per run by
   cannot end it, then a loop adds one completion at a time and compares it
   with its arrival, stopping at the first passage.  The chunks, sums,
   comparisons and ties are those of the arrays, so every value keeps its
-  bits; only an arrival within rounding of the window's end falls back to
-  the whole chunk's comparison.
+  bits.
 - ``AHEAD``, from ``AHEAD_GATE`` on with a CPU to spare: the queue keeps the
   next ``AHEAD_REFILL`` values of both its streams in flight on one worker
   thread per run, written into the free tails of their stores, where NumPy
@@ -86,6 +86,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, islice
+from numbers import Integral
 
 import numpy as np
 
@@ -99,43 +100,61 @@ from .stats import batch_means, ratio_ci
 
 def _first_passage(pending, t0: float, completions, shift: int) -> int:
     """First ``j`` where absolute arrival ``pending[j - shift]`` is at or after
-    completion ``completions[j]`` (relative to ``t0``) or does not exist; -1 if
-    none.  ``_Engine._busy_period`` explains why that ends the busy period."""
+    ``t0`` plus completion ``completions[j]`` or does not exist; -1 if none.
+    ``_Engine._busy_period`` explains why that ends the busy period."""
     lo, first = max(shift, 0), max(-shift, 0)
     n = max(min(completions.size - lo, pending.size - first), 0)
     if n > 0:
-        reached = pending[first : first + n] - t0 >= completions[lo : lo + n]
+        reached = pending[first : first + n] >= completions[lo : lo + n] + t0
         j = int(reached.argmax())
         if reached[j]:
             return lo + j
     return lo + n if lo + n < completions.size else -1
 
 
-def _walk_first_passage(
-    draws: list, tail: float, t0: float, clock: _ArrivalClock, shift: int
-) -> tuple[list, int]:
-    """The first passage in a chunk of services ``draws`` walked on Python
-    floats: ``_first_passage`` of its completions, summed only up to it.
+def _array_first_passage(
+    draws, tail: float, t0: float, clock, downs, done: int, drop: int
+) -> tuple[int, float]:
+    """One chunk of a busy period read as arrays (see ``_Engine._busy_period``):
+    its completions relative to ``t0`` are accumulated straight into the
+    queue's ``_Store`` of the block, and ``_first_passage`` decides on the
+    arrivals the ``_ArrivalClock`` holds before ``t0`` plus the last one.
+    Returns the passage's index and completion, or -1 and the last
+    completion.  A passage shifts the busy period's completions in the
+    store, ``done`` of earlier chunks and this chunk's up to it, by ``t0``
+    in place."""
+    completions = np.add.accumulate(draws, out=downs._room(draws.size))
+    if tail:
+        completions += tail
+    pending = clock.peek_until(t0 + completions[-1])
+    hit = _first_passage(pending, t0, completions, drop - done - 1)
+    if hit < 0:
+        downs._end += draws.size
+        return hit, float(completions[-1])
+    duration = float(completions[hit])
+    downs._end += hit + 1
+    downs._store[downs._end - done - hit - 1 : downs._end] += t0
+    return hit, duration
 
-    Returns the completions relative to ``t0``, ``tail`` plus the running
-    sums of ``draws``, up to the passage and its index; or all of them and
-    -1.  Completion ``c_j`` is compared with arrival ``a``, number
-    ``j - shift`` past the clock's ``_ptr`` in its ``_epochs``, drawn as
-    needed.  ``_first_passage`` reads the arrivals before the window's end,
-    ``t0`` plus the chunk's last completion, and ends the busy period at the
-    first ``j`` where ``a - t0 >= c_j`` or ``a`` is not in the window.  So
-    ``a - t0 >= c_j`` ends it, and otherwise ``a < t0 + c_j``, which puts
-    ``a`` in the window (rounding is monotone and services nonnegative),
-    does not.  Only an arrival within rounding of ``t0 + c_j`` needs the
-    window's end: the chunk's sums are finished and ``_first_passage``
-    decides on them.
-    """
+
+def _walk_first_passage(
+    draws: list, tail: float, t0: float, clock, downs, done: int, drop: int
+) -> tuple[int, float]:
+    """``_array_first_passage`` on Python floats, with the chunk summed only
+    up to the passage: each completion ``c_j`` is compared, as it is added,
+    with arrival ``a``, number ``j - drop + done + 1`` past the clock's
+    ``_ptr`` in its ``_epochs``, drawn as needed.  The completions go to the
+    queue's list of the block, ``downs[0]``; a passage logs ``t0`` and the
+    busy period's completions in ``downs[1]`` and ``downs[2]``, for
+    ``_flush`` to add up as the arrays are."""
+    shift = drop - done - 1
     sums = accumulate(draws)
     if tail:
         sums = map(tail.__add__, sums)
     completions = list(islice(sums, max(shift, 0)))
     add = completions.append
     epochs = clock._epochs
+    relative, starts, counts = downs
     # the arrival that completion 0 is compared with, and the chunk's end
     first, size = clock._ptr - shift, len(draws)
     while len(completions) < size:
@@ -145,20 +164,13 @@ def _walk_first_passage(
             continue
         for a, c in zip(epochs[at : first + size], sums):
             add(c)
-            if a - t0 >= c:
-                return completions, len(completions) - 1
-            if not a < t0 + c:
-                completions += sums
-                horizon = t0 + completions[-1]
-                if not clock._horizon > horizon:
-                    clock._ensure(horizon)
-                ptr = clock._ptr
-                pending = epochs[ptr : bisect_left(epochs, horizon, ptr)]
-                hit = _first_passage(
-                    np.array(pending), t0, np.array(completions), shift
-                )
-                return (completions[: hit + 1] if hit >= 0 else completions), hit
-    return completions, -1
+            if a >= t0 + c:
+                relative += completions
+                starts.append(t0)
+                counts.append(done + len(completions))
+                return len(completions) - 1, c
+    relative += completions
+    return -1, completions[-1]
 
 
 def process_cpus() -> int:
@@ -438,11 +450,10 @@ class _ArrivalClock(_Store):
     kept as a list of Python floats, ``_epochs``, extended at each refill and
     cut at each tour mark, and ``advance_to`` bisects it.  Every epoch the
     simulator reaches is asked for here: the tours' ends, the ends of busy
-    periods, and the window end of every chunk of services a busy period
-    reads whole (a walked chunk that holds the first passage is read only up
-    to it, and is asked for only at the window's edge).  So an epoch that is
-    not finite, from a draw that is not, raises ``RuntimeError`` once the
-    simulator reads it.
+    periods, and the end of every chunk of services a busy period reads
+    whole (a walked chunk that holds the first passage is read only up to
+    it).  So an epoch that is not finite, from a draw that is not, raises
+    ``RuntimeError`` once the simulator reads it.
     """
 
     BLOCK = 4096
@@ -658,12 +669,11 @@ class _Engine:
         self._loads = [
             params.arrival_rates[k] / params.service_rates[k] for k in k_range
         ]
-        #: per walked queue, the first chunk of a busy period by its drop
+        #: per queue, the first chunk of a busy period by its drop
         self._chunks: list[dict[int, int]] = [{} for _ in k_range]
         basic = len(table.basic)
         self._polled = table.polled
-        #: per stage: polled queue, ratio, binomial substream, switchovers,
-        #: and the ``_Engine`` function that serves its busy period
+        #: per stage: polled queue, ratio, binomial substream and switchovers
         self._stages = [
             (
                 int(self._polled[i]),
@@ -673,7 +683,6 @@ class _Engine:
                     scaled.switchover[i % basic],
                     rng.substream(seed, rng.SWITCHOVERS, i),
                 ),
-                _Engine._walk if self._walks[self._polled[i]] else _Engine._busy_period,
             )
             for i, ratio in enumerate(control.ratio_array)
         ]
@@ -701,54 +710,24 @@ class _Engine:
     def _busy_period(self, queue: int, drop: int, t0: float) -> tuple[float, int]:
         """Serve ``queue`` from ``t0`` until its count first falls by ``drop``.
 
-        Returns (duration, services used), and appends the absolute
-        completion epochs to the queue's store of the block.  Works chunk-wise
-        on drawn services, rolling back unused ones; each chunk's completions
-        relative to ``t0`` are accumulated straight into the store.  With
-        ``done`` services in earlier chunks and ``A(c)`` arrivals before
-        ``c``, the count has fallen by ``done + j + 1 - A(c_j)`` at completion
-        ``j``.  Rising at most one per completion, that walk first reaches
-        ``drop`` where pending arrival ``done + j + 1 - drop`` (0-based) is at
-        or after ``c_j`` or does not exist: ``>=`` puts completions first.
+        Returns (duration, services used).  Works chunk-wise on drawn
+        services, rolling back unused ones.  The queue's chunk kernel,
+        ``_walk_first_passage`` or ``_array_first_passage``, sums a chunk's
+        completions relative to ``t0`` after the last of the chunks before,
+        keeps them for the block, finds the first passage and closes the busy
+        period there.  With ``done`` services in earlier chunks and ``A(t)``
+        arrivals before ``t``, the count has fallen by
+        ``done + j + 1 - A(t0 + c_j)`` at completion ``j``.  Rising at most
+        one per completion, that walk first reaches ``drop`` where pending
+        arrival ``done + j + 1 - drop`` (0-based) is at or after ``t0 + c_j``
+        or does not exist: ``>=`` puts completions first.  A chunk without
+        the passage asks the clock for its end, so a completion that is not
+        finite raises.
         """
         clock = self._clocks[queue]
         buffer = self._services[queue]
         downs = self._downs[queue]
-        first = downs._end
-        chunk = _first_chunk(self._loads[queue], drop)
-        done = 0
-        tail = 0.0
-        while True:
-            draws = buffer.take(chunk)
-            completions = np.add.accumulate(draws, out=downs._room(draws.size))
-            if tail:
-                completions += tail
-            pending = clock.peek_until(t0 + completions[-1])
-            hit = _first_passage(pending, t0, completions, drop - done - 1)
-            if hit >= 0:
-                buffer.rollback(draws.size - hit - 1)
-                duration = float(completions[hit])
-                downs._end += hit + 1
-                downs._store[first : downs._end] += t0
-                return duration, done + hit + 1
-            done += draws.size
-            downs._end += draws.size
-            tail = float(completions[-1])
-            if done > BUSY_LIMIT:
-                raise RuntimeError("busy period failed to terminate")
-            chunk = min(chunk * 2, 1 << 22)
-
-    def _walk(self, queue: int, drop: int, t0: float) -> tuple[float, int]:
-        """``_busy_period`` on Python floats: the same chunks, completions
-        and first passage, found by ``_walk_first_passage`` from the clock's
-        ``_epochs`` with each chunk summed only up to it.  The completions
-        relative to ``t0`` go to the queue's lists of the block, with ``t0``
-        and their count, for ``_flush`` to add up as the vector path does.  A
-        chunk without the passage asks the clock for its window's end, as
-        the vector path does, so a completion that is not finite raises."""
-        clock = self._clocks[queue]
-        buffer = self._services[queue]
-        relative, starts, counts = self._downs[queue]
+        passage = _walk_first_passage if self._walks[queue] else _array_first_passage
         chunks = self._chunks[queue]
         chunk = chunks.get(drop) or chunks.setdefault(
             drop, _first_chunk(self._loads[queue], drop)
@@ -757,17 +736,12 @@ class _Engine:
         tail = 0.0
         while True:
             draws = buffer.take(chunk)
-            completions, hit = _walk_first_passage(
-                draws, tail, t0, clock, drop - done - 1
-            )
-            relative += completions
+            # the passage's completion, the duration, or the chunk's last one
+            hit, tail = passage(draws, tail, t0, clock, downs, done, drop)
             if hit >= 0:
                 buffer.rollback(len(draws) - hit - 1)
-                starts.append(t0)
-                counts.append(done + hit + 1)
-                return completions[hit], done + hit + 1
+                return tail, done + hit + 1
             done += len(draws)
-            tail = completions[-1]
             horizon = t0 + tail
             if not clock._horizon > horizon:
                 clock._ensure(horizon)
@@ -872,7 +846,7 @@ class _Engine:
         clocks = self._clocks
         log = self._log
         served = 0
-        for i, (queue, ratio, binomials, pauses, serve) in enumerate(self._stages):
+        for i, (queue, ratio, binomials, pauses) in enumerate(self._stages):
             clock = clocks[queue]
             epoch = t
             level = levels[queue] + clock.advance_to(t)
@@ -883,7 +857,7 @@ class _Engine:
                 cleared = int(binomials.binomial(level, ratio))
             duration, done = 0.0, 0
             if cleared > 0:
-                duration, done = serve(self, queue, cleared, t)
+                duration, done = self._busy_period(queue, cleared, t)
                 t += duration
                 left = level + clock.advance_to(t) - done
                 if left != level - cleared:
@@ -1017,9 +991,9 @@ def run(
     ``warmup_cycles=None`` the tours that ``_fluid_warmup`` counts from the
     fluid alone are discarded; if ``WARMUP_LIMIT`` tours are not enough,
     ``warmup_converged`` is False and a ``RuntimeWarning`` is issued.
-    ``cpus`` is the number of CPUs the run may keep busy, by default
-    ``process_cpus()``; with two or more, the streams of queues with large
-    tours are drawn ahead on a worker thread.
+    ``cpus`` is the number of CPUs the run may keep busy, an integer of at
+    least 1, by default ``process_cpus()``; with two or more, the streams of
+    queues with large tours are drawn ahead on a worker thread.
     """
     params = scaled.params
     validate(params)
@@ -1030,6 +1004,8 @@ def run(
         raise ValueError("warmup_cycles must be nonnegative")
     if record_path_cycles < 0:
         raise ValueError("record_path_cycles must be nonnegative")
+    if cpus is not None and not (isinstance(cpus, Integral) and cpus >= 1):
+        raise ValueError(f"cpus must be an integer of at least 1, not {cpus!r}")
     converged = True
     if warmup_cycles is None:
         warmup_cycles, converged = _fluid_warmup(params, control)

@@ -306,8 +306,9 @@ def walk_first_hit(
 ) -> int:
     """First completion of a busy-period chunk at which the net drop, services
     (``done`` before the chunk) minus arrivals since ``t0``, equals ``drop``;
-    -1 when it never does.  ``completions`` are relative to ``t0``."""
-    arrived = arrivals_before(pending - t0, completions)
+    -1 when it never does.  ``completions`` are relative to ``t0``, and each
+    is compared with the arrivals at its absolute epoch ``t0 + c``."""
+    arrived = arrivals_before(pending, completions + t0)
     walk = done + 1 + np.arange(completions.size) - arrived
     hits = np.nonzero(walk == drop)[0]
     return int(hits[0]) if hits.size else -1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import math
@@ -202,10 +203,10 @@ quarters = st.integers(0, 40).map(lambda v: v / 4.0)
 
 
 class ListClock:
-    """What ``des._walk_first_passage`` reads of an ``_ArrivalClock``: the
-    mirror ``_epochs`` of ``epochs``, its first ``shown`` entries drawn and
-    one more per ``_ensure`` until the horizon, the last drawn, passes ``t``;
-    ``_ptr`` counts the epochs consumed before the busy period."""
+    """What the chunk kernels read of an ``_ArrivalClock``: the mirror
+    ``_epochs`` of ``epochs``, its first ``shown`` entries drawn and one more
+    per ``_ensure`` until the horizon, the last drawn, passes ``t``; ``_ptr``
+    counts the epochs consumed before the busy period."""
 
     def __init__(self, epochs, shown: int, ptr: int):
         self._all = list(epochs)
@@ -218,49 +219,82 @@ class ListClock:
             self._horizon = self._all[len(self._epochs)]
             self._epochs.append(self._horizon)
 
+    def peek_until(self, t: float) -> np.ndarray:
+        self._ensure(t)
+        epochs = self._epochs
+        return np.array(epochs[self._ptr : bisect.bisect_left(epochs, t, self._ptr)])
 
-def walk_chunk(services, tail, t0, arrivals, shift, shown=0):
-    """``des._walk_first_passage`` of one chunk against a ``ListClock`` that
-    holds ``arrivals`` after two consumed epochs, then none before
-    ``t0 + 1e6``, and has drawn ``shown`` of the arrivals."""
+
+def kernel_chunk(kernel, services, tail, t0, arrivals, done, drop, shown=0):
+    """One chunk of ``kernel`` against a ``ListClock`` that holds ``arrivals``
+    after two consumed epochs, then none before ``t0 + 1e6``, and has drawn
+    ``shown`` of the arrivals.  Returns the passage, its completion and what
+    the kernel keeps for the block."""
     consumed = [t0 - 2.0, t0 - 1.0]
     later = [t0 + 1e6 + i for i in range(len(services) + 16)]
     clock = ListClock(consumed + list(arrivals) + later, 2 + shown, 2)
-    return des._walk_first_passage(list(services), tail, t0, clock, shift)
+    if kernel is des._walk_first_passage:
+        downs, draws = ([], [], []), list(services)
+    else:
+        downs, draws = des._Store(), np.array(services, dtype=float)
+    return *kernel(draws, tail, t0, clock, downs, done, drop), downs
+
+
+def walk_chunk(services, tail, t0, arrivals, done, drop, shown=0):
+    """The completions ``des._walk_first_passage`` keeps of one chunk (see
+    ``kernel_chunk``), and its passage; a passage logs ``t0`` and the busy
+    period's count, and the passage's completion is returned."""
+    kernel = des._walk_first_passage
+    hit, last, (walked, starts, counts) = kernel_chunk(
+        kernel, services, tail, t0, arrivals, done, drop, shown
+    )
+    assert last == walked[hit]
+    assert (starts, counts) == (([t0], [done + hit + 1]) if hit >= 0 else ([], []))
+    return walked, hit
 
 
 def whole_chunk(completions, t0, arrivals, shift) -> int:
     """The first passage over the whole chunk, from the arrivals before its
-    window's end, as every chunk was decided before the walk stopped at it."""
+    window's end."""
     arrivals = np.asarray(arrivals, dtype=float)
     pending = arrivals[arrivals < t0 + completions[-1]]
     return des._first_passage(pending, t0, np.asarray(completions), shift)
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_first_passage_equals_the_walk_oracle(data):
-    # quarter-unit grid epochs: ties between arrivals and completions are
-    # common, and every difference from t0 is exact
-    t0 = data.draw(quarters)
-    completions = np.sort(data.draw(st.lists(quarters, min_size=1, max_size=40)))
-    arrivals = np.sort(data.draw(st.lists(quarters, max_size=60)))
+@given(data=st.data(), rounding=st.booleans())
+def test_first_passage_equals_the_walk_oracle(data, rounding):
+    # on a quarter-unit grid every epoch is exact and ties between arrivals
+    # and completions are common; from t0 = 2**40 to 2**56, with services of
+    # a few ulps, t0 plus a completion rounds, often onto an arrival, where
+    # ``a - t0 >= c`` and ``a >= t0 + c`` differ
+    if rounding:
+        t0 = 2.0 ** data.draw(st.integers(40, 56))
+        unit, units = math.ulp(t0), st.floats(0.0, 4.0, allow_subnormal=False)
+        spread = st.floats(0.0, 60.0)
+    else:
+        t0, unit, units = data.draw(quarters), 0.25, st.integers(0, 8)
+        spread = st.integers(0, 160)
+    services = [unit * u for u in data.draw(st.lists(units, min_size=1, max_size=40))]
+    tail = unit * data.draw(units)
+    completions = np.array([tail + c for c in itertools.accumulate(services)])
+    pending = np.sort([t0 + unit * u for u in data.draw(st.lists(spread, max_size=60))])
     drop = data.draw(st.integers(1, completions.size))
     # services of earlier chunks: any count the walk can carry below ``drop``
-    first = int(np.searchsorted(arrivals, completions[0], side="left"))
+    first = int(pending.searchsorted(t0 + completions[0], "left"))
     done = data.draw(st.integers(0, first + drop - 1))
-    pending = t0 + arrivals
     shift = drop - done - 1
     hit = des._first_passage(pending, t0, completions, shift)
     assert hit == walk_first_hit(pending, t0, completions, done, drop)
-    # the walk's decision on services that sum to the same completions after
-    # a tail, with part of the arrivals drawn: it stops at the same passage
-    tail = data.draw(st.integers(0, int(4 * completions[0]))) / 4.0
-    services = np.diff(completions, prepend=tail)
-    shown = data.draw(st.integers(0, arrivals.size))
-    walked, passage = walk_chunk(services, tail, t0, pending, shift, shown)
-    assert passage == whole_chunk(completions, t0, pending, shift)
-    assert walked == completions[: passage + 1 if passage >= 0 else None].tolist()
+    # the arrivals past the window's end decide nothing
+    assert whole_chunk(completions, t0, pending, shift) == hit
+    # the kernels on the services, with part of the arrivals drawn
+    shown = data.draw(st.integers(0, pending.size))
+    walked, passage = walk_chunk(services, tail, t0, pending, done, drop, shown)
+    assert passage == hit
+    assert walked == completions[: hit + 1 if hit >= 0 else None].tolist()
+    kernel = des._array_first_passage
+    assert kernel_chunk(kernel, services, tail, t0, pending, done, drop)[0] == hit
 
 
 def test_first_passage_when_pending_arrivals_run_out():
@@ -273,8 +307,8 @@ def test_first_passage_when_pending_arrivals_run_out():
     assert des._first_passage(pending, 10.0, completions, 5) == -1
     assert walk_first_hit(pending, 10.0, completions, 0, 6) == -1
     services = [1.0] * 4
-    assert walk_chunk(services, 0.0, 10.0, pending, 1) == ([1.0, 2.0, 3.0, 4.0], 3)
-    assert walk_chunk(services, 0.0, 10.0, pending, 5) == ([1.0, 2.0, 3.0, 4.0], -1)
+    assert walk_chunk(services, 0.0, 10.0, pending, 0, 2) == ([1.0, 2.0, 3.0, 4.0], 3)
+    assert walk_chunk(services, 0.0, 10.0, pending, 0, 6) == ([1.0, 2.0, 3.0, 4.0], -1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -290,48 +324,32 @@ def test_walk_equals_the_whole_chunk_rule_under_rounding(data):
     arrivals = sorted(
         t0 + ulp * u for u in data.draw(st.lists(st.floats(0.0, 60.0), max_size=40))
     )
-    shift = data.draw(st.integers(-5, len(services)))
+    done = data.draw(st.integers(0, 5))
+    drop = data.draw(st.integers(1, len(services) + 1))
     tail = ulp * data.draw(st.sampled_from([0.0, 0.5, 3.0]))
     completions = [tail + c for c in itertools.accumulate(services)]
-    expected = whole_chunk(completions, t0, arrivals, shift)
-    walked, passage = walk_chunk(services, tail, t0, arrivals, shift)
+    expected = whole_chunk(completions, t0, arrivals, drop - done - 1)
+    walked, passage = walk_chunk(services, tail, t0, arrivals, done, drop)
     assert passage == expected
     assert walked == completions[: passage + 1 if passage >= 0 else None]
 
 
-@pytest.mark.parametrize(
-    "services, passage",
-    [
-        # t0 + 1.25 and the window's end t0 + 1.75 round to t0 + 1 and t0 + 2:
-        # the arrival at t0 + 1 is in the window, so the next completion ends
-        ([1.25, 0.5], 1),
-        # both round to t0 + 1: the arrival is not in the window, and the
-        # first completion ends the busy period
-        ([1.25, 0.0], 0),
-    ],
-)
-def test_walk_decides_at_the_windows_edge_on_the_whole_chunk(
-    services, passage, monkeypatch
-):
-    # t0 = 2**52, whose ulp is 1: the arrival at t0 + 1 lies before the first
-    # completion, 1.25, relative to t0, but not before t0 + 1.25 = t0 + 1
+@pytest.mark.parametrize("services", [[1.25, 0.5], [1.25, 0.0], [1.25, 0.0, 0.5]])
+@pytest.mark.parametrize("kernel", ["walk", "array"])
+def test_a_completion_rounded_onto_an_arrival_precedes_it(services, kernel):
+    # t0 = 2**52, whose ulp is 1: the first completion, t0 + 1.25, rounds to
+    # t0 + 1, the arrival's epoch, so it precedes the arrival and ends a busy
+    # period of drop 1, whatever the services after it.  The count there
+    # falls by its completions minus the arrivals before it: by exactly 1.
     t0 = 2.0**52
     arrivals = [t0 + 1.0]
     completions = list(itertools.accumulate(services))
-    expected = whole_chunk(completions, t0, arrivals, 0)
-    assert expected == passage
-    decided = []
-    found = des._first_passage
-
-    def deciding(*args):
-        decided.append(found(*args))
-        return decided[-1]
-
-    monkeypatch.setattr(des, "_first_passage", deciding)
+    assert whole_chunk(completions, t0, arrivals, 0) == 0
+    kernel = getattr(des, f"_{kernel}_first_passage")
     for shown in (0, 1):
-        walked, hit = walk_chunk(services, 0.0, t0, arrivals, 0, shown)
-        assert (walked, hit) == (completions[: passage + 1], passage)
-    assert decided == [passage, passage]
+        hit, last, _ = kernel_chunk(kernel, services, 0.0, t0, arrivals, 0, 1, shown)
+        assert (hit, last) == (0, 1.25)
+        assert hit + 1 - bisect.bisect_left(arrivals, t0 + last) == 1
 
 
 def consume(clock, requests, tour_every=0):
@@ -692,8 +710,8 @@ class Drawing(Distribution):
     "field, index, value",
     # an infinite switchover before the tour's last stage gives the next
     # stage an epoch that no refill of an arrival clock passes; a walked
-    # chunk reaches a NaN service's window edge, and ends with no passage
-    # after an infinite one
+    # chunk ends with no passage after a NaN or an infinite service, and
+    # asks for its end
     [
         ("service", 0, math.nan),
         ("service", 0, math.inf),
@@ -1695,6 +1713,20 @@ def test_measured_cycles_must_be_positive(symmetric_scaled, symmetric_params):
                 measured_cycles=5,
                 **{name: value},
             )
+
+
+@pytest.mark.parametrize("cpus", [0, -3, 1.5, "2"])
+def test_cpus_must_be_an_integer_of_at_least_one(
+    symmetric_scaled, symmetric_params, cpus
+):
+    with pytest.raises(ValueError, match="cpus must be an integer of at least 1"):
+        pc.run(
+            symmetric_scaled,
+            exhaustive(symmetric_params),
+            warmup_cycles=0,
+            measured_cycles=5,
+            cpus=cpus,
+        )
 
 
 # -- recorded paths -----------------------------------------------------------------
