@@ -250,7 +250,7 @@ class PiecewiseLinearScalar(ScalarCost):
         self.slopes = np.asarray(slopes, dtype=float)
         if self.thresholds.ndim != 1 or self.thresholds.shape != self.slopes.shape:
             raise ValueError("thresholds and slopes must be 1-d and equally long")
-        if self.thresholds[0] != 0.0:
+        if self.thresholds.size == 0 or self.thresholds[0] != 0.0:
             raise ValueError("first threshold must be 0")
         if np.any(np.diff(self.thresholds) <= 0.0):
             raise ValueError("thresholds must increase strictly")

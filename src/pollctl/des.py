@@ -51,13 +51,14 @@ Each queue reads its streams in one of three modes, chosen once per run by
 
 - ``WALK``, below ``WALK_GATE``: a busy period there takes a few dozen
   services, and a dozen NumPy calls on arrays that short cost more than the
-  work.  The queue's services are read as Python floats, ``CHUNK`` at a
-  time, its arrival epochs are mirrored as a list, and a busy period walks
-  each chunk on floats: ``itertools.accumulate`` sums the services that
-  cannot end it, then a loop adds one completion at a time and compares it
-  with its arrival, stopping at the first passage.  The chunks, sums,
-  comparisons and ties are those of the arrays, so every value keeps its
-  bits.
+  work.  The queue's services are one lazy stream of Python floats, read
+  ``CHUNK`` at a time as every stage's switchovers are, its arrival epochs
+  are mirrored as a list, and a busy period walks each chunk on floats:
+  ``itertools.accumulate`` sums the services that cannot end it, then a
+  loop adds one completion at a time and compares it with its arrival,
+  stopping at the first passage, so no service after it is read.  The
+  chunks, sums, comparisons and ties are those of the arrays, so every value
+  keeps its bits.
 - ``AHEAD``, from ``AHEAD_GATE`` on with a CPU to spare: the queue keeps the
   next ``AHEAD_REFILL`` values of both its streams in flight on one worker
   thread per run, written into the free tails of their stores, where NumPy
@@ -85,7 +86,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 from numbers import Integral
 
 import numpy as np
@@ -113,24 +114,27 @@ def _first_passage(pending, t0: float, completions, shift: int) -> int:
 
 
 def _array_first_passage(
-    draws, tail: float, t0: float, clock, downs, done: int, drop: int
+    buffer, size: int, tail: float, t0: float, clock, downs, done: int, drop: int
 ) -> tuple[int, float]:
     """One chunk of a busy period read as arrays (see ``_Engine._busy_period``):
-    its completions relative to ``t0`` are accumulated straight into the
-    queue's ``_Store`` of the block, and ``_first_passage`` decides on the
-    arrivals the ``_ArrivalClock`` holds before ``t0`` plus the last one.
-    Returns the passage's index and completion, or -1 and the last
-    completion.  A passage shifts the busy period's completions in the
-    store, ``done`` of earlier chunks and this chunk's up to it, by ``t0``
-    in place."""
-    completions = np.add.accumulate(draws, out=downs._room(draws.size))
+    ``size`` services are taken from the queue's ``_SampleBuffer``, their
+    completions relative to ``t0`` accumulated straight into its ``_Store`` of
+    the block, and ``_first_passage`` decides on the arrivals the
+    ``_ArrivalClock`` holds before ``t0`` plus the last one.  Returns the
+    passage's index and completion, or -1 and the last completion.  A passage
+    rolls back the services after it and shifts the busy period's completions
+    in the store, ``done`` of earlier chunks and this chunk's up to it, by
+    ``t0`` in place."""
+    draws = buffer.take(size)
+    completions = np.add.accumulate(draws, out=downs._room(size))
     if tail:
         completions += tail
     pending = clock.peek_until(t0 + completions[-1])
     hit = _first_passage(pending, t0, completions, drop - done - 1)
     if hit < 0:
-        downs._end += draws.size
+        downs._end += size
         return hit, float(completions[-1])
+    buffer.rollback(size - hit - 1)
     duration = float(completions[hit])
     downs._end += hit + 1
     downs._store[downs._end - done - hit - 1 : downs._end] += t0
@@ -138,30 +142,32 @@ def _array_first_passage(
 
 
 def _walk_first_passage(
-    draws: list, tail: float, t0: float, clock, downs, done: int, drop: int
+    services, size: int, tail: float, t0: float, clock, downs, done: int, drop: int
 ) -> tuple[int, float]:
-    """``_array_first_passage`` on Python floats, with the chunk summed only
-    up to the passage: each completion ``c_j`` is compared, as it is added,
-    with arrival ``a``, number ``j - drop + done + 1`` past the clock's
-    ``_ptr`` in its ``_epochs``, drawn as needed.  The completions go to the
-    queue's list of the block, ``downs[0]``; a passage logs ``t0`` and the
-    busy period's completions in ``downs[1]`` and ``downs[2]``, for
+    """``_array_first_passage`` on Python floats, with the chunk's ``size``
+    services pulled from the queue's ``_floats`` stream only up to the
+    passage, so none is rolled back: each completion ``c_j`` is compared, as
+    it is added, with arrival ``a``, number ``j - drop + done + 1`` past the
+    clock's ``_ptr`` in its ``_epochs``, drawn as needed.  The completions go
+    to ``downs[0]``, the queue's list of the block; a passage logs ``t0`` and
+    the busy period's completions in ``downs[1]`` and ``downs[2]``, for
     ``_flush`` to add up as the arrays are."""
     shift = drop - done - 1
-    sums = accumulate(draws)
+    sums = accumulate(islice(services, size))
     if tail:
         sums = map(tail.__add__, sums)
     completions = list(islice(sums, max(shift, 0)))
     add = completions.append
     epochs = clock._epochs
     relative, starts, counts = downs
-    # the arrival that completion 0 is compared with, and the chunk's end
-    first, size = clock._ptr - shift, len(draws)
+    # the arrival that completion 0 is compared with
+    first = clock._ptr - shift
     while len(completions) < size:
         at = first + len(completions)
         if at >= len(epochs):
             clock._ensure(clock._horizon)
             continue
+        # arrival first: zip stops on a drained mirror before it pulls a service
         for a, c in zip(epochs[at : first + size], sums):
             add(c)
             if a >= t0 + c:
@@ -380,36 +386,11 @@ class _SampleBuffer(_Store):
 
 
 def _floats(dist: Distribution, gen: np.random.Generator):
-    """Draws of ``dist`` in order as Python floats, taken ``CHUNK`` at a time."""
+    """Draws of ``dist`` in order as Python floats, one lazy stream read from
+    a ``_SampleBuffer`` ``CHUNK`` at a time."""
     buffer = _SampleBuffer(dist, gen)
-    while True:
-        yield from buffer.take(buffer.CHUNK).tolist()
-
-
-class _FloatBuffer:
-    """A ``_SampleBuffer`` read as Python floats: ``take`` returns the next
-    ``count`` draws as a list, read from the buffer ``CHUNK`` or more at a
-    time, and ``rollback`` moves the read pointer back as the buffer's does."""
-
-    def __init__(self, dist: Distribution, gen: np.random.Generator):
-        self._buffer = _SampleBuffer(dist, gen)
-        self._values: list[float] = []
-        self._ptr = 0
-
-    def take(self, count: int) -> list[float]:
-        ptr, end = self._ptr, self._ptr + count
-        values = self._values
-        if end > len(values):
-            more = self._buffer.take(max(end - len(values), self._buffer.CHUNK))
-            values = self._values = values[ptr:] + more.tolist()
-            ptr, end = 0, count
-        self._ptr = end
-        return values[ptr:end]
-
-    def rollback(self, count: int) -> None:
-        if not 0 <= count <= self._ptr:
-            raise RuntimeError(f"cannot roll back {count} of {self._ptr} draws")
-        self._ptr -= count
+    blocks = map(buffer.take, repeat(buffer.CHUNK))
+    return chain.from_iterable(map(np.ndarray.tolist, blocks))
 
 
 def _cumulate(rows: np.ndarray, gen: np.random.Generator, scale: float, head: float):
@@ -619,8 +600,8 @@ def _served_before(served: np.ndarray) -> np.ndarray:
 class _Engine:
     """The simulator between tours.  Its stores: per queue an ``_ArrivalClock``,
     a ``_SampleBuffer`` of services and the block's completion epochs (for a
-    queue walked on Python floats, a ``_FloatBuffer`` and lists); per stage a
-    ``_SampleBuffer`` of switchovers, read through ``_floats``.  ``cycle``
+    queue walked on Python floats, a ``_floats`` stream of services and
+    lists); per stage a ``_floats`` stream of switchovers.  ``cycle``
     runs the dynamics and logs them; ``_flush`` turns a block's log into its
     tours' record fields and path."""
 
@@ -657,7 +638,7 @@ class _Engine:
             for k in k_range
         ]
         self._services = [
-            _FloatBuffer(scaled.service[k], rng.substream(seed, rng.SERVICES, k))
+            _floats(scaled.service[k], rng.substream(seed, rng.SERVICES, k))
             if self._walks[k]
             else _SampleBuffer(
                 scaled.service[k],
@@ -710,13 +691,13 @@ class _Engine:
     def _busy_period(self, queue: int, drop: int, t0: float) -> tuple[float, int]:
         """Serve ``queue`` from ``t0`` until its count first falls by ``drop``.
 
-        Returns (duration, services used).  Works chunk-wise on drawn
-        services, rolling back unused ones.  The queue's chunk kernel,
-        ``_walk_first_passage`` or ``_array_first_passage``, sums a chunk's
-        completions relative to ``t0`` after the last of the chunks before,
-        keeps them for the block, finds the first passage and closes the busy
-        period there.  With ``done`` services in earlier chunks and ``A(t)``
-        arrivals before ``t``, the count has fallen by
+        Returns (duration, services used).  Works chunk-wise: the queue's
+        chunk kernel, ``_walk_first_passage`` or ``_array_first_passage``,
+        takes a chunk's services, sums its completions relative to ``t0``
+        after the last of the chunks before, keeps them for the block, finds
+        the first passage and closes the busy period there, leaving the
+        services after it unread.  With ``done`` services in earlier chunks
+        and ``A(t)`` arrivals before ``t``, the count has fallen by
         ``done + j + 1 - A(t0 + c_j)`` at completion ``j``.  Rising at most
         one per completion, that walk first reaches ``drop`` where pending
         arrival ``done + j + 1 - drop`` (0-based) is at or after ``t0 + c_j``
@@ -725,7 +706,7 @@ class _Engine:
         finite raises.
         """
         clock = self._clocks[queue]
-        buffer = self._services[queue]
+        services = self._services[queue]
         downs = self._downs[queue]
         passage = _walk_first_passage if self._walks[queue] else _array_first_passage
         chunks = self._chunks[queue]
@@ -735,13 +716,11 @@ class _Engine:
         done = 0
         tail = 0.0
         while True:
-            draws = buffer.take(chunk)
             # the passage's completion, the duration, or the chunk's last one
-            hit, tail = passage(draws, tail, t0, clock, downs, done, drop)
+            hit, tail = passage(services, chunk, tail, t0, clock, downs, done, drop)
             if hit >= 0:
-                buffer.rollback(len(draws) - hit - 1)
                 return tail, done + hit + 1
-            done += len(draws)
+            done += chunk
             horizon = t0 + tail
             if not clock._horizon > horizon:
                 clock._ensure(horizon)

@@ -356,6 +356,23 @@ def test_error_exit_codes(tmp_path, capsys):
     assert "cost.coefficients must be" in capsys.readouterr().err
     assert not (tmp_path / "n").exists()
 
+    # an empty threshold list is a config error, not an IndexError
+    no_thresholds = write_config(
+        tmp_path,
+        {
+            "cost": {
+                "kind": "piecewise_linear",
+                "thresholds": [[], [0.0]],
+                "slopes": [[], [1.0]],
+            }
+        },
+    )
+    out = str(tmp_path / "t")
+    assert main(["pe", "--config", str(no_thresholds), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error: cost: first threshold must be 0" in err
+    assert "Traceback" not in err
+
     # an unhashable distribution kind is a config error, not a TypeError
     listed_kind = write_config(
         tmp_path, {"simulation": {"service_distribution": {"kind": ["gamma"]}}}

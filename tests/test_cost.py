@@ -73,6 +73,7 @@ def test_piecewise_linear_indicator_decomposition():
         ([0.0, 2.0], [2.0, 2.0], "strictly increasing"),
         ([0.0, 2.0], [-1.0, 2.0], "nonnegative"),
         ([0.0, 2.0], [1.0, 2.0, 3.0], "equally long"),
+        ([], [], "first threshold"),
     ],
 )
 def test_piecewise_linear_rejects_bad_shapes(thresholds, slopes, message):

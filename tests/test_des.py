@@ -225,19 +225,48 @@ class ListClock:
         return np.array(epochs[self._ptr : bisect.bisect_left(epochs, t, self._ptr)])
 
 
-def kernel_chunk(kernel, services, tail, t0, arrivals, done, drop, shown=0):
-    """One chunk of ``kernel`` against a ``ListClock`` that holds ``arrivals``
-    after two consumed epochs, then none before ``t0 + 1e6``, and has drawn
-    ``shown`` of the arrivals.  Returns the passage, its completion and what
-    the kernel keeps for the block."""
+class ListBuffer:
+    """What ``_array_first_passage`` reads of a ``_SampleBuffer``: ``values``
+    taken in order, and rolled back."""
+
+    def __init__(self, values):
+        self._values = np.array(values, dtype=float)
+        self._ptr = 0
+
+    def take(self, count: int) -> np.ndarray:
+        self._ptr += count
+        return self._values[self._ptr - count : self._ptr]
+
+    def rollback(self, count: int) -> None:
+        self._ptr -= count
+
+
+def chunk_clock(t0, arrivals, size, shown):
+    """A ``ListClock`` for a chunk of ``size`` services from ``t0``: it holds
+    ``arrivals`` after two consumed epochs, then none before ``t0 + 1e6``,
+    and has drawn ``shown`` of the arrivals."""
     consumed = [t0 - 2.0, t0 - 1.0]
-    later = [t0 + 1e6 + i for i in range(len(services) + 16)]
-    clock = ListClock(consumed + list(arrivals) + later, 2 + shown, 2)
+    later = [t0 + 1e6 + i for i in range(size + 16)]
+    return ListClock(consumed + list(arrivals) + later, 2 + shown, 2)
+
+
+def kernel_chunk(kernel, services, tail, t0, arrivals, done, drop, shown=0):
+    """One chunk of ``kernel`` on ``services`` against a ``chunk_clock``.
+    Checks that the kernel reads the services up to the passage, or all of
+    them without one.  Returns the passage, its completion and what the
+    kernel keeps for the block."""
+    size = len(services)
+    clock = chunk_clock(t0, arrivals, size, shown)
     if kernel is des._walk_first_passage:
-        downs, draws = ([], [], []), list(services)
+        downs, stream = ([], [], []), iter(services)
+        hit, last = kernel(stream, size, tail, t0, clock, downs, done, drop)
+        unread = len(list(stream))
     else:
-        downs, draws = des._Store(), np.array(services, dtype=float)
-    return *kernel(draws, tail, t0, clock, downs, done, drop), downs
+        downs, buffer = des._Store(), ListBuffer(services)
+        hit, last = kernel(buffer, size, tail, t0, clock, downs, done, drop)
+        unread = size - buffer._ptr
+    assert unread == (size - hit - 1 if hit >= 0 else 0)
+    return hit, last, downs
 
 
 def walk_chunk(services, tail, t0, arrivals, done, drop, shown=0):
@@ -350,6 +379,28 @@ def test_a_completion_rounded_onto_an_arrival_precedes_it(services, kernel):
         hit, last, _ = kernel_chunk(kernel, services, 0.0, t0, arrivals, 0, 1, shown)
         assert (hit, last) == (0, 1.25)
         assert hit + 1 - bisect.bisect_left(arrivals, t0 + last) == 1
+
+
+@pytest.mark.parametrize("shown", [0, 3, 64])
+@pytest.mark.parametrize("drop", [1, 4])
+def test_a_walked_passage_leaves_the_next_service_next_in_the_stream(drop, shown):
+    # services drawn in one call; each arrival falls between the completion
+    # before the one it is compared with and that one, up to completion 12,
+    # the passage, whose arrival is at t0 + 1e6.  With ``shown`` small the
+    # clock's mirror drains before the passage, once per arrival drawn.
+    dist, size, hit, t0 = Exponential(1.0), 40, 12, 5.0
+    expected = draws(dist, np.random.default_rng(8), 2 * size).tolist()
+    completions = list(itertools.accumulate(expected[:size]))
+    bounds = [0.0, *completions]
+    arrivals = [t0 + (bounds[j] + bounds[j + 1]) / 2 for j in range(drop - 1, hit)]
+    services = des._floats(dist, np.random.default_rng(8))
+    clock, downs = chunk_clock(t0, arrivals, size, shown), ([], [], [])
+    found = des._walk_first_passage(services, size, 0.0, t0, clock, downs, 0, drop)
+    assert found == (hit, completions[hit])
+    assert downs == (completions[: hit + 1], [t0], [hit + 1])
+    # the services after the passage are read by the next busy period
+    assert next(services) == expected[hit + 1]
+    assert list(itertools.islice(services, size)) == expected[hit + 2 : hit + 2 + size]
 
 
 def consume(clock, requests, tour_every=0):
@@ -754,21 +805,29 @@ class ShiftedDown(Distribution):
 
 
 @pytest.mark.parametrize(
-    "field, index, scale, cpus, refill",
+    "params, field, index, scale, cpus, refill",
     # a stage-1 switchover; a queue-1 service drawn inline, and drawn ahead
-    # with negative draws only in the refills the worker draws
+    # with negative draws only in the refills the worker draws; a queue-1
+    # service of ``SLOW_REVISIT``, walked on Python floats
     [
-        ("switchover", 1, 2, 1, 0),
-        ("service", 0, 2, 1, 0),
-        ("service", 0, 500, 2, des.AHEAD_REFILL),
+        pytest.param(None, "switchover", 1, 2, 1, 0, id="switchover-1-2-1-0"),
+        pytest.param(None, "service", 0, 2, 1, 0, id="service-0-2-1-0"),
+        pytest.param(
+            None, "service", 0, 500, 2, des.AHEAD_REFILL, id="service-0-500-2-32768"
+        ),
+        pytest.param(SLOW_REVISIT, "service", 0, 2, 1, 0, id="walked-service-0-2-1-0"),
     ],
 )
 def test_negative_draws_are_a_runtime_error(
-    revisit_params, field, index, scale, cpus, refill
+    revisit_params, params, field, index, scale, cpus, refill
 ):
-    scaled = pc.scaled_system(revisit_params, scale)
-    control = exhaustive(revisit_params)
-    mode = des.AHEAD if cpus > 1 else des.INLINE
+    params = params or revisit_params
+    scaled = pc.scaled_system(params, scale)
+    control = exhaustive(params)
+    if params is SLOW_REVISIT:
+        mode = des.WALK
+    else:
+        mode = des.AHEAD if cpus > 1 else des.INLINE
     assert des._stream_modes(scaled, control, cpus)[0] == mode
     dists = list(getattr(scaled, field))
     dists[index] = ShiftedDown(dists[index].mean, refill)
